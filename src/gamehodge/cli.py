@@ -3,8 +3,9 @@
 Subcommands: decompose, project, equilibria, pareto, distance, dims, verify,
 export-flow.  Exit codes: 0 success, 1 verification failure, 2 parse error,
 3 numeric error, 4 precondition violation.  All numeric output is printed
-with 12 significant digits; set ``GAMEHODGE_MAX_NODES`` to override the
-default game-graph node cap.
+with 12 significant digits.  Only ``export-flow`` and ``verify`` build the
+game graph; ``GAMEHODGE_MAX_NODES`` overrides its default node cap and
+bounds those two commands alone.
 """
 
 from __future__ import annotations

@@ -10,8 +10,19 @@ Every finite game splits uniquely into three orthogonal pieces:
 The scalar potential solves ``Laplacian(phi) = sum_m h_m P_m u^m`` where
 ``P_m`` removes per-block own-strategy means; the parts are then read off as
 ``u_P^m = P_m phi``, ``u_H^m = P_m u^m - P_m phi`` and
-``u_N^m = (I - P_m) u^m``, all in node space, so no edge-space matrices are
-ever assembled.
+``u_N^m = (I - P_m) u^m``, all in node space, so no game graph and no
+edge-space array is ever built.
+
+The residual diagnostics are node-space identities as well:
+
+* ``harmonic_divergence`` is ``max |sum_m h_m u_H^m|``, the divergence of the
+  harmonic flow, because ``P_m u_H^m = u_H^m``;
+* ``curl`` is the star certificate ``max |X(a, b) - (X(0, b) - X(0, a))|``
+  over each player's own-strategy differences ``X(a, b) = u^m(b, .) -
+  u^m(a, .)``, which is zero exactly when the curl of the game flow is zero
+  and bounds it within a factor of 3;
+* ``reconstruction`` is the largest entry of ``u - (u_P + u_H + u_N)`` and
+  ``solver`` the residual norm of the Laplacian solve.
 """
 
 from __future__ import annotations
@@ -22,17 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .flows import (
-    build_graph,
-    curl,
-    divergence_adjoint,
-    gradient,
-    laplacian_apply,
-    laplacian_pinv_solve,
-    laplacian_player_apply,
-    pairwise_comparison,
-    project_player,
-)
+from .flows import laplacian_apply, laplacian_pinv_solve, project_player
 from .game import Game, game_to_dict
 
 __all__ = [
@@ -73,12 +74,10 @@ def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
     """Split a game into its potential, harmonic and nonstrategic parts."""
     counts = game.strategy_counts
     m_players = game.num_players
+    h = np.asarray(counts, dtype=float)
 
-    b = np.zeros(game.num_profiles)
-    proj = np.empty_like(game.utilities)
-    for m in range(m_players):
-        proj[m] = project_player(counts, m, game.utilities[m])
-        b += laplacian_player_apply(counts, m, game.utilities[m])
+    proj = np.stack([project_player(counts, m, game.utilities[m]) for m in range(m_players)])
+    b = h @ proj
     phi = laplacian_pinv_solve(counts, b, tol=tol)
 
     u_pot = np.stack([project_player(counts, m, phi) for m in range(m_players)])
@@ -89,20 +88,34 @@ def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
     harmonic_part = game.with_utilities(u_harm)
     nonstrategic_part = game.with_utilities(u_non)
 
-    graph = build_graph(counts)
-    flow = pairwise_comparison(game, graph)
-    harmonic_flow = pairwise_comparison(harmonic_part, graph)
     residuals = {
         "reconstruction": float(
             np.abs(game.utilities - (u_pot + u_harm + u_non)).max(initial=0.0)
         ),
-        "harmonic_divergence": float(
-            np.abs(divergence_adjoint(harmonic_flow)).max(initial=0.0)
-        ),
-        "curl": curl(flow).max_abs(),
+        "harmonic_divergence": float(np.abs(h @ u_harm).max(initial=0.0)),
+        "curl": _star_curl_certificate(game),
         "solver": float(np.linalg.norm(laplacian_apply(counts, phi) - b)),
     }
     return Decomposition(potential_part, harmonic_part, nonstrategic_part, phi, residuals)
+
+
+def _star_curl_certificate(game: Game) -> float:
+    """Largest ``|X(a, b) - (X(0, b) - X(0, a))|`` over every player's clique.
+
+    ``X(a, b)`` is the game flow from own strategy ``a`` to ``b``; the
+    quantity is zero exactly when every 3-clique circulation is, and it costs
+    one pass over the edges with node-sized temporaries.  Rounded
+    subtraction is antisymmetric, so the pairs ``a < b`` give the maximum,
+    and the pairs with ``a = 0`` are zero by construction.
+    """
+    worst = 0.0
+    for m in range(game.num_players):
+        t = np.moveaxis(game.tensor(m), m, 0)
+        star = t - t[0]  # X(0, b) for every b
+        for a in range(1, t.shape[0] - 1):
+            gap = (t[a + 1:] - t[a]) - (star[a + 1:] - star[a])
+            worst = max(worst, float(np.abs(gap).max()))
+    return worst
 
 
 def decompose_bimatrix_normalized(A, B, tol: float = 1e-9):
@@ -173,15 +186,17 @@ def is_harmonic(game: Game, tol: float = 1e-9) -> bool:
 def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
     """Mean-zero exact potential of the game, or None if it has none.
 
-    The candidate from :func:`decompose` is re-verified edge by edge: the
-    potential difference across every comparable pair must match the
-    deviating player's payoff difference.
+    The candidate from :func:`decompose` is re-verified on every comparable
+    pair: the potential difference must match the deviating player's payoff
+    difference.  The largest mismatch over player ``m``'s pairs is the
+    largest spread of ``u^m - phi`` along axis ``m``.
     """
-    d = decompose(game)
-    phi = d.potential_fn
-    graph = build_graph(game.strategy_counts)
-    flow = pairwise_comparison(game, graph)
-    mismatch = (flow - gradient(graph, phi)).max_abs()
+    phi = decompose(game).potential_fn
+    phi_t = phi.reshape(game.strategy_counts)
+    mismatch = max(
+        float(np.ptp(game.tensor(m) - phi_t, axis=m).max())
+        for m in range(game.num_players)
+    )
     scale = max(1.0, float(np.abs(game.utilities).max(initial=0.0)))
     if mismatch > tol * scale:
         return None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import closest_potential, game_distance, is_harmonic
+from .decompose import closest_potential, game_distance, game_norm, is_harmonic
 from .errors import PreconditionError
 from .game import Game, is_normalized, normalize, profile_of_index
 
@@ -185,7 +185,14 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     """
     if not is_normalized(game, max(tol, 1e-12) * max(1.0, float(np.abs(game.utilities).max(initial=0.0)))):
         raise PreconditionError("game must be normalized; call normalize() first")
-    if not is_harmonic(game, tol):
+    # A game is harmonic iff sum_m h_m P_m u^m = 0 (for a normalized game,
+    # sum_m h_m u^m = 0): that sum is L phi for the potential phi, and
+    # ||L phi||^2 <= (sum_m h_m) phi'L phi, where phi'L phi is the squared
+    # norm of the potential part.  So every game that passes
+    # is_harmonic(game, tol) passes this bound, with no decomposition.
+    h = np.asarray(game.strategy_counts, dtype=float)
+    weighted = float(np.linalg.norm(h @ normalize(game).utilities))
+    if weighted > math.sqrt(h.sum()) * tol * max(1.0, game_norm(game)):
         raise PreconditionError("game must be harmonic (zero potential part)")
 
     n = game.num_profiles
@@ -205,11 +212,9 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     rhs = np.zeros(len(rows) + 1)
     rhs[-1] = 1.0
 
-    svals = np.linalg.svd(equalities, compute_uv=False)
+    _, svals, vt = np.linalg.svd(equalities)
     rank = int(np.sum(svals > tol * svals[0])) if svals.size else 0
     dimension = n - rank
-
-    _, _, vt = np.linalg.svd(equalities)
     directions = vt[rank:]
 
     particular = np.full(n, 1.0 / n)
@@ -277,12 +282,27 @@ def harmonic_indifference_checks(game: Game, tol: float = 1e-9) -> HarmonicIndif
 # -- Pareto analysis -------------------------------------------------------------
 
 
+_PARETO_ROWS = 256
+
+
 def pareto_optimal(game: Game) -> list[tuple[int, ...]]:
-    """Profiles not weakly dominated (all players >=, someone >) by any other."""
-    payoffs = game.utilities.T  # (n, M)
-    ge = (payoffs[None, :, :] >= payoffs[:, None, :]).all(axis=2)
-    gt = (payoffs[None, :, :] > payoffs[:, None, :]).any(axis=2)
-    dominated = (ge & gt).any(axis=1)
+    """Profiles not weakly dominated (all players >=, someone >) by any other.
+
+    Blocks of at most ``_PARETO_ROWS`` profiles are scanned against all
+    profiles one player at a time, so memory stays O(n * block) for any
+    number of players.
+    """
+    payoffs = game.utilities  # (M, n)
+    n = game.num_profiles
+    dominated = np.zeros(n, dtype=bool)
+    for start in range(0, n, _PARETO_ROWS):
+        block = payoffs[:, start:start + _PARETO_ROWS, None]
+        ge = payoffs[0] >= block[0]
+        gt = payoffs[0] > block[0]
+        for m in range(1, game.num_players):
+            ge &= payoffs[m] >= block[m]
+            gt |= payoffs[m] > block[m]
+        dominated[start:start + _PARETO_ROWS] = (ge & gt).any(axis=1)
     return [
         profile_of_index(i, game.strategy_counts) for i in np.flatnonzero(~dominated)
     ]

@@ -5,8 +5,14 @@ edge) when they differ in the strategy of exactly one player, which makes the
 graph a direct product of per-player cliques.  Edge flows carry one value per
 comparable pair on the canonical orientation low-index -> high-index and play
 the role of discrete vector fields: the operators here are the combinatorial
-gradient, curl, their adjoints, per-player restrictions, the graph Laplacians
-and a Laplacian pseudoinverse solve.
+gradient, curl, their adjoints, per-player restrictions and the graph
+Laplacians.
+
+The node-space operators need only the shape, never a graph.  Among them,
+the Laplacian pseudoinverse solve is exact: the game-graph Laplacian is a
+Kronecker sum of clique Laplacians, so the multidimensional DFT diagonalizes
+it and the solve is one forward and one inverse FFT, with no iterative
+method and no dense fallback.
 
 Inner products: plain dot product on node functions; on edge flows the sum
 over ordered comparable pairs carries a 1/2 factor, which reduces to the dot
@@ -378,19 +384,22 @@ def laplacian_apply(strategy_counts: Sequence[int], phi) -> np.ndarray:
 def laplacian_pinv_solve(
     strategy_counts: Sequence[int], b, tol: float = 1e-10
 ) -> np.ndarray:
-    """Mean-zero solution of ``Laplacian(phi) = b``.
+    """Mean-zero solution of ``Laplacian(phi) = b``, solved exactly.
 
     The game graph is connected, so the Laplacian kernel is exactly the
-    constants; ``b`` must therefore be orthogonal to constants.  Solved by
-    conjugate gradients deflated onto the mean-zero subspace, with a dense
-    least-squares fallback for graphs of at most 512 nodes.
+    constants; ``b`` must therefore be orthogonal to constants.  The
+    Laplacian is the Kronecker sum of the clique Laplacians
+    ``h_m (I - J/h_m)``, which the multidimensional DFT diagonalizes: at
+    multi-index ``k`` its eigenvalue is the sum of ``h_m`` over the players
+    with ``k_m != 0``.  The solve divides the transform of ``b`` by that
+    spectrum, with the zero eigenvalue (the constants) mapped to zero.
 
     Raises
     ------
     PreconditionError
         if ``b`` has a non-negligible mean component.
     NumericError
-        if no method reaches residual ``tol * max(1, ||b||)``.
+        if the solution misses residual ``tol * max(1, ||b||)``.
     """
     counts = tuple(strategy_counts)
     n = math.prod(counts)
@@ -407,54 +416,23 @@ def laplacian_pinv_solve(
     if bnorm == 0.0 or n == 1:
         return np.zeros(n)
 
+    spectrum = sum(
+        np.where(np.arange(h) > 0, float(h), 0.0).reshape(
+            [h if k == m else 1 for k in range(len(counts))]
+        )
+        for m, h in enumerate(counts)
+    )
+    spectrum.flat[0] = np.inf  # the constants: mapped to zero
+    x = np.fft.ifftn(np.fft.fftn(b.reshape(counts)) / spectrum).real.ravel()
+
     target = tol * max(1.0, bnorm)
-    x = _cg_mean_zero(counts, b, target, max_iter=10 * n)
     residual = float(np.linalg.norm(laplacian_apply(counts, x) - b))
-    if residual > target and n <= 512:
-        x = _dense_pinv_solve(counts, b)
-        residual = float(np.linalg.norm(laplacian_apply(counts, x) - b))
     if residual > target:
         raise NumericError(
-            f"Laplacian solve did not converge: residual {residual:.3e} "
+            f"Laplacian solve missed its tolerance: residual {residual:.3e} "
             f"exceeds {target:.3e}",
             residual=residual,
         )
-    return x - x.mean()
-
-
-def _cg_mean_zero(counts, b, target, max_iter):
-    """Conjugate gradients on the mean-zero subspace, where the Laplacian is SPD."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for _ in range(max_iter):
-        if math.sqrt(rs) <= target:
-            break
-        ap = laplacian_apply(counts, p)
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            break
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        r -= r.mean()  # re-deflate accumulated round-off
-        rs_new = float(r @ r)
-        if rs_new == 0.0:
-            rs = rs_new
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x - x.mean()
-
-
-def _dense_pinv_solve(counts, b):
-    n = math.prod(counts)
-    lap = np.empty((n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        lap[:, i] = laplacian_apply(counts, eye[:, i])
-    x, *_ = np.linalg.lstsq(lap, b, rcond=None)
     return x - x.mean()
 
 

@@ -206,6 +206,19 @@ class TestExportFlowCommand:
         assert main(["export-flow", path]) == 4
 
 
+class TestLargeGame:
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose"], ["project", "--onto", "potential"], ["distance", "--to", "harmonic"]],
+        ids=["decompose", "project", "distance"],
+    )
+    def test_100x100_commands_succeed(self, game_file, tmp_path, argv):
+        path = game_file(random_game(np.random.default_rng(42), (100, 100)), "g100.json")
+        out = tmp_path / "out.json"
+        assert main([argv[0], path, *argv[1:], "--out", str(out)]) == 0
+        assert json.loads(out.read_text())
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
         mp = tmp_path / "mp.json"

@@ -326,3 +326,13 @@ class TestDecompositionStructure:
         assert set(doc) == {"potential", "harmonic", "nonstrategic", "phi", "residuals"}
         assert set(doc["residuals"]) == {"reconstruction", "harmonic_divergence", "curl"}
         assert len(doc["phi"]) == 4
+
+
+class TestLargeGames:
+    def test_random_100x100_residuals_are_tiny(self):
+        # the same bounds as TestGeneralizedRps.test_residuals_are_tiny
+        d = decompose(random_game(np.random.default_rng(41), (100, 100)))
+        assert d.residuals["reconstruction"] <= 1e-12
+        assert d.residuals["harmonic_divergence"] <= 1e-9
+        assert d.residuals["curl"] <= 1e-10
+        assert d.residuals["solver"] <= 1e-9

@@ -376,6 +376,26 @@ class TestPareto:
         g = Game(np.zeros((2, 4)), (2, 2))
         assert len(pareto_optimal(g)) == 4
 
+    def test_matches_brute_force_with_ties_across_blocks(self):
+        from gamehodge import profile_of_index
+        from gamehodge.equilibria import _PARETO_ROWS
+
+        rng = np.random.default_rng(60)
+        for counts in [(17, 31), (5, 7, 9), (3, 3, 3, 3, 3, 3)]:
+            n = int(np.prod(counts))
+            assert n > _PARETO_ROWS and n % _PARETO_ROWS != 0
+            # payoffs rounded to one decimal, so ties and repeated profiles abound
+            g = Game(np.round(rng.uniform(-1.0, 1.0, size=(len(counts), n)), 1), counts)
+            payoffs = g.utilities.T
+            expected = [
+                profile_of_index(i, counts)
+                for i in range(n)
+                if not np.any(
+                    np.all(payoffs >= payoffs[i], axis=1) & np.any(payoffs > payoffs[i], axis=1)
+                )
+            ]
+            assert pareto_optimal(g) == expected
+
 
 class TestParetoAlignTransform:
     def test_battle_of_sexes(self):

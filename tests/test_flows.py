@@ -6,6 +6,7 @@ import pytest
 from gamehodge import (
     EdgeFlow,
     Game,
+    NumericError,
     PreconditionError,
     SizeError,
     build_graph,
@@ -358,6 +359,36 @@ class TestLaplacianSolve:
 
     def test_single_node_graph(self):
         assert laplacian_pinv_solve((1, 1), np.zeros(1)) == 0.0
+
+    @pytest.mark.parametrize("counts", [(1,), (1, 4), (2, 3, 4), (2,) * 6, (5, 5)])
+    def test_matches_dense_least_squares(self, counts):
+        # Laplacian from the definition: degree minus adjacency, where two
+        # profiles are adjacent when exactly one player's strategy differs
+        profiles = list(np.ndindex(*counts))
+        n = len(profiles)
+        lap = np.zeros((n, n))
+        for i, p in enumerate(profiles):
+            for j, q in enumerate(profiles):
+                if sum(a != b for a, b in zip(p, q)) == 1:
+                    lap[i, j] = -1.0
+                    lap[i, i] += 1.0
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            b = rng.uniform(-1.0, 1.0, size=n)
+            b -= b.mean()
+            expected, *_ = np.linalg.lstsq(lap, b, rcond=None)
+            assert np.abs(laplacian_pinv_solve(counts, b) - expected).max() <= 1e-10
+
+    def test_residual_check_raises_numeric_error(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        psi = rng.uniform(-1.0, 1.0, size=9)
+        b = laplacian_apply((3, 3), psi - psi.mean())
+        monkeypatch.setattr(
+            np.fft, "ifftn", lambda a, *args, **kwargs: rng.uniform(-1.0, 1.0, np.shape(a)) + 0j
+        )
+        with pytest.raises(NumericError) as info:
+            laplacian_pinv_solve((3, 3), b)
+        assert info.value.residual > 1e-10 * max(1.0, np.linalg.norm(b))
 
 
 class TestInnerProducts:
