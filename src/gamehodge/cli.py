@@ -4,8 +4,9 @@ Subcommands: decompose, project, equilibria, pareto, distance, dims, verify,
 export-flow.  Exit codes: 0 success, 1 verification failure, 2 parse error,
 3 numeric error, 4 precondition violation.  All numeric output is printed
 with 12 significant digits.  Only ``export-flow`` and ``verify`` build the
-game graph; ``GAMEHODGE_MAX_NODES`` overrides its default node cap and
-bounds those two commands alone.
+game graph, and only its edge arrays: ``verify`` checks the curl without
+listing triangles.  ``GAMEHODGE_MAX_NODES`` overrides the graph's default
+node cap and bounds those two commands alone.
 """
 
 from __future__ import annotations

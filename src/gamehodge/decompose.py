@@ -21,8 +21,10 @@ The residual diagnostics are node-space identities as well:
   over each player's own-strategy differences ``X(a, b) = u^m(b, .) -
   u^m(a, .)``, which is zero exactly when the curl of the game flow is zero
   and bounds it within a factor of 3;
-* ``reconstruction`` is the largest entry of ``u - (u_P + u_H + u_N)`` and
-  ``solver`` the residual norm of the Laplacian solve.
+* ``reconstruction`` is the largest entry of ``u - (u_P + u_H + u_N)``;
+* ``solver`` is the residual norm ``||b - Laplacian(phi)||`` of the solve,
+  read off the same divergence: ``Laplacian(phi) = sum_m h_m u_P^m``, so
+  the residual is ``sum_m h_m u_H^m`` and no second Laplacian is applied.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .flows import laplacian_apply, laplacian_pinv_solve, project_player
+from .flows import laplacian_pinv_solve, project_player
 from .game import Game, game_to_dict
 
 __all__ = [
@@ -88,13 +90,14 @@ def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
     harmonic_part = game.with_utilities(u_harm)
     nonstrategic_part = game.with_utilities(u_non)
 
+    div = h @ u_harm  # = b - Laplacian(phi), since Laplacian(phi) = h @ u_pot
     residuals = {
         "reconstruction": float(
             np.abs(game.utilities - (u_pot + u_harm + u_non)).max(initial=0.0)
         ),
-        "harmonic_divergence": float(np.abs(h @ u_harm).max(initial=0.0)),
+        "harmonic_divergence": float(np.abs(div).max(initial=0.0)),
         "curl": _star_curl_certificate(game),
-        "solver": float(np.linalg.norm(laplacian_apply(counts, phi) - b)),
+        "solver": float(np.linalg.norm(div)),
     }
     return Decomposition(potential_part, harmonic_part, nonstrategic_part, phi, residuals)
 

@@ -14,6 +14,10 @@ Kronecker sum of clique Laplacians, so the multidimensional DFT diagonalizes
 it and the solve is one forward and one inverse FFT, with no iterative
 method and no dense fallback.
 
+Edges and triangles are positioned by arithmetic on the clique layout
+(:meth:`GameGraph.clique_index`); no dict or triangle list is kept, and the
+curl is computed a row slice per own-strategy pair.
+
 Inner products: plain dot product on node functions; on edge flows the sum
 over ordered comparable pairs carries a 1/2 factor, which reduces to the dot
 product of the stored per-edge values.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
 
 import numpy as np
@@ -58,13 +62,14 @@ DEFAULT_NODE_CAP = 10**7
 class GameGraph:
     """Graph of comparable strategy profiles for a given shape.
 
-    Edges are stored per player as parallel ``tails``/``heads`` node-index
-    arrays with ``tails < heads`` elementwise (the canonical orientation).
-    Within player ``m`` the edges are grouped by own-strategy pair ``(a, b)``,
-    ``a < b`` in lexicographic order, each group raveled over the opponent
-    profiles in C order; this layout is what lets the operators below run as
-    plain array arithmetic.  Triangles (3-cliques) always live inside a single
-    player's clique and are enumerated lazily.
+    Edges are stored as parallel ``tails``/``heads`` node-index arrays with
+    ``tails < heads`` elementwise (the canonical orientation).  Edges and
+    triangles (3-cliques) live inside one player's clique and share one
+    layout: grouped by player, then by own strategies in ``combinations``
+    order, each group raveled over the opponent profiles in C order.  This
+    layout lets the operators below run as plain array arithmetic, and
+    :meth:`clique_index` computes any position from it, so no lookup table
+    over edges or triangles is kept.
     """
 
     def __init__(self, strategy_counts: Sequence[int], node_cap: int | None = None):
@@ -81,30 +86,13 @@ class GameGraph:
         self.num_players = len(counts)
         self.num_nodes = n
 
-        node_ids = np.arange(n).reshape(counts)
-        tails, heads = [], []
-        self._player_slices: list[slice] = []
-        self._pairs: list[list[tuple[int, int]]] = []
-        start = 0
-        for m, h in enumerate(counts):
-            pairs = list(combinations(range(h), 2))
-            self._pairs.append(pairs)
-            for a, b in pairs:
-                tails.append(node_ids.take(a, axis=m).ravel())
-                heads.append(node_ids.take(b, axis=m).ravel())
-            stop = start + len(pairs) * (n // h)
-            self._player_slices.append(slice(start, stop))
-            start = stop
-        if tails:
-            self.tails = np.concatenate(tails)
-            self.heads = np.concatenate(heads)
-        else:
-            self.tails = np.zeros(0, dtype=int)
-            self.heads = np.zeros(0, dtype=int)
+        self._node_ids = np.arange(n).reshape(counts)
+        self.tails, self.heads = self._cliques(2)
         self.num_edges = self.tails.size
-        self._node_ids = node_ids
-        self._edge_lookup: dict[tuple[int, int], int] | None = None
-        self._triangle_cache: np.ndarray | None = None
+        sizes = [math.comb(h, 2) * (n // h) for h in counts]
+        self._player_slices = [
+            slice(stop - size, stop) for size, stop in zip(sizes, accumulate(sizes))
+        ]
 
     # -- structure ---------------------------------------------------------
 
@@ -124,19 +112,35 @@ class GameGraph:
     def node_index(self, profile: Sequence[int]) -> int:
         return profile_index(profile, self.strategy_counts)
 
+    def clique_index(self, ids: Sequence[int]) -> int | None:
+        """Position of the clique on node ``ids`` among the cliques of its size.
+
+        With ``s = prod(h_{m+1:})``, node ``i`` has own strategy
+        ``i // s % h`` and opponent index ``(i // (s*h))*s + i % s``; sorted
+        own strategies ``c_0 < ... < c_{k-1}`` have lexicographic rank
+        ``comb(h, k) - 1 - sum_x comb(h - 1 - c_x, k - x)``.  None when the
+        nodes are not one clique.
+        """
+        k, n = len(ids), self.num_nodes
+        offset, s = 0, n
+        for h in self.strategy_counts:
+            s //= h
+            own = sorted({i // s % h for i in ids})
+            opponents = {(i // (s * h)) * s + i % s for i in ids}
+            if len(own) == k and len(opponents) == 1:
+                rank = math.comb(h, k) - 1 - sum(
+                    math.comb(h - 1 - c, k - x) for x, c in enumerate(own)
+                )
+                return offset + rank * (n // h) + opponents.pop()
+            offset += math.comb(h, k) * (n // h)
+        return None
+
     def edge_id(self, i: int, j: int) -> tuple[int, float]:
         """Edge id of the comparable node pair plus the orientation sign of (i, j)."""
-        if self._edge_lookup is None:
-            self._edge_lookup = {
-                (int(t), int(h)): e for e, (t, h) in enumerate(zip(self.tails, self.heads))
-            }
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -1.0
-        try:
-            return self._edge_lookup[(i, j)], sign
-        except KeyError:
-            raise KeyError(f"nodes {i} and {j} are not comparable") from None
+        e = self.clique_index((i, j))
+        if e is None:
+            raise KeyError(f"nodes {i} and {j} are not comparable")
+        return e, 1.0 if i < j else -1.0
 
     @property
     def num_triangles(self) -> int:
@@ -145,23 +149,16 @@ class GameGraph:
 
     def triangles(self) -> np.ndarray:
         """All 3-cliques as an (T, 3) array of node ids, i < j < k per row."""
-        if self._triangle_cache is None:
-            rows = []
-            for m, h in enumerate(self.strategy_counts):
-                for a, b, c in combinations(range(h), 3):
-                    rows.append(
-                        np.stack(
-                            [
-                                self._node_ids.take(x, axis=m).ravel()
-                                for x in (a, b, c)
-                            ],
-                            axis=1,
-                        )
-                    )
-            self._triangle_cache = (
-                np.concatenate(rows) if rows else np.zeros((0, 3), dtype=int)
-            )
-        return self._triangle_cache
+        return self._cliques(3).T
+
+    def _cliques(self, k: int) -> np.ndarray:
+        """All k-cliques as a (k, C) array of sorted node ids, in index order."""
+        parts = [np.zeros((k, 0), dtype=int)]
+        for m, h in enumerate(self.strategy_counts):
+            rows = np.moveaxis(self._node_ids, m, 0).reshape(h, -1)
+            own = np.array(list(combinations(range(h), k)), dtype=int).reshape(-1, k)
+            parts.append(rows[own].transpose(1, 0, 2).reshape(k, -1))
+        return np.concatenate(parts, axis=1)
 
     def __repr__(self) -> str:
         return (
@@ -224,30 +221,33 @@ class EdgeFlow:
 
 
 class TriangleFlow:
-    """Alternating function on the 3-cliques of a game graph."""
+    """Alternating function on the 3-cliques of a game graph.
+
+    One value per 3-clique on its sorted orientation, stored at the position
+    :meth:`GameGraph.clique_index` gives it; no triangle list is kept.
+    """
 
     def __init__(self, graph: GameGraph, values):
         values = np.asarray(values, dtype=float)
-        self.graph = graph
-        self.triangles = graph.triangles()
-        if values.shape != (len(self.triangles),):
+        if values.shape != (graph.num_triangles,):
             raise ShapeError("one value per triangle required")
+        self.graph = graph
         self.values = values
-        self._lookup = {tuple(t): i for i, t in enumerate(map(tuple, self.triangles))}
 
     def value(self, p, q, r) -> float:
         """Alternating evaluation; zero when the nodes are not a 3-clique."""
-        ids = tuple(
+        ids = [
             int(x) if isinstance(x, (int, np.integer)) else self.graph.node_index(x)
             for x in (p, q, r)
-        )
-        order = tuple(sorted(ids))
-        if order not in self._lookup:
+        ]
+        t = self.graph.clique_index(ids)
+        if t is None:
             return 0.0
         # parity of the permutation taking sorted order to the given order
+        order = sorted(ids)
         perm = [order.index(x) for x in ids]
         sign = 1.0 if perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1]) else -1.0
-        return sign * float(self.values[self._lookup[order]])
+        return sign * float(self.values[t])
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max(initial=0.0))
@@ -272,7 +272,7 @@ def pairwise_comparison(game: Game, graph: GameGraph | None = None) -> EdgeFlow:
     blocks = []
     for m in range(game.num_players):
         t = game.tensor(m)
-        for a, b in graph._pairs[m]:
+        for a, b in combinations(range(game.strategy_counts[m]), 2):
             blocks.append((t.take(b, axis=m) - t.take(a, axis=m)).ravel())
     values = np.concatenate(blocks) if blocks else np.zeros(0)
     return EdgeFlow(graph, values)
@@ -325,30 +325,26 @@ def restrict_player(flow: EdgeFlow, player: int) -> EdgeFlow:
 
 
 def curl(flow: EdgeFlow) -> TriangleFlow:
-    """Circulation ``X(p,q) + X(q,r) + X(r,p)`` around every 3-clique (p, q, r)."""
-    graph = flow.graph
-    n = graph.num_nodes
-    out_blocks = []
+    """Circulation ``X(p,q) + X(q,r) + X(r,p)`` around every 3-clique (p, q, r).
+
+    Player ``m``'s edges form a (pairs, n/h) array in which the rows (b, c)
+    and the rows (a, c) after (a, b), all c > b, are contiguous; so each own
+    pair (a, b) gives its triangles (a, b, c) in one row slice.
+    """
+    graph, n = flow.graph, flow.graph.num_nodes
+    values = np.empty(graph.num_triangles)
+    pos = 0
     for m, h in enumerate(graph.strategy_counts):
-        base = graph.player_slice(m).start
-        block = n // h
-        pair_offset = {pair: base + k * block for k, pair in enumerate(graph._pairs[m])}
-        for a, b, c in combinations(range(h), 3):
-            ab = flow.values[pair_offset[(a, b)]: pair_offset[(a, b)] + block]
-            bc = flow.values[pair_offset[(b, c)]: pair_offset[(b, c)] + block]
-            ac = flow.values[pair_offset[(a, c)]: pair_offset[(a, c)] + block]
-            out_blocks.append(ab + bc - ac)
-    values = np.concatenate(out_blocks) if out_blocks else np.zeros(0)
+        x = flow.values[graph.player_slice(m)].reshape(-1, n // h)
+        first = [a * h - a * (a + 1) // 2 for a in range(h + 1)]  # first row of pairs (a, .)
+        for ab, (a, b) in enumerate(combinations(range(h), 2)):
+            block = x[ab] + x[first[b]:first[b + 1]] - x[ab + 1:first[a + 1]]
+            values[pos:pos + block.size] = block.ravel()
+            pos += block.size
     return TriangleFlow(graph, values)
 
 
 # -- node-space operators (shape-only, no graph needed) ----------------------
-
-
-def _as_tensor(strategy_counts: Sequence[int], u) -> np.ndarray:
-    counts = tuple(strategy_counts)
-    u = np.asarray(u, dtype=float)
-    return u.reshape(counts)
 
 
 def project_player(strategy_counts: Sequence[int], player: int, u) -> np.ndarray:
@@ -358,7 +354,7 @@ def project_player(strategy_counts: Sequence[int], player: int, u) -> np.ndarray
     that ignore the player's own strategy; it is idempotent and self-adjoint,
     and for a one-strategy player it is identically zero.
     """
-    t = _as_tensor(strategy_counts, u)
+    t = np.asarray(u, dtype=float).reshape(tuple(strategy_counts))
     return (t - t.mean(axis=player, keepdims=True)).ravel()
 
 
@@ -374,11 +370,9 @@ def laplacian_player_apply(strategy_counts: Sequence[int], player: int, phi) -> 
 
 def laplacian_apply(strategy_counts: Sequence[int], phi) -> np.ndarray:
     """Graph Laplacian of the full game graph, applied matrix-free."""
-    t = _as_tensor(strategy_counts, phi)
-    out = np.zeros_like(t)
-    for m, h in enumerate(strategy_counts):
-        out += h * (t - t.mean(axis=m, keepdims=True))
-    return out.ravel()
+    return sum(
+        laplacian_player_apply(strategy_counts, m, phi) for m in range(len(strategy_counts))
+    )
 
 
 def laplacian_pinv_solve(

@@ -171,10 +171,6 @@ class Game:
         return f"Game(players={self.num_players}, strategies={self.strategy_counts})"
 
 
-def _blockmean(tensor: np.ndarray, axis: int) -> np.ndarray:
-    return tensor.mean(axis=axis, keepdims=True)
-
-
 def normalize(game: Game) -> Game:
     """Unique strategically equivalent game whose own-strategy sums vanish.
 
@@ -186,7 +182,7 @@ def normalize(game: Game) -> Game:
     out = np.empty_like(game.utilities)
     for m in range(game.num_players):
         t = game.tensor(m)
-        out[m] = (t - _blockmean(t, m)).ravel()
+        out[m] = (t - t.mean(axis=m, keepdims=True)).ravel()
     return game.with_utilities(out)
 
 

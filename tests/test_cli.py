@@ -218,6 +218,12 @@ class TestLargeGame:
         assert main([argv[0], path, *argv[1:], "--out", str(out)]) == 0
         assert json.loads(out.read_text())
 
+    def test_100x100_verify_passes(self, game_file, capsys):
+        # the curl-of-game-flow check covers all 32 340 000 triangles
+        path = game_file(random_game(np.random.default_rng(42), (100, 100)), "g100.json")
+        assert main(["verify", path]) == 0
+        assert "15/15 checks passed" in capsys.readouterr().out.splitlines()
+
 
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):

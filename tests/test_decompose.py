@@ -1,6 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
+import gamehodge.flows as flows
 from gamehodge import (
     Game,
     PreconditionError,
@@ -18,6 +21,8 @@ from gamehodge import (
     is_harmonic,
     is_normalized,
     is_potential,
+    laplacian_apply,
+    laplacian_player_apply,
     normalize,
     pairwise_comparison,
     potential_function,
@@ -38,6 +43,9 @@ from helpers import (
     rps_nonstrategic,
     rps_potential,
 )
+
+# the package attribute ``gamehodge.decompose`` is the function
+decompose_module = importlib.import_module("gamehodge.decompose")
 
 RPS_PARAMS = [(1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (2.0, 1.0, 3.0)]
 
@@ -319,6 +327,32 @@ class TestDecompositionStructure:
         assert np.abs(d.potential_part.utilities[1]).max() <= 1e-12
         assert np.abs(d.harmonic_part.utilities[1]).max() <= 1e-12
         assert d.residuals["reconstruction"] <= 1e-12
+
+    def test_solver_residual_is_the_laplacian_residual(self, monkeypatch):
+        # a perturbed solve makes the residual large enough to compare
+        rng = np.random.default_rng(44)
+        solve = decompose_module.laplacian_pinv_solve
+        noise = lambda counts, b, tol: solve(counts, b, tol) + rng.uniform(-0.1, 0.1, b.size)
+        monkeypatch.setattr(decompose_module, "laplacian_pinv_solve", noise)
+        for counts in [(3, 3), (4, 3, 2), (1, 5)]:
+            g = random_game(rng, counts, scale=2.0)
+            d = decompose(g)
+            b = sum(laplacian_player_apply(counts, m, g.utilities[m]) for m in range(len(counts)))
+            direct = np.linalg.norm(laplacian_apply(counts, d.potential_fn) - b)
+            assert direct > 0.01
+            assert abs(d.residuals["solver"] - direct) <= 1e-12 * direct
+
+    def test_applies_the_laplacian_once(self, monkeypatch):
+        # the post-check of the solve is the only Laplacian application; the
+        # solver residual is read off the harmonic divergence
+        calls = []
+        apply = flows.laplacian_apply
+        monkeypatch.setattr(flows, "laplacian_apply", lambda *a: calls.append(a) or apply(*a))
+        rng = np.random.default_rng(45)
+        for counts in [(3, 3), (2, 3, 4), (5,)]:
+            calls.clear()
+            decompose(random_game(rng, counts))
+            assert len(calls) == 1
 
     def test_json_export_shape(self):
         d = decompose(matching_pennies())

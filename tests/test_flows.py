@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from gamehodge import (
     Game,
     NumericError,
     PreconditionError,
+    ShapeError,
     SizeError,
+    TriangleFlow,
     build_graph,
     curl,
     divergence_adjoint,
@@ -88,6 +91,42 @@ class TestGameGraph:
         monkeypatch.setenv("GAMEHODGE_MAX_NODES", "3")
         with pytest.raises(SizeError):
             build_graph((2, 2))
+
+
+class TestCliqueIndex:
+    @pytest.mark.parametrize("counts", [(4,), (1, 5), (2, 3), (3, 2, 2), (2, 3, 4)])
+    def test_edge_id_inverts_the_edge_arrays(self, counts):
+        g = build_graph(counts)
+        position = {(int(t), int(h)): e for e, (t, h) in enumerate(zip(g.tails, g.heads))}
+        for i in range(g.num_nodes):
+            for j in range(g.num_nodes):
+                e = position.get((min(i, j), max(i, j)))
+                if e is None:  # not comparable, or i == j
+                    with pytest.raises(KeyError):
+                        g.edge_id(i, j)
+                else:
+                    assert g.edge_id(i, j) == (e, 1.0 if i < j else -1.0)
+
+    @pytest.mark.parametrize("counts", [(3, 3), (4, 1, 5), (3, 4, 3)])
+    def test_triangle_flow_reads_each_triangle_at_its_row(self, counts):
+        g = build_graph(counts)
+        rows = g.triangles()
+        # values start at 1 so that a triangle never reads like a non-clique
+        psi = TriangleFlow(g, np.arange(1.0, len(rows) + 1))
+        position = {tuple(int(v) for v in row): t for t, row in enumerate(rows)}
+        for i, j, k in combinations(range(g.num_nodes), 3):
+            t = position.get((i, j, k))
+            if t is None:
+                assert psi.value(i, j, k) == 0.0
+                continue
+            for p, q, r in [(i, j, k), (j, k, i), (k, i, j)]:
+                assert psi.value(p, q, r) == t + 1
+                assert psi.value(q, p, r) == -(t + 1)
+
+    def test_triangle_flow_shape_check(self):
+        g = build_graph((3, 3))
+        with pytest.raises(ShapeError):
+            TriangleFlow(g, np.zeros(g.num_triangles + 1))
 
 
 class TestPairwiseComparison:
@@ -210,6 +249,15 @@ class TestCurl:
         # alternating sign under odd permutations
         assert psi.value((1, 0), (0, 0), (2, 0)) == -3.0
         assert psi.value((2, 0), (0, 0), (1, 0)) == 3.0
+
+    @pytest.mark.parametrize("counts", [(5,), (3, 4, 3), (4, 1, 5)])
+    def test_matches_definition_on_random_flow(self, counts):
+        rng = np.random.default_rng(46)
+        graph = build_graph(counts)
+        x = EdgeFlow(graph, rng.uniform(-1.0, 1.0, size=graph.num_edges))
+        psi = curl(x)
+        for t, (p, q, r) in enumerate(graph.triangles()):
+            assert psi.values[t] == x.value(p, q) + x.value(q, r) + x.value(r, p)
 
 
 class TestPlayerOperators:
