@@ -11,7 +11,18 @@ The scalar potential solves ``Laplacian(phi) = sum_m h_m P_m u^m`` where
 ``P_m`` removes per-block own-strategy means; the parts are then read off as
 ``u_P^m = P_m phi``, ``u_H^m = P_m u^m - P_m phi`` and
 ``u_N^m = (I - P_m) u^m``, all in node space, so no game graph and no
-edge-space array is ever built.
+edge-space array is ever built.  The maths is written once, in
+``_decompose_batch``, over payoffs of shape (K, M, n): K games of one shape
+go through one projection, one batched FFT solve and one projection back.
+:func:`decompose` is its K = 1 case plus the residuals and the ``Game``
+wrapping, and :mod:`gamehodge.subspaces` decomposes its random samples with
+it in one call.
+
+The membership tests (:func:`is_potential`, :func:`is_harmonic`,
+:func:`potential_function`) measure against the norm of the normalised game
+``u_P + u_H``, so they do not change when the payoffs are scaled or a
+nonstrategic part is added; a game with no strategic part is both potential
+and harmonic.
 
 The residual diagnostics are node-space identities as well:
 
@@ -75,22 +86,10 @@ class Decomposition:
 def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
     """Split a game into its potential, harmonic and nonstrategic parts."""
     counts = game.strategy_counts
-    m_players = game.num_players
-    h = np.asarray(counts, dtype=float)
-
-    proj = np.stack([project_player(counts, m, game.utilities[m]) for m in range(m_players)])
-    b = h @ proj
-    phi = laplacian_pinv_solve(counts, b, tol=tol)
-
-    u_pot = np.stack([project_player(counts, m, phi) for m in range(m_players)])
-    u_harm = proj - u_pot
-    u_non = game.utilities - proj
-
-    potential_part = game.with_utilities(u_pot)
-    harmonic_part = game.with_utilities(u_harm)
-    nonstrategic_part = game.with_utilities(u_non)
-
-    div = h @ u_harm  # = b - Laplacian(phi), since Laplacian(phi) = h @ u_pot
+    phi, u_pot, u_harm, u_non = (
+        a[0] for a in _decompose_batch(counts, game.utilities[None], tol)
+    )
+    div = np.asarray(counts, dtype=float) @ u_harm  # = b - Laplacian(phi)
     residuals = {
         "reconstruction": float(
             np.abs(game.utilities - (u_pot + u_harm + u_non)).max(initial=0.0)
@@ -99,7 +98,35 @@ def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
         "curl": _star_curl_certificate(game),
         "solver": float(np.linalg.norm(div)),
     }
-    return Decomposition(potential_part, harmonic_part, nonstrategic_part, phi, residuals)
+    return Decomposition(
+        game.with_utilities(u_pot),
+        game.with_utilities(u_harm),
+        game.with_utilities(u_non),
+        phi,
+        residuals,
+    )
+
+
+def _decompose_batch(counts: tuple[int, ...], u: np.ndarray, tol: float = 1e-10):
+    """Decompose K games of one shape at once: the maths of :func:`decompose`.
+
+    ``u`` has shape (K, M, n), one payoff row per player of each game.
+    Returns ``(phi, u_P, u_H, u_N)``: the potentials, shape (K, n), and the
+    three parts, each (K, M, n).
+    """
+    h = np.asarray(counts, dtype=float)
+    players = range(len(counts))
+    proj = np.stack([project_player(counts, m, u[:, m]) for m in players], axis=1)
+    u_non = u - proj
+    b = h @ proj
+    # b is orthogonal to constants by construction; its rounding-level mean
+    # is dropped so that the solve's precondition, relative to ||b||, holds
+    # even when b is all rounding (a harmonic game).
+    b -= b.sum(axis=-1, keepdims=True) / b.shape[-1]
+    phi = laplacian_pinv_solve(counts, b, tol=tol)
+    u_pot = np.stack([project_player(counts, m, phi) for m in players], axis=1)
+    proj -= u_pot
+    return phi, u_pot, proj, u_non
 
 
 def _star_curl_certificate(game: Game) -> float:
@@ -174,16 +201,29 @@ def game_distance(game: Game, other: Game) -> float:
 # -- membership tests and projections ------------------------------------------
 
 
+def _negligible(value: float, game: Game, d: Decomposition, tol: float) -> bool:
+    """True iff ``value`` is within ``tol`` of the norm of the normalised game.
+
+    The normalised game is ``u_P + u_H``, whose norm is the hypotenuse of the
+    two parts' norms.  Measuring against it makes the membership tests
+    independent of the payoff scale and of any nonstrategic part.  A game
+    whose strategic part is itself within ``tol`` of its whole norm (so it is
+    zero, or rounding left by removing a nonstrategic part) passes every test.
+    """
+    strategic = math.hypot(game_norm(d.potential_part), game_norm(d.harmonic_part))
+    return value <= tol * strategic or strategic <= tol * game_norm(game)
+
+
 def is_potential(game: Game, tol: float = 1e-9) -> bool:
-    """True iff the harmonic part is negligible relative to the game norm."""
+    """True iff the harmonic part is negligible relative to the normalised game."""
     d = decompose(game)
-    return game_norm(d.harmonic_part) <= tol * max(1.0, game_norm(game))
+    return _negligible(game_norm(d.harmonic_part), game, d, tol)
 
 
 def is_harmonic(game: Game, tol: float = 1e-9) -> bool:
-    """True iff the potential part is negligible relative to the game norm."""
+    """True iff the potential part is negligible relative to the normalised game."""
     d = decompose(game)
-    return game_norm(d.potential_part) <= tol * max(1.0, game_norm(game))
+    return _negligible(game_norm(d.potential_part), game, d, tol)
 
 
 def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
@@ -192,18 +232,16 @@ def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
     The candidate from :func:`decompose` is re-verified on every comparable
     pair: the potential difference must match the deviating player's payoff
     difference.  The largest mismatch over player ``m``'s pairs is the
-    largest spread of ``u^m - phi`` along axis ``m``.
+    largest spread of ``u^m - phi`` along axis ``m``; it must be within
+    ``tol`` times the norm of the normalised game.
     """
-    phi = decompose(game).potential_fn
-    phi_t = phi.reshape(game.strategy_counts)
+    d = decompose(game)
+    phi_t = d.potential_fn.reshape(game.strategy_counts)
     mismatch = max(
         float(np.ptp(game.tensor(m) - phi_t, axis=m).max())
         for m in range(game.num_players)
     )
-    scale = max(1.0, float(np.abs(game.utilities).max(initial=0.0)))
-    if mismatch > tol * scale:
-        return None
-    return phi
+    return d.potential_fn if _negligible(mismatch, game, d, tol) else None
 
 
 def closest_potential(game: Game) -> Game:

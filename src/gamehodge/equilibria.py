@@ -183,16 +183,18 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     returned stacks those equalities with the total-probability row; its
     solution set always contains the uniform distribution.
     """
-    if not is_normalized(game, max(tol, 1e-12) * max(1.0, float(np.abs(game.utilities).max(initial=0.0)))):
+    if not is_normalized(game, max(tol, 1e-12) * float(np.abs(game.utilities).max(initial=0.0))):
         raise PreconditionError("game must be normalized; call normalize() first")
     # A game is harmonic iff sum_m h_m P_m u^m = 0 (for a normalized game,
     # sum_m h_m u^m = 0): that sum is L phi for the potential phi, and
     # ||L phi||^2 <= (sum_m h_m) phi'L phi, where phi'L phi is the squared
-    # norm of the potential part.  So every game that passes
-    # is_harmonic(game, tol) passes this bound, with no decomposition.
+    # norm of the potential part.  is_harmonic(game, tol) bounds that norm by
+    # tol times the norm of the normalised game, here the game itself; so
+    # every normalized game that passes it passes this bound, with no
+    # decomposition.
     h = np.asarray(game.strategy_counts, dtype=float)
     weighted = float(np.linalg.norm(h @ normalize(game).utilities))
-    if weighted > math.sqrt(h.sum()) * tol * max(1.0, game_norm(game)):
+    if weighted > math.sqrt(h.sum()) * tol * game_norm(game):
         raise PreconditionError("game must be harmonic (zero potential part)")
 
     n = game.num_profiles
@@ -346,8 +348,12 @@ def equilibrium_report(game: Game, eps: float = 0.0, tol: float = 1e-9) -> dict:
     """JSON-ready summary of the game's equilibrium structure."""
     correlated_dim = None
     if is_harmonic(game, tol):
-        system = harmonic_correlated_system(normalize(game), tol)
-        correlated_dim = system.dimension
+        strategic = normalize(game)
+        if game_norm(strategic) <= tol * game_norm(game):
+            # no strategic part beyond the rounding of removing the rest:
+            # every joint distribution is a correlated equilibrium
+            strategic = game.with_utilities(np.zeros_like(game.utilities))
+        correlated_dim = harmonic_correlated_system(strategic, tol).dimension
     return {
         "pure_nash": [list(p) for p in pure_nash(game)],
         "epsilon": float(eps),

@@ -12,7 +12,13 @@ The node-space operators need only the shape, never a graph.  Among them,
 the Laplacian pseudoinverse solve is exact: the game-graph Laplacian is a
 Kronecker sum of clique Laplacians, so the multidimensional DFT diagonalizes
 it and the solve is one forward and one inverse FFT, with no iterative
-method and no dense fallback.
+method and no dense fallback.  Node functions lie on the last axis of an
+array; :func:`project_player`, :func:`laplacian_apply` and
+:func:`laplacian_pinv_solve` treat any leading axes as a batch, so many
+games of one shape go through one vectorised pass.  The solve checks its
+precondition and its residual row by row, each relative to that row's norm,
+and raises if any row fails; the Laplacian spectrum is built once per shape
+and memoised read-only.
 
 Edges and triangles are positioned by arithmetic on the clique layout
 (:meth:`GameGraph.clique_index`); no dict or triangle list is kept, and the
@@ -25,6 +31,7 @@ product of the stored per-edge values.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from itertools import accumulate, combinations
@@ -325,23 +332,29 @@ def restrict_player(flow: EdgeFlow, player: int) -> EdgeFlow:
 
 
 def curl(flow: EdgeFlow) -> TriangleFlow:
-    """Circulation ``X(p,q) + X(q,r) + X(r,p)`` around every 3-clique (p, q, r).
+    """Circulation ``X(p,q) + X(q,r) + X(r,p)`` around every 3-clique (p, q, r)."""
+    values = np.empty(flow.graph.num_triangles)
+    pos = 0
+    for block in _curl_blocks(flow):
+        values[pos:pos + block.size] = block.ravel()
+        pos += block.size
+    return TriangleFlow(flow.graph, values)
+
+
+def _curl_blocks(flow: EdgeFlow):
+    """Yield the curl one own-strategy pair at a time, in triangle order.
 
     Player ``m``'s edges form a (pairs, n/h) array in which the rows (b, c)
     and the rows (a, c) after (a, b), all c > b, are contiguous; so each own
-    pair (a, b) gives its triangles (a, b, c) in one row slice.
+    pair (a, b) gives its triangles (a, b, c) as one row-slice block.  A
+    caller that needs only a summary of the curl holds one block at a time.
     """
     graph, n = flow.graph, flow.graph.num_nodes
-    values = np.empty(graph.num_triangles)
-    pos = 0
     for m, h in enumerate(graph.strategy_counts):
         x = flow.values[graph.player_slice(m)].reshape(-1, n // h)
         first = [a * h - a * (a + 1) // 2 for a in range(h + 1)]  # first row of pairs (a, .)
         for ab, (a, b) in enumerate(combinations(range(h), 2)):
-            block = x[ab] + x[first[b]:first[b + 1]] - x[ab + 1:first[a + 1]]
-            values[pos:pos + block.size] = block.ravel()
-            pos += block.size
-    return TriangleFlow(graph, values)
+            yield x[ab] + x[first[b]:first[b + 1]] - x[ab + 1:first[a + 1]]
 
 
 # -- node-space operators (shape-only, no graph needed) ----------------------
@@ -352,10 +365,16 @@ def project_player(strategy_counts: Sequence[int], player: int, u) -> np.ndarray
 
     This is the orthogonal projection onto the complement of the functions
     that ignore the player's own strategy; it is idempotent and self-adjoint,
-    and for a one-strategy player it is identically zero.
+    and for a one-strategy player it is identically zero.  The last axis of
+    ``u`` holds the ``prod(strategy_counts)`` profiles; leading axes are a
+    batch, projected row by row.
     """
-    t = np.asarray(u, dtype=float).reshape(tuple(strategy_counts))
-    return (t - t.mean(axis=player, keepdims=True)).ravel()
+    counts = tuple(strategy_counts)
+    u = np.asarray(u, dtype=float)
+    t = u.reshape(u.shape[:-1] + counts)
+    # sum / h is the mean, without the Python-level overhead of ndarray.mean
+    mean = t.sum(axis=player - len(counts), keepdims=True) / counts[player]
+    return (t - mean).reshape(u.shape)
 
 
 def laplacian_player_apply(strategy_counts: Sequence[int], player: int, phi) -> np.ndarray:
@@ -375,6 +394,29 @@ def laplacian_apply(strategy_counts: Sequence[int], phi) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _spectrum(counts: tuple[int, ...]) -> np.ndarray:
+    """Read-only Laplacian eigenvalues on the DFT grid of ``counts``.
+
+    The zero eigenvalue of the constants is stored as ``inf``, so dividing
+    by the spectrum maps them to zero.
+    """
+    spectrum = sum(
+        np.where(np.arange(h) > 0, float(h), 0.0).reshape(
+            [h if k == m else 1 for k in range(len(counts))]
+        )
+        for m, h in enumerate(counts)
+    )
+    spectrum.flat[0] = np.inf
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", a, a))
+
+
 def laplacian_pinv_solve(
     strategy_counts: Sequence[int], b, tol: float = 1e-10
 ) -> np.ndarray:
@@ -388,46 +430,49 @@ def laplacian_pinv_solve(
     with ``k_m != 0``.  The solve divides the transform of ``b`` by that
     spectrum, with the zero eigenvalue (the constants) mapped to zero.
 
+    The last axis of ``b`` holds the ``prod(strategy_counts)`` profiles;
+    leading axes are a batch of right-hand sides, solved together by
+    transforms over the trailing profile axes.  Both checks below hold row
+    by row, relative to that row's norm, and one failing row raises.
+
     Raises
     ------
     PreconditionError
-        if ``b`` has a non-negligible mean component.
+        if a row of ``b`` has a mean component above ``tol * ||b||``.
     NumericError
-        if the solution misses residual ``tol * max(1, ||b||)``.
+        if a row's solution misses residual ``tol * ||b||``.
     """
     counts = tuple(strategy_counts)
     n = math.prod(counts)
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape != (n,):
-        raise ShapeError(f"right-hand side must have {n} entries")
-    bnorm = float(np.linalg.norm(b))
-    if abs(b.sum()) > tol * max(1.0, bnorm):
+    b = np.asarray(b, dtype=float)
+    if b.shape[-1:] != (n,):
+        raise ShapeError(f"right-hand side must have {n} entries on its last axis")
+    bnorm = _row_norms(b)
+    total = b.sum(axis=-1)
+    if (np.abs(total) > tol * bnorm).any():
         raise PreconditionError(
             "right-hand side is not orthogonal to constants; "
             "it cannot be in the image of the Laplacian"
         )
-    b = b - b.mean()
-    if bnorm == 0.0 or n == 1:
-        return np.zeros(n)
+    b = b - (total / n)[..., None]
 
-    spectrum = sum(
-        np.where(np.arange(h) > 0, float(h), 0.0).reshape(
-            [h if k == m else 1 for k in range(len(counts))]
-        )
-        for m, h in enumerate(counts)
-    )
-    spectrum.flat[0] = np.inf  # the constants: mapped to zero
-    x = np.fft.ifftn(np.fft.fftn(b.reshape(counts)) / spectrum).real.ravel()
+    # passing the sizes with the axes keeps numpy from rebuilding them per call
+    axes = tuple(range(-len(counts), 0))
+    x = np.fft.fftn(b.reshape(b.shape[:-1] + counts), s=counts, axes=axes)
+    x /= _spectrum(counts)
+    x = np.fft.ifftn(x, s=counts, axes=axes).real.reshape(b.shape)
 
-    target = tol * max(1.0, bnorm)
-    residual = float(np.linalg.norm(laplacian_apply(counts, x) - b))
-    if residual > target:
+    target = tol * bnorm
+    residual = _row_norms(laplacian_apply(counts, x) - b)
+    missed = residual > target
+    if missed.any():
+        k = int(np.argmax(missed))  # the first failing row, in C order
         raise NumericError(
-            f"Laplacian solve missed its tolerance: residual {residual:.3e} "
-            f"exceeds {target:.3e}",
-            residual=residual,
+            f"Laplacian solve missed its tolerance: residual {residual.flat[k]:.3e} "
+            f"exceeds {target.flat[k]:.3e}" + (f" in row {k}" if b.ndim > 1 else ""),
+            residual=float(residual.flat[k]),
         )
-    return x - x.mean()
+    return x - x.sum(axis=-1, keepdims=True) / n
 
 
 # -- inner products ----------------------------------------------------------

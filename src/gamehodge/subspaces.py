@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .decompose import decompose
+from .decompose import _decompose_batch
 from .errors import ShapeError, SizeError
 from .game import Game, game_to_dict, is_normalized
 
@@ -149,9 +149,10 @@ def empirical_dims(
 ) -> tuple[int, int, int]:
     """Measure (potential, harmonic, nonstrategic) dimensions by numeric rank.
 
-    Decomposes ``samples`` seeded random games and ranks the stacked
-    component coordinates; with enough samples this reproduces
-    :func:`subspace_dims` almost surely.
+    Draws ``samples`` seeded random games as one (samples, M, n) array,
+    decomposes them in one batched pass and ranks the stacked component
+    coordinates; with enough samples this reproduces :func:`subspace_dims`
+    almost surely.
     """
     counts = tuple(int(h) for h in strategy_counts)
     m_players = len(counts)
@@ -162,18 +163,10 @@ def empirical_dims(
     if samples is None:
         samples = ambient + 8
 
-    rng = np.random.default_rng(seed)
-    pot_rows, harm_rows, non_rows = [], [], []
-    for _ in range(samples):
-        g = Game(rng.uniform(-1.0, 1.0, size=(m_players, n)), counts)
-        d = decompose(g)
-        pot_rows.append(d.potential_part.utilities.ravel())
-        harm_rows.append(d.harmonic_part.utilities.ravel())
-        non_rows.append(d.nonstrategic_part.utilities.ravel())
-    return (
-        numeric_rank(np.stack(pot_rows), rank_tol),
-        numeric_rank(np.stack(harm_rows), rank_tol),
-        numeric_rank(np.stack(non_rows), rank_tol),
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, m_players, n))
+    _, pot, harm, non = _decompose_batch(counts, u)
+    return tuple(
+        numeric_rank(part.reshape(samples, ambient), rank_tol) for part in (pot, harm, non)
     )
 
 
@@ -230,12 +223,9 @@ def zs_ii_intersection_dims(h: int, seed: int = 0, rank_tol: float = 1e-9) -> In
     harm = np.vstack([harmonic_basis_2p(h, h).matrix(), non]) if h >= 2 else non
 
     dims = subspace_dims(counts)
-    rng = np.random.default_rng(seed)
-    pot_rows = [non[k] for k in range(non.shape[0])]
-    for _ in range(dims.potential + 6):
-        g = Game(rng.uniform(-1.0, 1.0, size=(2, n)), counts)
-        pot_rows.append(decompose(g).potential_part.utilities.ravel())
-    pot = np.stack(pot_rows)
+    samples = dims.potential + 6
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 2, n))
+    pot = np.vstack([non, _decompose_batch(counts, u)[1].reshape(samples, ambient)])
 
     spans = {"potential_games": pot, "harmonic_games": harm, "all_games": np.eye(ambient)}
     computed = {

@@ -57,6 +57,15 @@ def random_game(rng, counts, scale=1.0):
     return Game(rng.uniform(-scale, scale, size=(m, n)), counts)
 
 
+def nonstrategic_payoffs(rng, counts):
+    """Random payoffs that ignore each player's own strategy."""
+    rows = []
+    for m in range(len(counts)):
+        block = rng.uniform(-1.0, 1.0, size=[1 if k == m else h for k, h in enumerate(counts)])
+        rows.append(np.broadcast_to(block, counts).ravel())
+    return np.stack(rows)
+
+
 def assert_flow_equals(flow, directed_values, tol=1e-9):
     """Flow must equal the given directed map and vanish on unlisted edges."""
     graph = flow.graph

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,18 @@ class TestLargeGame:
         path = game_file(random_game(np.random.default_rng(42), (100, 100)), "g100.json")
         assert main(["verify", path]) == 0
         assert "15/15 checks passed" in capsys.readouterr().out.splitlines()
+
+    def test_100x100_verify_peak_memory(self, game_file):
+        # the curl check keeps a running maximum over one own-strategy pair's
+        # block at a time; the full triangle array alone is 247 MiB
+        path = game_file(random_game(np.random.default_rng(42), (100, 100)), "g100.json")
+        tracemalloc.start()
+        try:
+            assert main(["verify", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2**20
 
 
 class TestEntryPoint:

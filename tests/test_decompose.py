@@ -38,6 +38,7 @@ from helpers import (
     ROAD_POTENTIAL_FLOWS,
     assert_flow_equals,
     assert_games_close,
+    nonstrategic_payoffs,
     random_game,
     rps_harmonic,
     rps_nonstrategic,
@@ -166,6 +167,77 @@ class TestMembership:
     def test_zero_game_is_both(self):
         g = Game(np.zeros((2, 4)), (2, 2))
         assert is_potential(g) and is_harmonic(g)
+
+
+def _scale_games():
+    rng = np.random.default_rng(47)
+    phi = rng.uniform(-1.0, 1.0, size=(3, 4))
+    return {
+        # name: (game, (is_potential, is_harmonic, has a potential function))
+        "matching-pennies": (matching_pennies(), (False, True, False)),
+        "battle-of-sexes": (battle_of_sexes(), (True, False, True)),
+        "rps": (generalized_rps(2.0, 1.0, 3.0), (False, False, False)),
+        "road-sharing": (road_sharing(), (False, False, False)),
+        "identical-interest": (Game.from_payoff_matrices(phi, phi), (True, False, True)),
+        "harmonic": (decompose(random_game(rng, (3, 3, 2))).harmonic_part, (False, True, False)),
+        "random": (random_game(rng, (3, 4)), (False, False, False)),
+        "nonstrategic": (Game(nonstrategic_payoffs(rng, (3, 5)), (3, 5)), (True, True, True)),
+    }
+
+
+SCALE_GAMES = _scale_games()
+SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("name", list(SCALE_GAMES))
+    def test_parts_scale_linearly(self, name):
+        g, _ = SCALE_GAMES[name]
+        base = decompose(g)
+        size = np.abs(g.utilities).max()
+        for c in SCALES:
+            d = decompose(g.with_utilities(c * g.utilities))
+            assert np.abs(d.potential_fn - c * base.potential_fn).max() <= 1e-12 * c * size
+            for part in ("potential_part", "harmonic_part", "nonstrategic_part"):
+                got = getattr(d, part).utilities
+                want = c * getattr(base, part).utilities
+                assert np.abs(got - want).max() <= 1e-12 * c * size, (part, c)
+
+    @pytest.mark.parametrize("name", list(SCALE_GAMES))
+    def test_predicates_ignore_scale_and_nonstrategic_parts(self, name):
+        g, want = SCALE_GAMES[name]
+        rng = np.random.default_rng(48)
+        for c in SCALES:
+            for extra in (0.0, 1.0):
+                u = c * (g.utilities + extra * nonstrategic_payoffs(rng, g.strategy_counts))
+                h = g.with_utilities(u)
+                got = (is_potential(h), is_harmonic(h), potential_function(h) is not None)
+                assert got == want, (c, extra)
+
+
+BATCH_SHAPES = [(1,), (1, 1), (1, 4), (2, 3), (2, 3, 4), (2,) * 6, (5, 5)]
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("counts", BATCH_SHAPES, ids=str)
+    def test_rows_match_decompose(self, counts, k):
+        rng = np.random.default_rng(49)
+        u = rng.uniform(-1.0, 1.0, size=(k, len(counts), int(np.prod(counts))))
+        u[4:] = 0.0  # with k = 5, the last row is all zero
+        phi, pot, harm, non = decompose_module._decompose_batch(counts, u)
+        for row in range(k):
+            d = decompose(Game(u[row], counts))
+            size = np.abs(u[row]).max()
+            pairs = [
+                (phi[row], d.potential_fn),
+                (pot[row], d.potential_part.utilities),
+                (harm[row], d.harmonic_part.utilities),
+                (non[row], d.nonstrategic_part.utilities),
+            ]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * size
 
 
 class TestPotentialFunction:

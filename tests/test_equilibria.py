@@ -32,7 +32,7 @@ from gamehodge.catalog import (
 )
 from gamehodge.equilibria import deviation_payoffs
 from gamehodge.subspaces import harmonic_basis_2p, nonstrategic_basis
-from helpers import random_game
+from helpers import nonstrategic_payoffs, random_game
 
 
 def random_harmonic_2p(rng, h1, h2, scale=1.0):
@@ -491,6 +491,15 @@ class TestReport:
         assert report["uniform_mixed_is_ne"] is True
         assert report["correlated_dim"] == 0
         assert len(report["pareto_optimal"]) == 4
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_nonstrategic_game_report(self, scale):
+        # normalizing leaves only rounding of the payoffs: the game counts as
+        # harmonic, and every joint distribution is a correlated equilibrium
+        u = nonstrategic_payoffs(np.random.default_rng(58), (3, 3))
+        report = equilibrium_report(Game(scale * u, (3, 3)))
+        assert report["correlated_dim"] == 8
+        assert len(report["pure_nash"]) == 9
 
     def test_battle_of_sexes_report(self):
         report = equilibrium_report(battle_of_sexes())

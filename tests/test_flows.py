@@ -438,6 +438,45 @@ class TestLaplacianSolve:
             laplacian_pinv_solve((3, 3), b)
         assert info.value.residual > 1e-10 * max(1.0, np.linalg.norm(b))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_rejects_a_mean_component_at_every_scale(self, scale):
+        with pytest.raises(PreconditionError):
+            laplacian_pinv_solve((2, 2), scale * np.array([1.0, 0.0, 0.0, 0.0]))
+
+    def test_batch_rows_solve_like_single_rows(self):
+        # two leading batch axes; the transforms run over the profile axes
+        rng = np.random.default_rng(24)
+        counts = (2, 3, 4)
+        b = laplacian_apply(counts, rng.uniform(-1.0, 1.0, size=(2, 3, 24)))
+        sol = laplacian_pinv_solve(counts, b)
+        assert sol.shape == b.shape
+        for k in np.ndindex(2, 3):
+            assert np.abs(sol[k] - laplacian_pinv_solve(counts, b[k])).max() <= 1e-14
+
+    def test_batch_precondition_checks_every_row(self):
+        rng = np.random.default_rng(25)
+        b = laplacian_apply((3, 3), rng.uniform(-1.0, 1.0, size=(4, 9)))
+        laplacian_pinv_solve((3, 3), b)
+        b[2, 0] += 1e-3
+        with pytest.raises(PreconditionError):
+            laplacian_pinv_solve((3, 3), b)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_batch_residual_check_raises_on_one_corrupted_row(self, monkeypatch, scale):
+        rng = np.random.default_rng(26)
+        b = scale * laplacian_apply((3, 3), rng.uniform(-1.0, 1.0, size=(4, 9)))
+        ifftn = np.fft.ifftn
+
+        def corrupt_row_1(a, *args, **kwargs):
+            out = ifftn(a, *args, **kwargs)
+            out[1] += scale * rng.uniform(-1.0, 1.0, out[1].shape)
+            return out
+
+        monkeypatch.setattr(np.fft, "ifftn", corrupt_row_1)
+        with pytest.raises(NumericError) as info:
+            laplacian_pinv_solve((3, 3), b)
+        assert info.value.residual > 1e-10 * np.linalg.norm(b[1])
+
 
 class TestInnerProducts:
     def test_adjointness(self):
