@@ -64,7 +64,6 @@ from .flows import (
     pairwise_comparison,
     player_divergence,
     player_gradient,
-    project_player,
     restrict_player,
 )
 from .game import (
@@ -76,6 +75,7 @@ from .game import (
     normalize,
     profile_index,
     profile_of_index,
+    project_player,
     save_game,
     zero_sum_identical_split,
 )

@@ -211,6 +211,7 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     counts = game.strategy_counts
     n = game.num_profiles
+    scale = float(np.abs(game.utilities).max(initial=0.0))
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, violation: float, bound: float) -> None:
@@ -228,20 +229,19 @@ def cmd_verify(args) -> int:
     check(
         "normalize-idempotent",
         float(np.abs(twice.utilities - norm_game.utilities).max(initial=0.0)),
-        1e-12,
+        1e-12 * scale,
     )
     graph = build_graph(counts)
     flow = pairwise_comparison(game, graph)
     check(
         "normalize-preserves-comparisons",
         (pairwise_comparison(norm_game, graph) - flow).max_abs(),
-        1e-12,
+        1e-12 * scale,
     )
-    checks.append(("normalized-output", is_normalized(norm_game, 1e-9), ""))
+    checks.append(("normalized-output", is_normalized(norm_game, 1e-9 * scale), ""))
 
     # decomposition structure
     d = decompose(game, tol=min(tol, 1e-10))
-    scale = max(1.0, float(np.abs(game.utilities).max(initial=0.0)))
     check("reconstruction", d.residuals["reconstruction"], tol * scale)
     check(
         "potential-flow-is-gradient",
@@ -271,12 +271,10 @@ def cmd_verify(args) -> int:
         )
     )
     total = game_norm(game) ** 2
-    parts = (
-        game_norm(d.potential_part) ** 2
-        + game_norm(d.harmonic_part) ** 2
-        + game_norm(d.nonstrategic_part) ** 2
+    parts = sum(
+        game_norm(p) ** 2 for p in (d.potential_part, d.harmonic_part, d.nonstrategic_part)
     )
-    check("orthogonality-pythagoras", abs(total - parts), 1e-8 * max(1.0, total))
+    check("orthogonality-pythagoras", abs(total - parts), 1e-8 * total)
 
     # operator identities on seeded random data
     adj = lap = 0.0
@@ -286,15 +284,8 @@ def cmd_verify(args) -> int:
         xf = EdgeFlow(graph, x)
         adj = max(adj, abs(flow_inner(gradient(graph, phi), xf) - node_inner(phi, divergence_adjoint(xf))))
         for m, h in enumerate(counts):
-            lap = max(
-                lap,
-                float(
-                    np.abs(
-                        laplacian_player_apply(counts, m, phi)
-                        - h * project_player(counts, m, phi)
-                    ).max()
-                ),
-            )
+            gap = laplacian_player_apply(counts, m, phi) - h * project_player(counts, m, phi)
+            lap = max(lap, float(np.abs(gap).max()))
     check("gradient-divergence-adjointness", adj, 1e-9 * n)
     check("player-laplacian-projection-identity", lap, 1e-9)
     # the running maximum over curl blocks; the whole triangle array can

@@ -8,15 +8,16 @@ Every finite game splits uniquely into three orthogonal pieces:
 * a *nonstrategic part* invisible to pairwise payoff comparisons.
 
 The scalar potential solves ``Laplacian(phi) = sum_m h_m P_m u^m`` where
-``P_m`` removes per-block own-strategy means; the parts are then read off as
+``P_m`` is :func:`gamehodge.game.project_player`, which removes per-block
+own-strategy means; the parts are then read off as
 ``u_P^m = P_m phi``, ``u_H^m = P_m u^m - P_m phi`` and
 ``u_N^m = (I - P_m) u^m``, all in node space, so no game graph and no
 edge-space array is ever built.  The maths is written once, in
 ``_decompose_batch``, over payoffs of shape (K, M, n): K games of one shape
 go through one projection, one batched FFT solve and one projection back.
-:func:`decompose` is its K = 1 case plus the residuals and the ``Game``
-wrapping, and :mod:`gamehodge.subspaces` decomposes its random samples with
-it in one call.
+Its K = 1 case, ``_parts``, is all that the membership tests and the
+projections read; :func:`decompose` adds the residuals and the ``Game``
+wrapping, and :mod:`gamehodge.subspaces` calls the kernel directly.
 
 The membership tests (:func:`is_potential`, :func:`is_harmonic`,
 :func:`potential_function`) measure against the norm of the normalised game
@@ -46,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .flows import laplacian_pinv_solve, project_player
-from .game import Game, game_to_dict
+from .flows import laplacian_pinv_solve
+from .game import Game, game_to_dict, project_player
 
 __all__ = [
     "Decomposition",
@@ -85,11 +86,8 @@ class Decomposition:
 
 def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
     """Split a game into its potential, harmonic and nonstrategic parts."""
-    counts = game.strategy_counts
-    phi, u_pot, u_harm, u_non = (
-        a[0] for a in _decompose_batch(counts, game.utilities[None], tol)
-    )
-    div = np.asarray(counts, dtype=float) @ u_harm  # = b - Laplacian(phi)
+    phi, u_pot, u_harm, u_non = _parts(game, tol)
+    div = np.asarray(game.strategy_counts, dtype=float) @ u_harm  # = b - Laplacian(phi)
     residuals = {
         "reconstruction": float(
             np.abs(game.utilities - (u_pot + u_harm + u_non)).max(initial=0.0)
@@ -105,6 +103,11 @@ def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
         phi,
         residuals,
     )
+
+
+def _parts(game: Game, tol: float = 1e-10):
+    """``(phi, u_P, u_H, u_N)`` of one game: the K = 1 call of the kernel."""
+    return [a[0] for a in _decompose_batch(game.strategy_counts, game.utilities[None], tol)]
 
 
 def _decompose_batch(counts: tuple[int, ...], u: np.ndarray, tol: float = 1e-10):
@@ -156,15 +159,15 @@ def decompose_bimatrix_normalized(A, B, tol: float = 1e-9):
     ``(S+G, S-G)`` and the harmonic component ``(Dm-G, -Dm+G)``.
 
     Requires both payoff matrices square of the same size ``h`` with
-    ``1^T A = 0`` and ``B 1 = 0`` (run :func:`gamehodge.game.normalize`
-    first otherwise).
+    ``1^T A = 0`` and ``B 1 = 0`` to within ``tol`` times the largest
+    payoff (run :func:`gamehodge.game.normalize` first otherwise).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise ShapeError("closed form needs square payoff matrices of equal size")
     h = A.shape[0]
-    scale = max(1.0, np.abs(A).max(), np.abs(B).max())
+    scale = max(np.abs(A).max(), np.abs(B).max())
     if np.abs(A.sum(axis=0)).max() > tol * scale or np.abs(B.sum(axis=1)).max() > tol * scale:
         raise PreconditionError(
             "payoff matrices are not normalized; normalize the game first"
@@ -183,25 +186,32 @@ def game_inner(game: Game, other: Game) -> float:
     """Inner product weighting each player's payoffs by its strategy count."""
     if game.strategy_counts != other.strategy_counts:
         raise ShapeError("games must share a shape")
-    h = np.asarray(game.strategy_counts, dtype=float)
-    return float(np.einsum("m,mi,mi->", h, game.utilities, other.utilities))
+    return _inner(game.strategy_counts, game.utilities, other.utilities)
 
 
 def game_norm(game: Game) -> float:
-    return math.sqrt(max(game_inner(game, game), 0.0))
+    return _norm(game.strategy_counts, game.utilities)
 
 
 def game_distance(game: Game, other: Game) -> float:
     if game.strategy_counts != other.strategy_counts:
         raise ShapeError("games must share a shape")
-    diff = game.with_utilities(game.utilities - other.utilities)
-    return game_norm(diff)
+    return _norm(game.strategy_counts, game.utilities - other.utilities)
+
+
+def _inner(counts: tuple[int, ...], u: np.ndarray, v: np.ndarray) -> float:
+    h = np.asarray(counts, dtype=float)
+    return float(np.einsum("m,mi,mi->", h, u, v))
+
+
+def _norm(counts: tuple[int, ...], u: np.ndarray) -> float:
+    return math.sqrt(max(_inner(counts, u, u), 0.0))
 
 
 # -- membership tests and projections ------------------------------------------
 
 
-def _negligible(value: float, game: Game, d: Decomposition, tol: float) -> bool:
+def _negligible(value: float, game: Game, u_pot, u_harm, tol: float) -> bool:
     """True iff ``value`` is within ``tol`` of the norm of the normalised game.
 
     The normalised game is ``u_P + u_H``, whose norm is the hypotenuse of the
@@ -210,50 +220,49 @@ def _negligible(value: float, game: Game, d: Decomposition, tol: float) -> bool:
     whose strategic part is itself within ``tol`` of its whole norm (so it is
     zero, or rounding left by removing a nonstrategic part) passes every test.
     """
-    strategic = math.hypot(game_norm(d.potential_part), game_norm(d.harmonic_part))
+    counts = game.strategy_counts
+    strategic = math.hypot(_norm(counts, u_pot), _norm(counts, u_harm))
     return value <= tol * strategic or strategic <= tol * game_norm(game)
 
 
 def is_potential(game: Game, tol: float = 1e-9) -> bool:
     """True iff the harmonic part is negligible relative to the normalised game."""
-    d = decompose(game)
-    return _negligible(game_norm(d.harmonic_part), game, d, tol)
+    _, u_pot, u_harm, _ = _parts(game)
+    return _negligible(_norm(game.strategy_counts, u_harm), game, u_pot, u_harm, tol)
 
 
 def is_harmonic(game: Game, tol: float = 1e-9) -> bool:
     """True iff the potential part is negligible relative to the normalised game."""
-    d = decompose(game)
-    return _negligible(game_norm(d.potential_part), game, d, tol)
+    _, u_pot, u_harm, _ = _parts(game)
+    return _negligible(_norm(game.strategy_counts, u_pot), game, u_pot, u_harm, tol)
 
 
 def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
     """Mean-zero exact potential of the game, or None if it has none.
 
-    The candidate from :func:`decompose` is re-verified on every comparable
+    The candidate from the decomposition is re-verified on every comparable
     pair: the potential difference must match the deviating player's payoff
     difference.  The largest mismatch over player ``m``'s pairs is the
     largest spread of ``u^m - phi`` along axis ``m``; it must be within
     ``tol`` times the norm of the normalised game.
     """
-    d = decompose(game)
-    phi_t = d.potential_fn.reshape(game.strategy_counts)
+    phi, u_pot, u_harm, _ = _parts(game)
+    phi_t = phi.reshape(game.strategy_counts)
     mismatch = max(
         float(np.ptp(game.tensor(m) - phi_t, axis=m).max())
         for m in range(game.num_players)
     )
-    return d.potential_fn if _negligible(mismatch, game, d, tol) else None
+    return phi if _negligible(mismatch, game, u_pot, u_harm, tol) else None
 
 
 def closest_potential(game: Game) -> Game:
     """Orthogonal projection onto the potential games: drop the harmonic part."""
-    d = decompose(game)
-    return game.with_utilities(game.utilities - d.harmonic_part.utilities)
+    return game.with_utilities(game.utilities - _parts(game)[2])
 
 
 def closest_harmonic(game: Game) -> Game:
     """Orthogonal projection onto the harmonic games: drop the potential part."""
-    d = decompose(game)
-    return game.with_utilities(game.utilities - d.potential_part.utilities)
+    return game.with_utilities(game.utilities - _parts(game)[1])
 
 
 # -- JSON export ---------------------------------------------------------------

@@ -13,8 +13,9 @@ the Laplacian pseudoinverse solve is exact: the game-graph Laplacian is a
 Kronecker sum of clique Laplacians, so the multidimensional DFT diagonalizes
 it and the solve is one forward and one inverse FFT, with no iterative
 method and no dense fallback.  Node functions lie on the last axis of an
-array; :func:`project_player`, :func:`laplacian_apply` and
-:func:`laplacian_pinv_solve` treat any leading axes as a batch, so many
+array; :func:`laplacian_apply`, :func:`laplacian_pinv_solve` and the
+demeaning :func:`project_player` (defined in :mod:`gamehodge.game`,
+re-exported here) treat any leading axes as a batch, so many
 games of one shape go through one vectorised pass.  The solve checks its
 precondition and its residual row by row, each relative to that row's norm,
 and raises if any row fails; the Laplacian spectrum is built once per shape
@@ -40,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ShapeError, SizeError
-from .game import Game, profile_index
+from .game import Game, profile_index, project_player
 
 __all__ = [
     "GameGraph",
@@ -358,23 +359,6 @@ def _curl_blocks(flow: EdgeFlow):
 
 
 # -- node-space operators (shape-only, no graph needed) ----------------------
-
-
-def project_player(strategy_counts: Sequence[int], player: int, u) -> np.ndarray:
-    """Remove the per-opponent-block mean over ``player``'s own strategies.
-
-    This is the orthogonal projection onto the complement of the functions
-    that ignore the player's own strategy; it is idempotent and self-adjoint,
-    and for a one-strategy player it is identically zero.  The last axis of
-    ``u`` holds the ``prod(strategy_counts)`` profiles; leading axes are a
-    batch, projected row by row.
-    """
-    counts = tuple(strategy_counts)
-    u = np.asarray(u, dtype=float)
-    t = u.reshape(u.shape[:-1] + counts)
-    # sum / h is the mean, without the Python-level overhead of ndarray.mean
-    mean = t.sum(axis=player - len(counts), keepdims=True) / counts[player]
-    return (t - mean).reshape(u.shape)
 
 
 def laplacian_player_apply(strategy_counts: Sequence[int], player: int, phi) -> np.ndarray:

@@ -20,6 +20,7 @@ __all__ = [
     "Game",
     "profile_index",
     "profile_of_index",
+    "project_player",
     "normalize",
     "is_normalized",
     "zero_sum_identical_split",
@@ -171,19 +172,34 @@ class Game:
         return f"Game(players={self.num_players}, strategies={self.strategy_counts})"
 
 
+def project_player(strategy_counts: Sequence[int], player: int, u) -> np.ndarray:
+    """Remove the per-opponent-block mean over ``player``'s own strategies.
+
+    This is the orthogonal projection onto the complement of the functions
+    that ignore the player's own strategy; it is idempotent and self-adjoint,
+    and for a one-strategy player it is identically zero.  The last axis of
+    ``u`` holds the ``prod(strategy_counts)`` profiles; leading axes are a
+    batch, projected row by row.  It is the package's one demeaning routine.
+    """
+    counts = tuple(strategy_counts)
+    u = np.asarray(u, dtype=float)
+    t = u.reshape(u.shape[:-1] + counts)
+    # sum / h is the mean, without the Python-level overhead of ndarray.mean
+    mean = t.sum(axis=player - len(counts), keepdims=True) / counts[player]
+    return (t - mean).reshape(u.shape)
+
+
 def normalize(game: Game) -> Game:
     """Unique strategically equivalent game whose own-strategy sums vanish.
 
-    For every player m and opponent profile, the mean of that player's
-    payoffs over its own strategies is subtracted, so the output satisfies
-    ``sum_{p^m} u^m(p^m, p^{-m}) = 0`` while all pairwise payoff differences
-    are preserved exactly.
+    Each player's payoffs go through :func:`project_player`, so the output
+    satisfies ``sum_{p^m} u^m(p^m, p^{-m}) = 0`` while all pairwise payoff
+    differences are preserved exactly.
     """
-    out = np.empty_like(game.utilities)
-    for m in range(game.num_players):
-        t = game.tensor(m)
-        out[m] = (t - t.mean(axis=m, keepdims=True)).ravel()
-    return game.with_utilities(out)
+    counts = game.strategy_counts
+    return game.with_utilities(
+        [project_player(counts, m, u) for m, u in enumerate(game.utilities)]
+    )
 
 
 def is_normalized(game: Game, tol: float = 1e-9) -> bool:

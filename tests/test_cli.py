@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gamehodge import game_from_dict, is_potential, save_game
+import gamehodge.cli
+from gamehodge import Game, game_from_dict, is_potential, save_game
 from gamehodge.catalog import (
     battle_of_sexes,
     generalized_rps,
@@ -173,6 +175,21 @@ class TestDimsCommand:
         assert main(["dims", "2", "2,x"]) == 2
 
 
+def _verify_games():
+    rng = np.random.default_rng(50)
+    return {
+        "zero": Game(np.zeros((2, 9)), (3, 3)),
+        "matching-pennies": matching_pennies(),
+        "random-3x3": random_game(rng, (3, 3)),
+        "random-2x3x4": random_game(rng, (2, 3, 4)),
+        "random-4x1x5": random_game(rng, (4, 1, 5)),
+        "road-sharing": road_sharing(),
+    }
+
+
+VERIFY_GAMES = _verify_games()
+
+
 class TestVerifyCommand:
     def test_passes_on_valid_game(self, game_file, capsys):
         path = game_file(road_sharing(), "road.json")
@@ -180,6 +197,29 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "checks passed" in out
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("name", list(VERIFY_GAMES))
+    def test_passes_at_every_scale(self, game_file, capsys, name, scale):
+        g = VERIFY_GAMES[name]
+        path = game_file(g.with_utilities(scale * g.utilities), "g.json")
+        assert main(["verify", path]) == 0, capsys.readouterr().out
+
+    def test_bounds_follow_a_small_scale(self, game_file, capsys, monkeypatch):
+        # an error of 1e-6 relative to the game must fail verify, also when
+        # the game's payoffs are far below 1
+        scale = 1e-12
+        path = game_file(random_game(np.random.default_rng(51), (3, 3), scale), "g.json")
+        decompose = gamehodge.cli.decompose
+
+        def offset(game, tol=1e-10):
+            d = decompose(game, tol)
+            harmonic = d.harmonic_part.utilities + 1e-6 * scale
+            return dataclasses.replace(d, harmonic_part=game.with_utilities(harmonic))
+
+        monkeypatch.setattr(gamehodge.cli, "decompose", offset)
+        assert main(["verify", path]) == 1
+        assert "FAIL  components-normalized" in capsys.readouterr().out
 
 
 class TestExportFlowCommand:

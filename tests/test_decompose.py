@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from gamehodge import (
     decompose_bimatrix_normalized,
     decomposition_to_dict,
     divergence_adjoint,
+    epsilon_transfer_bound,
+    equilibrium_report,
     game_distance,
     game_norm,
     gradient,
@@ -29,8 +32,10 @@ from gamehodge import (
 )
 from gamehodge.catalog import (
     battle_of_sexes,
+    cyclic_three_player,
     generalized_rps,
     matching_pennies,
+    modified_battle_of_sexes,
     road_sharing,
 )
 from helpers import (
@@ -47,6 +52,7 @@ from helpers import (
 
 # the package attribute ``gamehodge.decompose`` is the function
 decompose_module = importlib.import_module("gamehodge.decompose")
+equilibria_module = importlib.import_module("gamehodge.equilibria")
 
 RPS_PARAMS = [(1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (2.0, 1.0, 3.0)]
 
@@ -99,6 +105,9 @@ class TestRoadSharing:
         assert np.abs(d.potential_fn - expected).max() <= 1e-9
 
 
+BIMATRIX_SCALES = [1e-12, 1.0, 1e12]
+
+
 class TestBimatrixClosedForm:
     def test_matching_pennies_entirely_harmonic(self):
         mp = matching_pennies()
@@ -124,16 +133,22 @@ class TestBimatrixClosedForm:
     def test_agrees_with_operator_decomposition(self):
         rng = np.random.default_rng(30)
         for _ in range(20):
-            g = normalize(random_game(rng, (4, 4), scale=3.0))
-            ap, bp, ah, bh = decompose_bimatrix_normalized(g.tensor(0), g.tensor(1))
-            d = decompose(g)
-            assert_games_close(d.potential_part, Game.from_payoff_matrices(ap, bp), 1e-9)
-            assert_games_close(d.harmonic_part, Game.from_payoff_matrices(ah, bh), 1e-9)
+            base = random_game(rng, (4, 4), scale=3.0)
+            for c in BIMATRIX_SCALES:
+                g = normalize(base.with_utilities(c * base.utilities))
+                ap, bp, ah, bh = decompose_bimatrix_normalized(g.tensor(0), g.tensor(1))
+                d = decompose(g)
+                pot, harm = Game.from_payoff_matrices(ap, bp), Game.from_payoff_matrices(ah, bh)
+                assert_games_close(d.potential_part, pot, 1e-9 * c)
+                assert_games_close(d.harmonic_part, harm, 1e-9 * c)
 
     def test_rejects_unnormalized(self):
+        one = np.array([[1.0, 0.0], [0.0, 0.0]])
         bos = battle_of_sexes()
-        with pytest.raises(PreconditionError):
-            decompose_bimatrix_normalized(bos.tensor(0), bos.tensor(1))
+        for c in BIMATRIX_SCALES:
+            for a, b in [(one, one), (bos.tensor(0), bos.tensor(1))]:
+                with pytest.raises(PreconditionError):
+                    decompose_bimatrix_normalized(c * a, c * b)
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
@@ -281,6 +296,102 @@ class TestClosestGames:
     def test_matching_pennies_projects_onto_itself_harmonically(self):
         mp = matching_pennies()
         assert_games_close(closest_harmonic(mp), mp, 1e-12)
+
+
+def _kernel_games():
+    rng = np.random.default_rng(52)
+    return {
+        "matching-pennies": matching_pennies(),
+        "battle-of-sexes": battle_of_sexes(),
+        "modified-battle-of-sexes": modified_battle_of_sexes(),
+        "rps": generalized_rps(2.0, 1.0, 3.0),
+        "road-sharing": road_sharing(),
+        "cyclic-three-player": cyclic_three_player(),
+        **{str(c): random_game(rng, c) for c in [(3, 3), (2, 3, 4), (4, 1, 5)]},
+    }
+
+
+KERNEL_GAMES = _kernel_games()
+
+
+class TestPredicatesReadTheKernel:
+    @pytest.mark.parametrize("name", list(KERNEL_GAMES))
+    def test_no_decomposition_and_same_values(self, name, monkeypatch):
+        g, tol = KERNEL_GAMES[name], 1e-9
+        # the values read off one decomposition, as the definitions state them
+        d = decompose(g)
+        potential = g.with_utilities(g.utilities - d.harmonic_part.utilities)
+        harmonic = g.with_utilities(g.utilities - d.potential_part.utilities)
+        strategic = math.hypot(game_norm(d.potential_part), game_norm(d.harmonic_part))
+        trivial = strategic <= tol * game_norm(g)
+        phi_t = d.potential_fn.reshape(g.strategy_counts)
+        mismatch = max(
+            np.ptp(g.tensor(m) - phi_t, axis=m).max() for m in range(g.num_players)
+        )
+        want_pot = game_norm(d.harmonic_part) <= tol * strategic or trivial
+        want_harm = game_norm(d.potential_part) <= tol * strategic or trivial
+        want_phi = d.potential_fn if mismatch <= tol * strategic or trivial else None
+        alpha = game_norm(g.with_utilities(g.utilities - potential.utilities))
+        want_eps = max(2.0 * alpha / math.sqrt(h) for h in g.strategy_counts)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose called")
+
+        monkeypatch.setattr(decompose_module, "decompose", refuse)
+        assert is_potential(g, tol) == want_pot
+        assert is_harmonic(g, tol) == want_harm
+        phi = potential_function(g, tol)
+        assert (phi is None) == (want_phi is None)
+        assert phi is None or np.array_equal(phi, want_phi)
+        assert np.array_equal(closest_potential(g).utilities, potential.utilities)
+        assert np.array_equal(closest_harmonic(g).utilities, harmonic.utilities)
+        pot, eps = epsilon_transfer_bound(g)
+        assert np.array_equal(pot.utilities, potential.utilities) and eps == want_eps
+        report = equilibrium_report(g, tol=tol)
+        assert (report["correlated_dim"] is not None) == want_harm
+        monkeypatch.setattr(equilibria_module, "is_harmonic", lambda game, tol: want_harm)
+        assert report == equilibrium_report(g, tol=tol)
+
+
+def _relabel(u, counts, perms, order):
+    """Node functions (last axis) under strategy permutations, then a player order.
+
+    Player ``m``'s strategy ``perms[m][a]`` becomes its strategy ``a``, and the
+    new player ``k`` is the old player ``order[k]``.
+    """
+    t = np.asarray(u).reshape(u.shape[:-1] + counts)
+    lead = t.ndim - len(counts)
+    for m, perm in enumerate(perms):
+        t = np.take(t, perm, axis=lead + m)
+    t = np.transpose(t, list(range(lead)) + [lead + o for o in order])
+    return t.reshape(u.shape)
+
+
+class TestPermutationInvariance:
+    @pytest.mark.parametrize("counts", [(3, 3), (2, 3, 4), (4, 1, 5), (2, 2, 2, 2)], ids=str)
+    def test_parts_follow_relabelling(self, counts):
+        rng = np.random.default_rng(53)
+        g = random_game(rng, counts)
+        base = decompose(g)
+        for _ in range(3):
+            perms = [rng.permutation(h) for h in counts]
+            order = list(rng.permutation(len(counts)))
+            new_counts = tuple(counts[o] for o in order)
+
+            def move(game):
+                u = _relabel(game.utilities, counts, perms, order)[order]
+                return Game(u, new_counts)
+
+            d = decompose(move(g))
+            size = np.abs(g.utilities).max()
+            want_phi = _relabel(base.potential_fn, counts, perms, order)
+            assert np.abs(d.potential_fn - want_phi).max() <= 1e-12 * size
+            for part in ("potential_part", "harmonic_part", "nonstrategic_part"):
+                want = move(getattr(base, part)).utilities
+                assert np.abs(getattr(d, part).utilities - want).max() <= 1e-12 * size, part
+            for h in (g, base.potential_part, base.harmonic_part):
+                assert is_potential(move(h)) == is_potential(h)
+                assert is_harmonic(move(h)) == is_harmonic(h)
 
 
 class TestMetric:
