@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -311,6 +312,17 @@ def cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _nonnegative(text: str) -> float:
+    """argparse type of ``--tol`` and ``--eps``: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamehodge",
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         if game_input:
             p.add_argument("input", help="path to a game JSON file")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+        p.add_argument("--tol", type=_nonnegative, default=1e-9, help="numeric tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
     p = sub.add_parser("decompose", help="write the three-component decomposition")
@@ -338,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibria", help="pure/epsilon/mixed/correlated equilibrium report")
     add_common(p)
-    p.add_argument("--eps", type=float, default=0.0, help="epsilon for approximate equilibria")
+    p.add_argument("--eps", type=_nonnegative, default=0.0, help="epsilon for approximate equilibria")
     p.set_defaults(func=cmd_equilibria)
 
     p = sub.add_parser("pareto", help="Pareto set, or the Pareto-aligning payoff transform")

@@ -19,6 +19,13 @@ Its K = 1 case, ``_parts``, is all that the membership tests and the
 projections read; :func:`decompose` adds the residuals and the ``Game``
 wrapping, and :mod:`gamehodge.subspaces` calls the kernel directly.
 
+``_parts`` keeps the last game's parts in a one-slot cache keyed by the
+identity of the (immutable) ``Game`` and by ``tol``, so every public call on
+the same game object after the first reuses one kernel run.  The slot holds
+a weak reference to the game and the parts as read-only arrays; it holds one
+game at a time and is emptied when that game is collected, so it never keeps
+a game or its parts alive.  An equal game in another object is a miss.
+
 The membership tests (:func:`is_potential`, :func:`is_harmonic`,
 :func:`potential_function`) measure against the norm of the normalised game
 ``u_P + u_H``, so they do not change when the payoffs are scaled or a
@@ -42,6 +49,7 @@ The residual diagnostics are node-space identities as well:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,14 +108,44 @@ def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
         game.with_utilities(u_pot),
         game.with_utilities(u_harm),
         game.with_utilities(u_non),
-        phi,
+        phi.copy(),
         residuals,
     )
 
 
+# (weakref to the game, tol, parts) of the last _parts call, or None
+_slot = None
+
+
 def _parts(game: Game, tol: float = 1e-10):
-    """``(phi, u_P, u_H, u_N)`` of one game: the K = 1 call of the kernel."""
-    return [a[0] for a in _decompose_batch(game.strategy_counts, game.utilities[None], tol)]
+    """``(phi, u_P, u_H, u_N)`` of one game: the K = 1 call of the kernel.
+
+    A repeat call with the same ``Game`` object and ``tol`` returns the
+    stored arrays, which are read-only; callers that hand one out copy it.
+    The slot holds one game, through a weak reference whose callback empties
+    it when that game is collected.  A kernel call that raises stores nothing.
+    """
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0]() is game and slot[1] == tol:
+        return slot[2]
+    parts = tuple(a[0] for a in _decompose_batch(game.strategy_counts, game.utilities[None], tol))
+    for a in parts:
+        a.flags.writeable = False
+    _slot = (weakref.ref(game, _release), tol, parts)
+    return parts
+
+
+def _release(ref) -> None:
+    """Empty the slot when its game is collected, unless it moved on.
+
+    A store by another thread between the check and the clear is lost; that
+    only makes a later call on that game miss.
+    """
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0] is ref:
+        _slot = None
 
 
 def _decompose_batch(counts: tuple[int, ...], u: np.ndarray, tol: float = 1e-10):
@@ -252,7 +290,7 @@ def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
         float(np.ptp(game.tensor(m) - phi_t, axis=m).max())
         for m in range(game.num_players)
     )
-    return phi if _negligible(mismatch, game, u_pot, u_harm, tol) else None
+    return phi.copy() if _negligible(mismatch, game, u_pot, u_harm, tol) else None
 
 
 def closest_potential(game: Game) -> Game:

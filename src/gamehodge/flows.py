@@ -421,11 +421,15 @@ def laplacian_pinv_solve(
 
     Raises
     ------
+    ValueError
+        if ``tol`` is negative or NaN.
     PreconditionError
         if a row of ``b`` has a mean component above ``tol * ||b||``.
     NumericError
         if a row's solution misses residual ``tol * ||b||``.
     """
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
     counts = tuple(strategy_counts)
     n = math.prod(counts)
     b = np.asarray(b, dtype=float)

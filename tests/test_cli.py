@@ -123,6 +123,29 @@ class TestEquilibriaCommand:
         }
 
 
+class TestNumericFlags:
+    # a bad --tol or --eps is a usage error (exit 2), not a traceback, a
+    # verify failure, a blamed input or an output with NaN in it
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("decompose", "--tol"), ("equilibria", "--tol"), ("verify", "--tol"), ("equilibria", "--eps")],
+    )
+    def test_negative_and_nan_exit_2(self, game_file, capsys, command, flag, value):
+        path = game_file(matching_pennies(), "mp.json")
+        with pytest.raises(SystemExit) as info:
+            main([command, path, flag, value])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be a finite number >= 0" in captured.err
+
+    def test_zero_is_accepted(self, game_file, capsys):
+        path = game_file(matching_pennies(), "mp.json")
+        assert main(["equilibria", path, "--tol", "0", "--eps", "0"]) == 0
+        assert read_json(capsys)["epsilon"] == 0.0
+
+
 class TestParetoCommand:
     def test_sets(self, game_file, capsys):
         path = game_file(battle_of_sexes(), "bos.json")

@@ -1,12 +1,18 @@
+import gc
 import importlib
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import gamehodge.flows as flows
 from gamehodge import (
+    Decomposition,
     Game,
+    NumericError,
     PreconditionError,
     ShapeError,
     build_graph,
@@ -351,6 +357,153 @@ class TestPredicatesReadTheKernel:
         assert (report["correlated_dim"] is not None) == want_harm
         monkeypatch.setattr(equilibria_module, "is_harmonic", lambda game, tol: want_harm)
         assert report == equilibrium_report(g, tol=tol)
+
+
+def _fresh(g):
+    """An equal game in a new object, so a call on it starts with a cold slot."""
+    return g.with_utilities(g.utilities)
+
+
+def _analyse(g):
+    """Every public call of one small-games benchmark op, on the same game."""
+    d = decompose(g)
+    closest = closest_potential(g)
+    pot, eps = epsilon_transfer_bound(g)
+    report = equilibrium_report(g, eps=eps)
+    return d, closest, pot, eps, report, is_potential(g), is_harmonic(g), potential_function(g)
+
+
+def _analyse_cold(g):
+    """The calls of :func:`_analyse`, each on its own fresh copy of the game."""
+    d = decompose(_fresh(g))
+    closest = closest_potential(_fresh(g))
+    pot, eps = epsilon_transfer_bound(_fresh(g))
+    report = equilibrium_report(_fresh(g), eps=eps)
+    return (
+        d, closest, pot, eps, report,
+        is_potential(_fresh(g)), is_harmonic(_fresh(g)), potential_function(_fresh(g)),
+    )
+
+
+def _identical(a, b) -> bool:
+    """Bitwise equality of results: arrays by ``np.array_equal``, the rest by ``==``."""
+    if isinstance(a, Decomposition):
+        return isinstance(b, Decomposition) and _identical(vars(a), vars(b))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_identical(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_identical(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Shapes of the games passed to the decomposition kernel, one per run."""
+    calls = []
+    kernel = decompose_module._decompose_batch
+    monkeypatch.setattr(
+        decompose_module, "_decompose_batch", lambda counts, *a: calls.append(counts) or kernel(counts, *a)
+    )
+    return calls
+
+
+class TestOneKernelRunPerGame:
+    @pytest.mark.parametrize("name", list(KERNEL_GAMES))
+    def test_op_runs_the_kernel_once(self, name, kernel_calls):
+        g = _fresh(KERNEL_GAMES[name])
+        warm = _analyse(g)
+        assert len(kernel_calls) == 1
+        cold = _analyse_cold(g)
+        assert len(kernel_calls) == 8  # every fresh copy is a miss
+        assert _identical(warm, cold)
+
+
+class TestKernelCache:
+    def test_released_with_its_game(self):
+        g = random_game(np.random.default_rng(60), (3, 3))
+        game_ref = weakref.ref(g)
+        array_refs = [weakref.ref(a) for a in decompose_module._parts(g)]
+        assert all(r() is not None for r in array_refs)
+        del g
+        gc.collect()
+        assert game_ref() is None
+        assert all(r() is None for r in array_refs)
+
+    def test_alternating_games_get_their_own_parts(self):
+        rng = np.random.default_rng(61)
+        g1 = random_game(rng, (3, 3))
+        games = [g1, random_game(rng, (2, 3, 4)), g1.with_utilities(-g1.utilities), _fresh(g1)]
+        cold = [_analyse_cold(g) for g in games]
+        for _ in range(3):
+            for g, want in zip(games, cold):
+                assert _identical(_analyse(g), want)
+        # an equal game in another object is a miss
+        parts = decompose_module._parts(g1)
+        assert decompose_module._parts(games[-1]) is not parts
+
+    def test_other_tol_is_a_miss(self, kernel_calls):
+        g = random_game(np.random.default_rng(62), (3, 3))
+        decompose(g)
+        decompose(g)
+        assert len(kernel_calls) == 1
+        decompose(g, tol=1e-9)
+        decompose(g, tol=1e-9)
+        assert len(kernel_calls) == 2
+        is_potential(g)  # the predicates decompose at the default 1e-10
+        assert len(kernel_calls) == 3
+
+    def test_failed_kernel_run_stores_nothing(self, kernel_calls):
+        g = random_game(np.random.default_rng(65), (3, 3))
+        for _ in range(2):
+            with pytest.raises(NumericError):
+                decompose(g, tol=1e-16)
+        assert len(kernel_calls) == 2
+        assert _identical(decompose(g), decompose(_fresh(g)))
+
+    def test_cached_arrays_are_read_only(self):
+        g = battle_of_sexes()
+        assert not any(a.flags.writeable for a in decompose_module._parts(g))
+        want = potential_function(_fresh(g))
+        assert want is not None
+        d = decompose(g)
+        d.potential_fn[:] = 99.0
+        phi = potential_function(g)
+        phi[:] = -99.0
+        assert np.array_equal(potential_function(g), want)
+        assert np.array_equal(decompose(g).potential_fn, want)
+
+    def test_threads_alternating_over_two_games_match_serial(self):
+        # more threads than cores, each alternating over the two games from
+        # its own starting point, with a short switch interval
+        rng = np.random.default_rng(66)
+        games = [random_game(rng, (3, 3)), random_game(rng, (2, 3, 4))]
+
+        def calls(g):
+            return decompose(g), closest_potential(g), potential_function(g), is_harmonic(g)
+
+        serial = [calls(_fresh(g)) for g in games]
+        results = [[] for _ in range(4)]
+
+        def run(k):
+            for i in range(200):
+                results[k].append(calls(games[(i + k) % 2]))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, rows in enumerate(results):
+            assert len(rows) == 200
+            assert all(_identical(r, serial[(i + k) % 2]) for i, r in enumerate(rows))
 
 
 def _relabel(u, counts, perms, order):

@@ -408,6 +408,14 @@ class TestLaplacianSolve:
     def test_single_node_graph(self):
         assert laplacian_pinv_solve((1, 1), np.zeros(1)) == 0.0
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_rejects_negative_and_nan_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            laplacian_pinv_solve((2, 2), np.zeros(4), tol=tol)
+
+    def test_zero_tol_is_accepted(self):
+        assert np.all(laplacian_pinv_solve((2, 2), np.zeros(4), tol=0.0) == 0.0)
+
     @pytest.mark.parametrize("counts", [(1,), (1, 4), (2, 3, 4), (2,) * 6, (5, 5)])
     def test_matches_dense_least_squares(self, counts):
         # Laplacian from the definition: degree minus adjacency, where two
