@@ -323,6 +323,17 @@ def _nonnegative(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamehodge",
@@ -337,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="path to a game JSON file")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--tol", type=_nonnegative, default=1e-9, help="numeric tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        p.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
 
     p = sub.add_parser("decompose", help="write the three-component decomposition")
     add_common(p)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .decompose import closest_potential, game_distance, game_norm, is_harmonic
 from .errors import PreconditionError
-from .game import Game, is_normalized, normalize, profile_of_index
+from .game import Game, is_normalized, normalize
 
 __all__ = [
     "pure_nash",
@@ -49,22 +49,21 @@ def _equilibrium_mask(game: Game, eps: float) -> np.ndarray:
     return ok
 
 
+def _profiles(mask: np.ndarray) -> list[tuple[int, ...]]:
+    """Profiles where ``mask`` holds, in index order, as tuples of Python ints."""
+    return list(map(tuple, np.argwhere(mask).tolist()))
+
+
 def pure_nash(game: Game) -> list[tuple[int, ...]]:
     """All pure Nash equilibria (weak inequalities, ties allowed), in index order."""
-    mask = _equilibrium_mask(game, 0.0)
-    return [
-        profile_of_index(i, game.strategy_counts) for i in np.flatnonzero(mask.ravel())
-    ]
+    return epsilon_equilibria(game, 0.0)
 
 
 def epsilon_equilibria(game: Game, eps: float) -> list[tuple[int, ...]]:
     """Profiles from which no unilateral deviation gains more than ``eps``."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be >= 0")
-    mask = _equilibrium_mask(game, eps)
-    return [
-        profile_of_index(i, game.strategy_counts) for i in np.flatnonzero(mask.ravel())
-    ]
+    return _profiles(_equilibrium_mask(game, eps))
 
 
 def epsilon_transfer_bound(game: Game) -> tuple[Game, float]:
@@ -180,8 +179,11 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     For a normalized harmonic game a joint distribution is a correlated
     equilibrium exactly when, for every player m and every own pair (a, b),
     ``sum over opponent profiles of u^m(b, .) x(a, .)`` vanishes.  The system
-    returned stacks those equalities with the total-probability row; its
-    solution set always contains the uniform distribution.
+    returned stacks those equalities, ordered by m, then a, then b, with the
+    total-probability row; its solution set always contains the uniform
+    distribution.  Each player's h_m² rows are written in one assignment
+    through a view of the matrix with that player's axis first, the mode-m
+    unfolding.
     """
     if not is_normalized(game, max(tol, 1e-12) * float(np.abs(game.utilities).max(initial=0.0))):
         raise PreconditionError("game must be normalized; call normalize() first")
@@ -199,19 +201,17 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
 
     n = game.num_profiles
     counts = game.strategy_counts
-    rows = []
+    equalities = np.zeros((sum(h * h for h in counts) + 1, n))
+    equalities[-1] = 1.0
+    start = 0
     for m, h in enumerate(counts):
-        u = np.moveaxis(game.tensor(m), m, 0).reshape(h, -1)
-        rest = u.shape[1]
-        for a in range(h):
-            for b in range(h):
-                block = np.zeros((h, rest))
-                block[a] = u[b]
-                rows.append(np.moveaxis(block.reshape((h,) + tuple(
-                    c for k, c in enumerate(counts) if k != m
-                )), 0, m).ravel())
-    equalities = np.vstack(rows + [np.ones(n)])
-    rhs = np.zeros(len(rows) + 1)
+        # rows[a, b] is the view of row (m, a, b) with player m's axis first:
+        # u^m(b, .) where the own strategy is a, zero elsewhere
+        rows = np.moveaxis(equalities[start:start + h * h].reshape((h, h) + counts), 2 + m, 2)
+        own = np.arange(h)
+        rows[own, :, own] = np.moveaxis(game.tensor(m), m, 0)
+        start += h * h
+    rhs = np.zeros(len(equalities))
     rhs[-1] = 1.0
 
     _, svals, vt = np.linalg.svd(equalities)
@@ -247,36 +247,32 @@ def harmonic_indifference_checks(game: Game, tol: float = 1e-9) -> HarmonicIndif
     In a harmonic game the sum of a player's payoffs over all opponent
     profiles is the same for each of its own strategies, and at any pure Nash
     equilibrium every player is indifferent across *all* own strategies.
-    Violations are reported, never raised.
+    The spread of a player's payoffs along its own axis is read at the Nash
+    mask.  Violations are reported, never raised.
     """
     violations: list[str] = []
 
     flux = 0.0
     for m in range(game.num_players):
         axes = tuple(k for k in range(game.num_players) if k != m)
-        sums = game.tensor(m).sum(axis=axes)
-        spread = float(sums.max() - sums.min()) if sums.size else 0.0
+        spread = float(np.ptp(game.tensor(m).sum(axis=axes)))
         flux = max(flux, spread)
         if spread > tol:
             violations.append(
                 f"player {m}: per-strategy payoff sums differ by {spread:.3e}"
             )
 
-    equilibria = pure_nash(game)
-    ne_spread = 0.0
-    for p in equilibria:
-        for m in range(game.num_players):
-            idx = list(p)
-            line = []
-            for a in range(game.strategy_counts[m]):
-                idx[m] = a
-                line.append(game.utility(m, idx))
-            spread = max(line) - min(line)
-            ne_spread = max(ne_spread, spread)
-            if spread > tol:
-                violations.append(
-                    f"equilibrium {p}: player {m} not indifferent (spread {spread:.3e})"
-                )
+    mask = _equilibrium_mask(game, 0.0)
+    equilibria = _profiles(mask)
+    spreads = np.stack([
+        np.broadcast_to(np.ptp(game.tensor(m), axis=m, keepdims=True), mask.shape)[mask]
+        for m in range(game.num_players)
+    ], axis=1)  # (equilibrium, player)
+    ne_spread = float(spreads.max(initial=0.0))
+    for e, m in np.argwhere(spreads > tol).tolist():
+        violations.append(
+            f"equilibrium {equilibria[e]}: player {m} not indifferent (spread {spreads[e, m]:.3e})"
+        )
 
     return HarmonicIndifferenceReport(flux, equilibria, ne_spread, tol, violations)
 
@@ -292,7 +288,8 @@ def pareto_optimal(game: Game) -> list[tuple[int, ...]]:
 
     Blocks of at most ``_PARETO_ROWS`` profiles are scanned against all
     profiles one player at a time, so memory stays O(n * block) for any
-    number of players.
+    number of players.  The undominated profiles are listed from the mask,
+    in index order.
     """
     payoffs = game.utilities  # (M, n)
     n = game.num_profiles
@@ -305,9 +302,7 @@ def pareto_optimal(game: Game) -> list[tuple[int, ...]]:
             ge &= payoffs[m] >= block[m]
             gt |= payoffs[m] > block[m]
         dominated[start:start + _PARETO_ROWS] = (ge & gt).any(axis=1)
-    return [
-        profile_of_index(i, game.strategy_counts) for i in np.flatnonzero(~dominated)
-    ]
+    return _profiles(~dominated.reshape(game.strategy_counts))
 
 
 def pareto_align_transform(game: Game) -> Game:

@@ -204,7 +204,7 @@ def normalize(game: Game) -> Game:
 
 def is_normalized(game: Game, tol: float = 1e-9) -> bool:
     """True iff every per-player, per-opponent-block payoff sum is within ``tol`` of 0."""
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be >= 0")
     for m in range(game.num_players):
         sums = game.tensor(m).sum(axis=m)

@@ -133,6 +133,8 @@ def subspace_dims(strategy_counts: Sequence[int]) -> SubspaceDims:
     sums of the matching component with the nonstrategic subspace.
     """
     counts = tuple(int(h) for h in strategy_counts)
+    if len(counts) < 1 or any(h < 1 for h in counts):
+        raise ShapeError(f"invalid strategy counts {counts}")
     m_players = len(counts)
     n = math.prod(counts)
     dim_n = sum(n // h for h in counts)

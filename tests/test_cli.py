@@ -145,6 +145,19 @@ class TestNumericFlags:
         assert main(["equilibria", path, "--tol", "0", "--eps", "0"]) == 0
         assert read_json(capsys)["epsilon"] == 0.0
 
+    def test_negative_seed_exits_2(self, game_file, capsys):
+        path = game_file(matching_pennies(), "mp.json")
+        with pytest.raises(SystemExit) as info:
+            main(["verify", path, "--seed", "-1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be an integer >= 0" in captured.err
+
+    def test_zero_seed_is_accepted(self, game_file, capsys):
+        path = game_file(matching_pennies(), "mp.json")
+        assert main(["verify", path, "--seed", "0"]) == 0
+
 
 class TestParetoCommand:
     def test_sets(self, game_file, capsys):
@@ -196,6 +209,13 @@ class TestDimsCommand:
 
     def test_unparsable_counts_exit_2(self, capsys):
         assert main(["dims", "2", "2,x"]) == 2
+
+    @pytest.mark.parametrize("players, counts", [("1", "0"), ("2", "3,-1")])
+    def test_counts_below_one_exit_4(self, capsys, players, counts):
+        assert main(["dims", players, counts]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid strategy counts" in captured.err
 
 
 def _verify_games():

@@ -21,6 +21,7 @@ from gamehodge import (
     pareto_align_transform,
     pareto_optimal,
     potential_function,
+    profile_of_index,
     pure_nash,
     uniformly_mixed,
 )
@@ -85,6 +86,11 @@ class TestEpsilonEquilibria:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             epsilon_equilibria(matching_pennies(), -0.1)
+
+    def test_nan_eps_rejected(self):
+        # every comparison with NaN is false, so a NaN eps would list nothing
+        with pytest.raises(ValueError):
+            epsilon_equilibria(battle_of_sexes(), float("nan"))
 
 
 class TestEpsilonTransfer:
@@ -506,3 +512,116 @@ class TestReport:
         assert report["pure_nash"] == [[0, 0], [1, 1]]
         assert report["correlated_dim"] is None
         assert report["uniform_mixed_is_ne"] is False
+
+
+TIE_HEAVY_SHAPES = [(3,), (2, 2), (3, 1, 2), (2, 3, 4), (2,) * 5]
+
+
+def tie_heavy_game(shape, seed):
+    # payoffs in {-1, 0, 1}: ties in every line, and every sum is exact
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    return Game(rng.integers(-1, 2, size=(len(shape), n)).astype(float), shape)
+
+
+def all_profiles(game):
+    return [profile_of_index(i, game.strategy_counts) for i in range(game.num_profiles)]
+
+
+def deviations(game, m, p):
+    return [p[:m] + (b,) + p[m + 1:] for b in range(game.strategy_counts[m])]
+
+
+def equilibria_by_definition(game, eps):
+    return [
+        p for p in all_profiles(game)
+        if all(
+            game.utility(m, q) <= game.utility(m, p) + eps
+            for m in range(game.num_players) for q in deviations(game, m, p)
+        )
+    ]
+
+
+class TestEnumerationByDefinition:
+    """Enumerations and the correlated system against per-profile definitions."""
+
+    @pytest.fixture(params=[(shape, seed) for shape in TIE_HEAVY_SHAPES for seed in (70, 71, 72)],
+                    ids=lambda param: f"{'x'.join(map(str, param[0]))}-{param[1]}")
+    def game(self, request):
+        return tie_heavy_game(*request.param)
+
+    @staticmethod
+    def assert_int_profiles(profiles):
+        # numpy integers would break json.dumps in the CLI
+        assert all(type(p) is tuple and all(type(c) is int for c in p) for p in profiles)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_equilibria(self, game, eps):
+        expected = equilibria_by_definition(game, eps)
+        found = epsilon_equilibria(game, eps)
+        assert found == expected
+        self.assert_int_profiles(found)
+        if eps == 0.0:
+            assert pure_nash(game) == expected
+            self.assert_int_profiles(pure_nash(game))
+
+    def test_pareto(self, game):
+        profiles = all_profiles(game)
+        payoff = {p: [game.utility(m, p) for m in range(game.num_players)] for p in profiles}
+        expected = [
+            p for p in profiles
+            if not any(
+                all(x >= y for x, y in zip(payoff[q], payoff[p]))
+                and any(x > y for x, y in zip(payoff[q], payoff[p]))
+                for q in profiles
+            )
+        ]
+        found = pareto_optimal(game)
+        assert found == expected
+        self.assert_int_profiles(found)
+
+    def test_correlated_equalities_layout(self, game):
+        # row (m, a, b) at profile p is u^m(b, p_-m) if p_m == a, else 0;
+        # rows ordered by m, then a, then b, then the total-probability row
+        h = decompose(game).harmonic_part
+        if game_norm(h) <= 1e-9 * game_norm(game):
+            # only rounding left (one player): the zero game, as in equilibrium_report
+            h = h.with_utilities(np.zeros_like(h.utilities))
+        profiles = all_profiles(h)
+        expected = [
+            [h.utility(m, deviations(h, m, p)[b]) if p[m] == a else 0.0 for p in profiles]
+            for m, hm in enumerate(h.strategy_counts)
+            for a in range(hm)
+            for b in range(hm)
+        ]
+        expected.append([1.0] * len(profiles))
+        system = harmonic_correlated_system(h)
+        assert np.array_equal(system.equalities, np.array(expected))
+        assert np.array_equal(system.rhs, np.eye(len(expected))[-1])
+
+    @pytest.mark.parametrize("tol", [1e-9, 1.0])
+    def test_indifference_checks(self, game, tol):
+        violations = []
+        flux = 0.0
+        for m, hm in enumerate(game.strategy_counts):
+            sums = [sum(game.utility(m, p) for p in all_profiles(game) if p[m] == a) for a in range(hm)]
+            spread = max(sums) - min(sums)
+            flux = max(flux, spread)
+            if spread > tol:
+                violations.append(f"player {m}: per-strategy payoff sums differ by {spread:.3e}")
+        equilibria = equilibria_by_definition(game, 0.0)
+        ne_spread = 0.0
+        for p in equilibria:
+            for m in range(game.num_players):
+                line = [game.utility(m, q) for q in deviations(game, m, p)]
+                spread = max(line) - min(line)
+                ne_spread = max(ne_spread, spread)
+                if spread > tol:
+                    violations.append(f"equilibrium {p}: player {m} not indifferent (spread {spread:.3e})")
+        report = harmonic_indifference_checks(game, tol)
+        assert report.flux_max_violation == flux and type(report.flux_max_violation) is float
+        assert report.pure_equilibria == equilibria
+        self.assert_int_profiles(report.pure_equilibria)
+        assert report.ne_indifference_max == ne_spread and type(report.ne_indifference_max) is float
+        assert report.tol == tol
+        assert report.violations == violations

@@ -128,6 +128,11 @@ class TestNormalize:
         with pytest.raises(ValueError):
             is_normalized(matching_pennies(), tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        # every comparison with NaN is false, so a NaN tol would pass any game
+        with pytest.raises(ValueError):
+            is_normalized(battle_of_sexes(), tol=float("nan"))
+
 
 class TestZeroSumIdenticalSplit:
     def test_matching_pennies_is_pure_zero_sum(self):

@@ -3,6 +3,7 @@ import pytest
 
 from gamehodge import (
     Game,
+    ShapeError,
     SizeError,
     basis_export,
     decompose,
@@ -93,6 +94,11 @@ class TestSubspaceDims:
         assert dims.potential + dims.harmonic + dims.nonstrategic == total
         assert dims.potential_games == dims.potential + dims.nonstrategic
         assert dims.harmonic_games == dims.harmonic + dims.nonstrategic
+
+    @pytest.mark.parametrize("counts", [(), (0,), (3, -1), (2, 0, 2)])
+    def test_invalid_counts_rejected(self, counts):
+        with pytest.raises(ShapeError, match="invalid strategy counts"):
+            subspace_dims(counts)
 
 
 class TestEmpiricalDims:
