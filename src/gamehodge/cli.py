@@ -38,6 +38,7 @@ from .errors import (
 )
 from .flows import (
     EdgeFlow,
+    _arrows,
     _curl_blocks,
     build_graph,
     divergence_adjoint,
@@ -80,21 +81,16 @@ def _round12(obj):
     return obj
 
 
-def _emit(data, out: str | None) -> None:
-    text = json.dumps(_round12(data), indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_text(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(data, out: str | None) -> None:
+    _emit_text(json.dumps(_round12(data), indent=2) + "\n", out)
 
 
 def _profile_labels(game) -> list[str]:
@@ -165,16 +161,7 @@ def cmd_dims(args) -> int:
         )
     dims = subspace_dims(counts)
     if args.format == "json":
-        _emit(
-            {
-                "potential": dims.potential,
-                "harmonic": dims.harmonic,
-                "nonstrategic": dims.nonstrategic,
-                "potential_games": dims.potential_games,
-                "harmonic_games": dims.harmonic_games,
-            },
-            args.out,
-        )
+        _emit(dims._asdict(), args.out)
     else:
         _emit_text(f"P={dims.potential} H={dims.harmonic} N={dims.nonstrategic}\n", args.out)
     return EXIT_OK
@@ -184,22 +171,12 @@ def cmd_export_flow(args) -> int:
     game = load_game(args.input)
     flow = pairwise_comparison(game)
     if args.format == "json":
-        edges = []
-        graph = flow.graph
-        for e in range(graph.num_edges):
-            v = float(flow.values[e])
-            if v == 0.0:
-                continue
-            i, j = int(graph.tails[e]), int(graph.heads[e])
-            if v < 0:
-                i, j, v = j, i, -v
-            edges.append(
-                {
-                    "from": list(profile_of_index(i, game.strategy_counts)),
-                    "to": list(profile_of_index(j, game.strategy_counts)),
-                    "value": v,
-                }
-            )
+        tails, heads, values = _arrows(flow, 0.0)
+        froms, tos = (
+            np.column_stack(np.unravel_index(ends, game.strategy_counts)).tolist()
+            for ends in (tails, heads)
+        )
+        edges = [{"from": f, "to": t, "value": v} for f, t, v in zip(froms, tos, values.tolist())]
         _emit({"edges": edges}, args.out)
     else:
         _emit_text(flow_to_dot(flow, node_labels=_profile_labels(game)), args.out)
@@ -343,15 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, game_input=True):
-        if game_input:
-            p.add_argument("input", help="path to a game JSON file")
+    def add_common(p):
+        p.add_argument("input", help="path to a game JSON file")
         p.add_argument("--out", help="output path (default: stdout)")
+
+    def add_tol(p):
         p.add_argument("--tol", type=_nonnegative, default=1e-9, help="numeric tolerance")
-        p.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
 
     p = sub.add_parser("decompose", help="write the three-component decomposition")
     add_common(p)
+    add_tol(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("project", help="closest potential or harmonic game")
@@ -361,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibria", help="pure/epsilon/mixed/correlated equilibrium report")
     add_common(p)
+    add_tol(p)
     p.add_argument("--eps", type=_nonnegative, default=0.0, help="epsilon for approximate equilibria")
     p.set_defaults(func=cmd_equilibria)
 
@@ -387,6 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite against a game")
     add_common(p)
+    add_tol(p)
+    p.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-flow", help="export the pairwise-comparison flow")

@@ -21,9 +21,11 @@ precondition and its residual row by row, each relative to that row's norm,
 and raises if any row fails; the Laplacian spectrum is built once per shape
 and memoised read-only.
 
-Edges and triangles are positioned by arithmetic on the clique layout
-(:meth:`GameGraph.clique_index`); no dict or triangle list is kept, and the
-curl is computed a row slice per own-strategy pair.
+Every edge operator is one gather or one ``np.bincount`` scatter over the
+graph's ``tails``/``heads`` node-index arrays.  Edges and triangles are
+positioned by arithmetic on the clique layout (:meth:`GameGraph.clique_index`);
+no dict or triangle list is kept, and the curl is computed a row slice per
+own-strategy pair.
 
 Inner products: plain dot product on node functions; on edge flows the sum
 over ordered comparable pairs carries a 1/2 factor, which reduces to the dot
@@ -211,9 +213,11 @@ class EdgeFlow:
         return sign * float(self.values[e])
 
     def __add__(self, other: "EdgeFlow") -> "EdgeFlow":
+        _check_same_graph(self, other)
         return EdgeFlow(self.graph, self.values + other.values)
 
     def __sub__(self, other: "EdgeFlow") -> "EdgeFlow":
+        _check_same_graph(self, other)
         return EdgeFlow(self.graph, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "EdgeFlow":
@@ -279,11 +283,9 @@ def pairwise_comparison(game: Game, graph: GameGraph | None = None) -> EdgeFlow:
         raise ShapeError("graph shape does not match game shape")
     blocks = []
     for m in range(game.num_players):
-        t = game.tensor(m)
-        for a, b in combinations(range(game.strategy_counts[m]), 2):
-            blocks.append((t.take(b, axis=m) - t.take(a, axis=m)).ravel())
-    values = np.concatenate(blocks) if blocks else np.zeros(0)
-    return EdgeFlow(graph, values)
+        tails, heads = graph.edges_of_player(m)
+        blocks.append(game.utilities[m][heads] - game.utilities[m][tails])
+    return EdgeFlow(graph, np.concatenate(blocks))
 
 
 def gradient(graph: GameGraph, phi) -> EdgeFlow:
@@ -305,23 +307,18 @@ def divergence_adjoint(flow: EdgeFlow) -> np.ndarray:
     """Adjoint of the gradient: ``(p) -> -sum_q X(p, q)``.
 
     The negative of this quantity is the net flow leaving each node, i.e.
-    the divergence.
+    the divergence.  One ``np.bincount`` scatters the values onto the heads,
+    one onto the tails.
     """
-    graph = flow.graph
-    out = np.zeros(graph.num_nodes)
-    np.subtract.at(out, graph.tails, flow.values)
-    np.add.at(out, graph.heads, flow.values)
-    return out
+    graph, x, n = flow.graph, flow.values, flow.graph.num_nodes
+    return np.bincount(graph.heads, x, n) - np.bincount(graph.tails, x, n)
 
 
 def player_divergence(flow: EdgeFlow, player: int) -> np.ndarray:
     """Adjoint of :func:`player_gradient`: the gradient adjoint over one player's edges."""
-    graph = flow.graph
-    out = np.zeros(graph.num_nodes)
-    s = graph.player_slice(player)
-    np.subtract.at(out, graph.tails[s], flow.values[s])
-    np.add.at(out, graph.heads[s], flow.values[s])
-    return out
+    graph, s = flow.graph, flow.graph.player_slice(player)
+    x, n = flow.values[s], graph.num_nodes
+    return np.bincount(graph.heads[s], x, n) - np.bincount(graph.tails[s], x, n)
 
 
 def restrict_player(flow: EdgeFlow, player: int) -> EdgeFlow:
@@ -473,12 +470,26 @@ def node_inner(f, g) -> float:
 
 def flow_inner(x: EdgeFlow, y: EdgeFlow) -> float:
     """Inner product on flows: half the sum over ordered comparable pairs."""
-    if x.graph.strategy_counts != y.graph.strategy_counts:
-        raise ShapeError("flows live on different graphs")
+    _check_same_graph(x, y)
     return float(np.dot(x.values, y.values))
 
 
+def _check_same_graph(x: EdgeFlow, y: EdgeFlow) -> None:
+    if x.graph.strategy_counts != y.graph.strategy_counts:
+        raise ShapeError("flows live on different graphs")
+
+
 # -- DOT export ---------------------------------------------------------------
+
+
+def _arrows(flow: EdgeFlow, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tails, heads, magnitudes)`` of the edges with ``|value| > zero_tol``,
+    in edge order, each arrow pointing along the positive flow."""
+    graph, values = flow.graph, flow.values
+    keep = np.abs(values) > zero_tol
+    values, tails, heads = values[keep], graph.tails[keep], graph.heads[keep]
+    back = values < 0
+    return np.where(back, heads, tails), np.where(back, tails, heads), np.abs(values)
 
 
 def flow_to_dot(
@@ -488,8 +499,9 @@ def flow_to_dot(
 ) -> str:
     """Render a flow as a DOT digraph.
 
-    Each edge with a nonzero value becomes one arrow pointing in the
-    positive-flow (payoff-improvement) direction, labeled with the magnitude.
+    Each edge with ``|value| > zero_tol`` becomes one arrow pointing in the
+    positive-flow (payoff-improvement) direction, labeled with the magnitude;
+    the arrows are one masked gather over the graph's edge arrays.
     """
     graph = flow.graph
     if node_labels is None:
@@ -497,16 +509,12 @@ def flow_to_dot(
             "(" + ",".join(map(str, p)) + ")"
             for p in np.ndindex(*graph.strategy_counts)
         ]
+    tails, heads, magnitudes = _arrows(flow, zero_tol)
     lines = ["digraph flow {"]
-    for i, label in enumerate(node_labels):
-        lines.append(f'  n{i} [label="{label}"];')
-    for e in range(graph.num_edges):
-        v = flow.values[e]
-        if abs(v) <= zero_tol:
-            continue
-        i, j = int(graph.tails[e]), int(graph.heads[e])
-        if v < 0:
-            i, j = j, i
-        lines.append(f'  n{i} -> n{j} [label="{abs(v):.12g}"];')
+    lines += [f'  n{i} [label="{label}"];' for i, label in enumerate(node_labels)]
+    lines += [
+        f'  n{i} -> n{j} [label="{v:.12g}"];'
+        for i, j, v in zip(tails.tolist(), heads.tolist(), magnitudes.tolist())
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -211,14 +210,9 @@ def zs_ii_intersection_dims(h: int, seed: int = 0, rank_tol: float = 1e-9) -> In
     if ambient > RANK_AMBIENT_CAP:
         return IntersectionTable(h, closed, None, None)
 
-    z_rows, i_rows = [], []
-    for r, c in product(range(h), range(h)):
-        e = np.zeros((h, h))
-        e[r, c] = 1.0
-        z_rows.append(np.stack([e, -e]).ravel())
-        i_rows.append(np.stack([e, e]).ravel())
-    span_z = np.stack(z_rows)
-    span_i = np.stack(i_rows)
+    eye = np.eye(n)
+    span_z = np.hstack([eye, -eye])
+    span_i = np.hstack([eye, eye])
     span_zi = np.vstack([span_z, span_i])
 
     non = nonstrategic_basis(counts).matrix()

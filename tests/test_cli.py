@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import gamehodge.cli
-from gamehodge import Game, game_from_dict, is_potential, save_game
+from gamehodge import (
+    Game,
+    build_graph,
+    game_from_dict,
+    is_potential,
+    pairwise_comparison,
+    profile_of_index,
+    save_game,
+)
 from gamehodge.catalog import (
     battle_of_sexes,
     generalized_rps,
@@ -158,6 +166,25 @@ class TestNumericFlags:
         path = game_file(matching_pennies(), "mp.json")
         assert main(["verify", path, "--seed", "0"]) == 0
 
+    # each flag is registered only on the commands that read it
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["project", "--onto", "potential", "--tol", "1"],
+            ["pareto", "--seed", "1"],
+            ["distance", "--to", "harmonic", "--seed", "1"],
+            ["export-flow", "--tol", "1"],
+        ],
+    )
+    def test_unread_flag_exits_2(self, game_file, capsys, argv):
+        path = game_file(matching_pennies(), "mp.json")
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], path, *argv[1:]])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
 
 class TestParetoCommand:
     def test_sets(self, game_file, capsys):
@@ -283,6 +310,36 @@ class TestExportFlowCommand:
         assert main(["export-flow", path, "--format", "json"]) == 0
         doc = read_json(capsys)
         assert sorted(e["value"] for e in doc["edges"]) == [2, 2, 3, 3]
+
+    def test_matches_per_edge_listing(self, game_file, capsys):
+        # a tie-heavy integer game: many zero edges, equal magnitudes, and a
+        # one-strategy player with no edges at all
+        rng = np.random.default_rng(33)
+        counts = (3, 1, 4)
+        g = Game(rng.integers(-2, 3, size=(3, 12)).astype(float), counts)
+        path = game_file(g, "ties.json")
+        graph = build_graph(counts)
+        flow = pairwise_comparison(g, graph)
+        labels = ["(" + ",".join(map(str, p)) + ")" for p in g.profiles()]
+        edges, dot = [], ["digraph flow {"] + [f'  n{i} [label="{s}"];' for i, s in enumerate(labels)]
+        for t, h, v in zip(graph.tails.tolist(), graph.heads.tolist(), flow.values.tolist()):
+            if v == 0.0:
+                continue
+            if v < 0:
+                t, h, v = h, t, -v
+            edges.append(
+                {
+                    "from": list(profile_of_index(t, counts)),
+                    "to": list(profile_of_index(h, counts)),
+                    "value": v,
+                }
+            )
+            dot.append(f'  n{t} -> n{h} [label="{v:.12g}"];')
+        assert 0 < len(edges) < graph.num_edges
+        assert main(["export-flow", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps({"edges": edges}, indent=2) + "\n"
+        assert main(["export-flow", path, "--format", "dot"]) == 0
+        assert capsys.readouterr().out == "\n".join(dot + ["}"]) + "\n"
 
     def test_node_cap_exits_4(self, game_file, capsys, monkeypatch):
         monkeypatch.setenv("GAMEHODGE_MAX_NODES", "3")

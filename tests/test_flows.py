@@ -167,6 +167,62 @@ class TestPairwiseComparison:
         assert (pairwise_comparison(g, graph) - total).max_abs() <= 1e-12
 
 
+EDGE_LOOP_SHAPES = [(3,), (2, 2), (4, 1, 5), (2, 3, 4), (2,) * 5, (6, 6)]
+
+
+def deviator(graph, t, h):
+    """The one player whose strategy differs between nodes t and h."""
+    p = np.unravel_index(t, graph.strategy_counts)
+    q = np.unravel_index(h, graph.strategy_counts)
+    return graph.comparable(p, q)
+
+
+class TestEdgeOperatorsMatchPerEdgeLoop:
+    """Every edge operator equals a Python loop over ``zip(tails, heads)``."""
+
+    @pytest.mark.parametrize("counts", EDGE_LOOP_SHAPES)
+    def test_gathers(self, counts):
+        rng = np.random.default_rng(30)
+        g = random_game(rng, counts)
+        graph = build_graph(counts)
+        phi = rng.uniform(-1.0, 1.0, size=graph.num_nodes)
+        pairs = list(zip(graph.tails.tolist(), graph.heads.tolist()))
+        players = [deviator(graph, t, h) for t, h in pairs]
+        want = [g.utilities[m, h] - g.utilities[m, t] for (t, h), m in zip(pairs, players)]
+        assert np.array_equal(pairwise_comparison(g, graph).values, np.array(want))
+        assert np.array_equal(gradient(graph, phi).values, np.array([phi[h] - phi[t] for t, h in pairs]))
+        for player in range(len(counts)):
+            want = [phi[h] - phi[t] if m == player else 0.0 for (t, h), m in zip(pairs, players)]
+            assert np.array_equal(player_gradient(graph, player, phi).values, np.array(want))
+
+    @pytest.mark.parametrize("counts", EDGE_LOOP_SHAPES)
+    def test_scatters(self, counts):
+        rng = np.random.default_rng(31)
+        graph = build_graph(counts)
+        x = EdgeFlow(graph, rng.uniform(-1.0, 1.0, size=graph.num_edges))
+        want = np.zeros(graph.num_nodes)
+        per_player = np.zeros((len(counts), graph.num_nodes))
+        for t, h, v in zip(graph.tails, graph.heads, x.values):
+            want[t] -= v
+            want[h] += v
+            per_player[deviator(graph, t, h), t] -= v
+            per_player[deviator(graph, t, h), h] += v
+        assert np.abs(divergence_adjoint(x) - want).max(initial=0.0) <= 1e-12
+        for player in range(len(counts)):
+            got = player_divergence(x, player)
+            assert np.abs(got - per_player[player]).max(initial=0.0) <= 1e-12
+
+
+class TestEdgeFlowArithmetic:
+    def test_sum_and_difference_reject_flows_on_other_graphs(self):
+        # both graphs have 9 edges, so only the shapes tell them apart
+        x = EdgeFlow(build_graph((2, 3)), np.arange(9.0))
+        y = EdgeFlow(build_graph((3, 2)), np.ones(9))
+        for op in (EdgeFlow.__add__, EdgeFlow.__sub__):
+            with pytest.raises(ShapeError, match="different graphs"):
+                op(x, y)
+
+
 class TestGradientDivergence:
     def test_constant_gives_zero(self):
         graph = build_graph((3, 2))
@@ -542,3 +598,23 @@ class TestDotExport:
         g = Game(np.zeros((2, 4)), (2, 2))
         dot = flow_to_dot(pairwise_comparison(g))
         assert "->" not in dot
+
+    @pytest.mark.parametrize("zero_tol", [0.0, 0.5, 1.5])
+    def test_matches_per_edge_listing(self, zero_tol):
+        # a tie-heavy integer game: many zero edges, equal magnitudes, and a
+        # one-strategy player with no edges at all
+        rng = np.random.default_rng(32)
+        g = Game(rng.integers(-2, 3, size=(3, 12)).astype(float), (3, 1, 4))
+        flow = pairwise_comparison(g)
+        graph = flow.graph
+        labels = [f"v{i}" for i in range(graph.num_nodes)]
+        lines = ["digraph flow {"] + [f'  n{i} [label="{s}"];' for i, s in enumerate(labels)]
+        for t, h, v in zip(graph.tails.tolist(), graph.heads.tolist(), flow.values.tolist()):
+            if abs(v) <= zero_tol:
+                continue
+            if v < 0:
+                t, h = h, t
+            lines.append(f'  n{t} -> n{h} [label="{abs(v):.12g}"];')
+        want = "\n".join(lines + ["}"]) + "\n"
+        assert 0 < want.count("->") < graph.num_edges
+        assert flow_to_dot(flow, node_labels=labels, zero_tol=zero_tol) == want
