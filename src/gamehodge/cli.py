@@ -13,6 +13,7 @@ the graph's default node cap and bounds those two commands alone.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -94,10 +95,7 @@ def _emit(data, out: str | None) -> None:
 
 
 def _profile_labels(game) -> list[str]:
-    labels = []
-    for p in game.profiles():
-        labels.append("(" + ",".join(game.strategy_labels[m][s] for m, s in enumerate(p)) + ")")
-    return labels
+    return ["(" + ",".join(p) + ")" for p in itertools.product(*game.strategy_labels)]
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -274,15 +272,16 @@ def cmd_verify(args) -> int:
     check("curl-of-game-flow", worst_curl, 1e-10 * scale)
 
     width = max(len(name) for name, _, _ in checks)
-    failed = 0
+    lines, failed = [], 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
         line = f"{status}  {name.ljust(width)}"
         if detail and not ok:
             line += f"  ({detail})"
-        print(line)
+        lines.append(line)
         failed += 0 if ok else 1
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
+    lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
+    _emit_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .decompose import closest_potential, game_distance, game_norm, is_harmonic
 from .errors import PreconditionError
 from .game import Game, is_normalized, normalize
+from .subspaces import numeric_rank
 
 __all__ = [
     "pure_nash",
@@ -156,16 +158,21 @@ def is_correlated_equilibrium(game: Game, x, tol: float = 1e-9) -> bool:
 class AffineSolutionSet:
     """Affine subspace ``{x : equalities @ x = rhs}`` met with the simplex.
 
-    ``particular`` is one solution (the uniform joint distribution),
-    ``directions`` spans the homogeneous solutions, and ``dimension`` is the
-    affine dimension obtained from a rank computation.
+    ``particular`` is one solution (the uniform joint distribution) and
+    ``dimension`` the affine dimension, ranked from singular values alone.
+    ``directions``, a dense basis of the homogeneous solutions, costs an
+    n x n SVD on first read.
     """
 
     equalities: np.ndarray
     rhs: np.ndarray
     particular: np.ndarray
-    directions: np.ndarray
     dimension: int
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        vt = np.linalg.svd(self.equalities)[2]
+        return vt[len(vt) - self.dimension:]
 
     def residual(self, x) -> float:
         """Largest violation of the defining equalities at ``x``."""
@@ -183,7 +190,7 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     total-probability row; its solution set always contains the uniform
     distribution.  Each player's h_m² rows are written in one assignment
     through a view of the matrix with that player's axis first, the mode-m
-    unfolding.
+    unfolding; only reading ``directions`` of the result runs an n x n SVD.
     """
     if not is_normalized(game, max(tol, 1e-12) * float(np.abs(game.utilities).max(initial=0.0))):
         raise PreconditionError("game must be normalized; call normalize() first")
@@ -214,13 +221,8 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     rhs = np.zeros(len(equalities))
     rhs[-1] = 1.0
 
-    _, svals, vt = np.linalg.svd(equalities)
-    rank = int(np.sum(svals > tol * svals[0])) if svals.size else 0
-    dimension = n - rank
-    directions = vt[rank:]
-
     particular = np.full(n, 1.0 / n)
-    return AffineSolutionSet(equalities, rhs, particular, directions, dimension)
+    return AffineSolutionSet(equalities, rhs, particular, n - numeric_rank(equalities, tol))
 
 
 # -- structural checks for harmonic games ---------------------------------------

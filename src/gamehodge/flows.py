@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 DEFAULT_NODE_CAP = 10**7
+# verify peaks near 51 bytes per edge: 3e7 admits 200x200, 2^20 and 60^3
+# and rejects 1000x1000 (999 000 000 edges) before any edge array exists
+DEFAULT_EDGE_CAP = 3 * 10**7
 
 
 class GameGraph:
@@ -96,10 +99,12 @@ class GameGraph:
         self.num_players = len(counts)
         self.num_nodes = n
 
+        sizes = [math.comb(h, 2) * (n // h) for h in counts]
+        if sum(sizes) > DEFAULT_EDGE_CAP:
+            raise SizeError(f"{sum(sizes)} edges exceed the edge cap {DEFAULT_EDGE_CAP}")
         self._node_ids = np.arange(n).reshape(counts)
         self.tails, self.heads = self._cliques(2)
         self.num_edges = self.tails.size
-        sizes = [math.comb(h, 2) * (n // h) for h in counts]
         self._player_slices = [
             slice(stop - size, stop) for size, stop in zip(sizes, accumulate(sizes))
         ]

@@ -150,8 +150,7 @@ class Game:
 
     def profiles(self) -> Iterable[tuple[int, ...]]:
         """All strategy profiles in index order."""
-        for i in range(self.num_profiles):
-            yield profile_of_index(i, self.strategy_counts)
+        return np.ndindex(*self.strategy_counts)
 
     def with_utilities(self, utilities) -> "Game":
         """Same shape and labels, different payoffs."""

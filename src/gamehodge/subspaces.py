@@ -181,20 +181,13 @@ class IntersectionTable:
     agrees: bool | None
 
 
-def _intersection_dim(span_a: np.ndarray, span_b: np.ndarray, tol: float) -> int:
-    ra = numeric_rank(span_a, tol)
-    rb = numeric_rank(span_b, tol)
-    rab = numeric_rank(np.vstack([span_a, span_b]), tol)
-    return ra + rb - rab
-
-
 def zs_ii_intersection_dims(h: int, seed: int = 0, rank_tol: float = 1e-9) -> IntersectionTable:
     """Dimensions of the zero-sum / identical-interest subspaces met with each game class.
 
     Both the closed-form table and the rank-computed one (via
     ``dim(A & B) = dim A + dim B - dim(A + B)`` on explicit spans) are
     returned; they must agree whenever the ambient dimension permits the
-    rank computation.
+    rank computation.  Each span and each stacked pair is ranked once.
     """
     if h < 1:
         raise ShapeError("h must be >= 1")
@@ -213,7 +206,6 @@ def zs_ii_intersection_dims(h: int, seed: int = 0, rank_tol: float = 1e-9) -> In
     eye = np.eye(n)
     span_z = np.hstack([eye, -eye])
     span_i = np.hstack([eye, eye])
-    span_zi = np.vstack([span_z, span_i])
 
     non = nonstrategic_basis(counts).matrix()
     harm = np.vstack([harmonic_basis_2p(h, h).matrix(), non]) if h >= 2 else non
@@ -223,15 +215,17 @@ def zs_ii_intersection_dims(h: int, seed: int = 0, rank_tol: float = 1e-9) -> In
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 2, n))
     pot = np.vstack([non, _decompose_batch(counts, u)[1].reshape(samples, ambient)])
 
-    spans = {"potential_games": pot, "harmonic_games": harm, "all_games": np.eye(ambient)}
-    computed = {
-        row: {
-            "zero_sum": _intersection_dim(span, span_z, rank_tol),
-            "identical": _intersection_dim(span, span_i, rank_tol),
-            "direct_sum": _intersection_dim(span, span_zi, rank_tol),
+    rows = {"potential_games": pot, "harmonic_games": harm, "all_games": np.eye(ambient)}
+    cols = {"zero_sum": span_z, "identical": span_i, "direct_sum": np.vstack([span_z, span_i])}
+    col_ranks = {col: numeric_rank(span, rank_tol) for col, span in cols.items()}
+    computed = {}
+    for row, span in rows.items():
+        rank = numeric_rank(span, rank_tol)
+        # dim(A & B) = dim A + dim B - dim(A + B)
+        computed[row] = {
+            col: rank + col_ranks[col] - numeric_rank(np.vstack([span, other]), rank_tol)
+            for col, other in cols.items()
         }
-        for row, span in spans.items()
-    }
     return IntersectionTable(h, closed, computed, computed == closed)
 
 

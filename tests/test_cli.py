@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import gamehodge.cli
+import gamehodge.flows
 from gamehodge import (
     Game,
     build_graph,
+    flow_to_dot,
     game_from_dict,
     is_potential,
     pairwise_comparison,
@@ -275,7 +277,8 @@ class TestVerifyCommand:
         path = game_file(g.with_utilities(scale * g.utilities), "g.json")
         assert main(["verify", path]) == 0, capsys.readouterr().out
 
-    def test_bounds_follow_a_small_scale(self, game_file, capsys, monkeypatch):
+    @pytest.fixture
+    def offset_game(self, game_file, monkeypatch):
         # an error of 1e-6 relative to the game must fail verify, also when
         # the game's payoffs are far below 1
         scale = 1e-12
@@ -288,8 +291,26 @@ class TestVerifyCommand:
             return dataclasses.replace(d, harmonic_part=game.with_utilities(harmonic))
 
         monkeypatch.setattr(gamehodge.cli, "decompose", offset)
-        assert main(["verify", path]) == 1
+        return path
+
+    def test_bounds_follow_a_small_scale(self, offset_game, capsys):
+        assert main(["verify", offset_game]) == 1
         assert "FAIL  components-normalized" in capsys.readouterr().out
+
+    @staticmethod
+    def check_out_matches_stdout(path, code, tmp_path, capsys):
+        assert main(["verify", path]) == code
+        printed = capsys.readouterr().out
+        out = tmp_path / "report.txt"
+        assert main(["verify", path, "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
+    def test_out_file(self, game_file, tmp_path, capsys):
+        self.check_out_matches_stdout(game_file(road_sharing(), "road.json"), 0, tmp_path, capsys)
+
+    def test_out_file_on_failure(self, offset_game, tmp_path, capsys):
+        self.check_out_matches_stdout(offset_game, 1, tmp_path, capsys)
 
 
 class TestExportFlowCommand:
@@ -341,10 +362,31 @@ class TestExportFlowCommand:
         assert main(["export-flow", path, "--format", "dot"]) == 0
         assert capsys.readouterr().out == "\n".join(dot + ["}"]) + "\n"
 
+    def test_dot_labels_follow_profile_order(self, game_file, capsys):
+        counts = (2, 3, 4)
+        labels = [["a", "b"], ["x", "y", "z"], ["p", "q", "r", "s"]]
+        u = np.random.default_rng(34).integers(-3, 4, size=(3, 24)).astype(float)
+        g = Game(u, counts, strategy_labels=labels)
+        path = game_file(g, "labelled.json")
+        names = [
+            "(" + ",".join(labels[m][s] for m, s in enumerate(profile_of_index(i, counts))) + ")"
+            for i in range(24)
+        ]
+        assert main(["export-flow", path]) == 0
+        assert capsys.readouterr().out == flow_to_dot(pairwise_comparison(g), node_labels=names)
+
     def test_node_cap_exits_4(self, game_file, capsys, monkeypatch):
         monkeypatch.setenv("GAMEHODGE_MAX_NODES", "3")
         path = game_file(matching_pennies(), "mp.json")
         assert main(["export-flow", path]) == 4
+
+    @pytest.mark.parametrize("command", ["verify", "export-flow"])
+    def test_edge_cap_exits_4(self, game_file, capsys, monkeypatch, command):
+        # matching pennies has 4 edges
+        monkeypatch.setattr(gamehodge.flows, "DEFAULT_EDGE_CAP", 3)
+        path = game_file(matching_pennies(), "mp.json")
+        assert main([command, path]) == 4
+        assert capsys.readouterr().err.startswith("precondition error:")
 
 
 class TestLargeGame:

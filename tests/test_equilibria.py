@@ -43,6 +43,24 @@ def random_harmonic_2p(rng, h1, h2, scale=1.0):
     return Game(u, (h1, h2))
 
 
+DIRECTION_GAMES = [
+    "2x2", "3x3", "2x3", "4x5", "6x6", "2x3x4", "3x3x3", "2x2x2x2x2", "zero-3x3", "matching-pennies",
+]
+
+
+def direction_game(name):
+    """Seeded harmonic game by shape ("2x3"), the zero 3x3 game or matching pennies."""
+    if name == "zero-3x3":
+        return Game(np.zeros((2, 9)), (3, 3))
+    if name == "matching-pennies":
+        return matching_pennies()
+    counts = tuple(int(h) for h in name.split("x"))
+    rng = np.random.default_rng(54)
+    if len(counts) == 2:
+        return random_harmonic_2p(rng, *counts)
+    return decompose(random_game(rng, counts)).harmonic_part
+
+
 class TestPureNash:
     def test_battle_of_sexes(self):
         assert pure_nash(battle_of_sexes()) == [(0, 0), (1, 1)]
@@ -281,15 +299,23 @@ class TestHarmonicCorrelatedSystem:
         assert system.dimension == 0
         assert np.allclose(system.particular, 0.25)
 
-    def test_direction_generators_satisfy_equalities(self):
-        rng = np.random.default_rng(54)
-        g = random_harmonic_2p(rng, 3, 3)
-        system = harmonic_correlated_system(g)
+    @pytest.mark.parametrize("name", DIRECTION_GAMES)
+    def test_direction_generators_satisfy_equalities(self, name):
+        system = harmonic_correlated_system(direction_game(name))
         assert system.residual(system.particular) <= 1e-9
-        hom = system.equalities @ system.directions.T
+        # the dimension ranked from singular values alone matches the count
+        # of the full SVD's singular values above the threshold
+        n = system.equalities.shape[1]
+        s = np.linalg.svd(system.equalities)[1]
+        assert system.dimension == n - int(np.sum(s > 1e-9 * s[0]))
+        directions = system.directions
+        assert directions.shape == (system.dimension, n)
+        assert np.allclose(directions @ directions.T, np.eye(system.dimension), atol=1e-9)
+        hom = system.equalities @ directions.T
         # directions are homogeneous: zero out every equality row except the
         # total-probability one, which they must also annihilate
         assert np.abs(hom).max(initial=0.0) <= 1e-9
+        assert system.directions is directions
 
     def test_rejects_non_harmonic(self):
         with pytest.raises(PreconditionError):
@@ -512,6 +538,30 @@ class TestReport:
         assert report["pure_nash"] == [[0, 0], [1, 1]]
         assert report["correlated_dim"] is None
         assert report["uniform_mixed_is_ne"] is False
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            matching_pennies,
+            lambda: generalized_rps(1 / 3, 1 / 3, 1 / 3),
+            lambda: decompose(random_game(np.random.default_rng(59), (4, 4))).harmonic_part,
+            lambda: decompose(random_game(np.random.default_rng(59), (8, 8, 8))).harmonic_part,
+            lambda: decompose(random_game(np.random.default_rng(59), (4,) * 4)).harmonic_part,
+        ],
+        ids=["matching-pennies", "rps", "4x4", "8x8x8", "4^4"],
+    )
+    def test_correlated_dim_needs_no_singular_vectors(self, monkeypatch, make):
+        game = make()
+        svd = np.linalg.svd
+        compute_uv = []
+
+        def recording(a, *args, **kwargs):
+            compute_uv.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        assert equilibrium_report(game)["correlated_dim"] is not None
+        assert compute_uv and not any(compute_uv)
 
 
 TIE_HEAVY_SHAPES = [(3,), (2, 2), (3, 1, 2), (2, 3, 4), (2,) * 5]

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import gamehodge.flows
 from gamehodge import (
     EdgeFlow,
     Game,
@@ -91,6 +92,20 @@ class TestGameGraph:
         monkeypatch.setenv("GAMEHODGE_MAX_NODES", "3")
         with pytest.raises(SizeError):
             build_graph((2, 2))
+
+    def test_edge_cap(self, monkeypatch):
+        # (3, 3) has 18 edges: it builds at the cap, and one edge over it
+        # raises before any edge array is allocated
+        monkeypatch.setattr(gamehodge.flows, "DEFAULT_EDGE_CAP", 18)
+        assert build_graph((3, 3)).num_edges == 18
+
+        def fail(self, k):
+            raise AssertionError("edge arrays allocated")
+
+        monkeypatch.setattr(gamehodge.flows, "DEFAULT_EDGE_CAP", 17)
+        monkeypatch.setattr(gamehodge.flows.GameGraph, "_cliques", fail)
+        with pytest.raises(SizeError, match="edge cap"):
+            build_graph((3, 3))
 
 
 class TestCliqueIndex:

@@ -17,6 +17,7 @@ from gamehodge import (
     verify_normalized_harmonic,
     zs_ii_intersection_dims,
 )
+from gamehodge import subspaces
 from gamehodge.catalog import battle_of_sexes, generalized_rps, matching_pennies
 from gamehodge.subspaces import numeric_rank
 from helpers import rps_harmonic
@@ -134,6 +135,22 @@ class TestZsIiIntersections:
         assert result.computed is not None
         assert result.agrees
         assert result.computed == result.closed_form
+
+    @pytest.mark.parametrize("h", range(1, 7))
+    def test_each_span_ranked_once(self, monkeypatch, h):
+        # three class spans, three zero-sum / identical-interest spans and
+        # the nine stacked pairs
+        rank = subspaces.numeric_rank
+        calls = []
+
+        def counting(matrix, tol):
+            calls.append(matrix.shape)
+            return rank(matrix, tol)
+
+        monkeypatch.setattr(subspaces, "numeric_rank", counting)
+        table = zs_ii_intersection_dims(h)
+        assert len(calls) == 15
+        assert table.computed == table.closed_form
 
     def test_direct_sum_columns(self):
         table = zs_ii_intersection_dims(3).closed_form
