@@ -4,10 +4,11 @@ Subcommands: decompose, project, equilibria, pareto, distance, dims, verify,
 export-flow.  Exit codes: 0 success, 1 verification failure, 2 parse error,
 3 numeric error, 4 precondition violation.  All numeric output is printed
 with 12 significant digits.  Only ``export-flow`` and ``verify`` build the
-game graph, and only its edge arrays: ``verify`` checks the curl without
-listing triangles and takes its maximum one own-strategy pair at a time, so
-no array holds one value per triangle.  ``GAMEHODGE_MAX_NODES`` overrides
-the graph's default node cap and bounds those two commands alone.
+game graph, a shape descriptor with no index arrays: ``verify`` checks the
+curl without listing triangles and takes its maximum one own-strategy pair
+at a time, so no array holds one value per triangle, and ``export-flow``
+writes its DOT text a fixed number of lines at a time.  The graph's one size
+cap, 3x10^7 edges, bounds those two commands alone; above it they exit 4.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 import json
 import math
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -41,10 +43,10 @@ from .flows import (
     EdgeFlow,
     _arrows,
     _curl_blocks,
+    _dot_chunks,
     build_graph,
     divergence_adjoint,
     flow_inner,
-    flow_to_dot,
     gradient,
     laplacian_player_apply,
     node_inner,
@@ -82,12 +84,14 @@ def _round12(obj):
     return obj
 
 
-def _emit_text(text: str, out: str | None) -> None:
+def _emit_text(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, or each string ``text`` yields, to ``out`` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit(data, out: str | None) -> None:
@@ -177,12 +181,14 @@ def cmd_export_flow(args) -> int:
         edges = [{"from": f, "to": t, "value": v} for f, t, v in zip(froms, tos, values.tolist())]
         _emit({"edges": edges}, args.out)
     else:
-        _emit_text(flow_to_dot(flow, node_labels=_profile_labels(game)), args.out)
+        _emit_text(_dot_chunks(flow, _profile_labels(game), 0.0), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     game = load_game(args.input)
+    # first, so a game over the edge cap exits at once, before any loop
+    graph = build_graph(game.strategy_counts)
     tol = args.tol
     rng = np.random.default_rng(args.seed)
     counts = game.strategy_counts
@@ -207,7 +213,6 @@ def cmd_verify(args) -> int:
         float(np.abs(twice.utilities - norm_game.utilities).max(initial=0.0)),
         1e-12 * scale,
     )
-    graph = build_graph(counts)
     flow = pairwise_comparison(game, graph)
     check(
         "normalize-preserves-comparisons",

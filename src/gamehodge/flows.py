@@ -21,11 +21,10 @@ precondition and its residual row by row, each relative to that row's norm,
 and raises if any row fails; the Laplacian spectrum is built once per shape
 and memoised read-only.
 
-Every edge operator is one gather or one ``np.bincount`` scatter over the
-graph's ``tails``/``heads`` node-index arrays.  Edges and triangles are
-positioned by arithmetic on the clique layout (:meth:`GameGraph.clique_index`);
-no dict or triangle list is kept, and the curl is computed a row slice per
-own-strategy pair.
+Edge operators read the clique layout, not index arrays: player m's flow is
+a (C(h_m, 2), n/h_m) block of own-strategy pairs by opponent profiles, so a
+gradient subtracts rows of a node function, a divergence adds them back, the
+curl takes row slices and :meth:`GameGraph.clique_index` is arithmetic.
 
 Inner products: plain dot product on node functions; on edge flows the sum
 over ordered comparable pairs carries a 1/2 factor, which reduces to the dot
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from itertools import accumulate, combinations
 from typing import Sequence
 
@@ -66,48 +64,36 @@ __all__ = [
     "flow_to_dot",
 ]
 
-DEFAULT_NODE_CAP = 10**7
-# verify peaks near 51 bytes per edge: 3e7 admits 200x200, 2^20 and 60^3
-# and rejects 1000x1000 (999 000 000 edges) before any edge array exists
+# verify peaks near 37 bytes per edge and DOT export near 62 (60^3, 19 116 000
+# edges): 3e7 admits 200x200, 2^20 and 60^3 and rejects 1000x1000
 DEFAULT_EDGE_CAP = 3 * 10**7
+_DOT_CHUNK = 1 << 16  # arrows per chunk: bounds the Python strings DOT export holds
 
 
 class GameGraph:
     """Graph of comparable strategy profiles for a given shape.
 
-    Edges are stored as parallel ``tails``/``heads`` node-index arrays with
-    ``tails < heads`` elementwise (the canonical orientation).  Edges and
-    triangles (3-cliques) live inside one player's clique and share one
-    layout: grouped by player, then by own strategies in ``combinations``
-    order, each group raveled over the opponent profiles in C order.  This
-    layout lets the operators below run as plain array arithmetic, and
-    :meth:`clique_index` computes any position from it, so no lookup table
-    over edges or triangles is kept.
+    A shape descriptor with no per-edge array.  Edges and triangles
+    (3-cliques) are grouped by player, then by own strategies in
+    ``combinations`` order, then by opponent profile in C order, and run
+    from the lower node id to the higher (``tails < heads``).
     """
 
-    def __init__(self, strategy_counts: Sequence[int], node_cap: int | None = None):
+    def __init__(self, strategy_counts: Sequence[int]):
         counts = tuple(int(h) for h in strategy_counts)
         if len(counts) < 1 or any(h < 1 for h in counts):
             raise ShapeError(f"invalid strategy counts {counts}")
-        if node_cap is None:
-            node_cap = int(os.environ.get("GAMEHODGE_MAX_NODES", DEFAULT_NODE_CAP))
         n = math.prod(counts)
-        if n > node_cap:
-            raise SizeError(f"{n} profiles exceed the node cap {node_cap}")
+        sizes = [math.comb(h, 2) * (n // h) for h in counts]
+        if sum(sizes) > DEFAULT_EDGE_CAP:
+            raise SizeError(f"{sum(sizes)} edges exceed the edge cap {DEFAULT_EDGE_CAP}")
 
         self.strategy_counts = counts
         self.num_players = len(counts)
         self.num_nodes = n
-
-        sizes = [math.comb(h, 2) * (n // h) for h in counts]
-        if sum(sizes) > DEFAULT_EDGE_CAP:
-            raise SizeError(f"{sum(sizes)} edges exceed the edge cap {DEFAULT_EDGE_CAP}")
-        self._node_ids = np.arange(n).reshape(counts)
-        self.tails, self.heads = self._cliques(2)
-        self.num_edges = self.tails.size
-        self._player_slices = [
-            slice(stop - size, stop) for size, stop in zip(sizes, accumulate(sizes))
-        ]
+        self.num_edges = sum(sizes)
+        stops = list(accumulate(sizes, initial=0))
+        self._player_slices = [slice(a, b) for a, b in zip(stops, stops[1:])]
 
     # -- structure ---------------------------------------------------------
 
@@ -115,9 +101,15 @@ class GameGraph:
         """Range of edge ids belonging to one player's clique edges."""
         return self._player_slices[player]
 
-    def edges_of_player(self, player: int) -> tuple[np.ndarray, np.ndarray]:
-        s = self._player_slices[player]
-        return self.tails[s], self.heads[s]
+    @property
+    def tails(self) -> np.ndarray:
+        """Lower node id of every edge, in edge order; built on each read."""
+        return self._cliques(2)[0]
+
+    @property
+    def heads(self) -> np.ndarray:
+        """Higher node id of every edge, in edge order; built on each read."""
+        return self._cliques(2)[1]
 
     def comparable(self, p: Sequence[int], q: Sequence[int]) -> int | None:
         """Deviating player if ``p`` and ``q`` are comparable, else None."""
@@ -168,10 +160,11 @@ class GameGraph:
 
     def _cliques(self, k: int) -> np.ndarray:
         """All k-cliques as a (k, C) array of sorted node ids, in index order."""
-        parts = [np.zeros((k, 0), dtype=int)]
+        ids = np.arange(self.num_nodes).reshape(self.strategy_counts)
+        parts = []
         for m, h in enumerate(self.strategy_counts):
-            rows = np.moveaxis(self._node_ids, m, 0).reshape(h, -1)
             own = np.array(list(combinations(range(h), k)), dtype=int).reshape(-1, k)
+            rows = np.moveaxis(ids, m, 0).reshape(h, -1)
             parts.append(rows[own].transpose(1, 0, 2).reshape(k, -1))
         return np.concatenate(parts, axis=1)
 
@@ -182,9 +175,9 @@ class GameGraph:
         )
 
 
-def build_graph(strategy_counts: Sequence[int], node_cap: int | None = None) -> GameGraph:
+def build_graph(strategy_counts: Sequence[int]) -> GameGraph:
     """Construct the graph of comparable strategy profiles for a shape."""
-    return GameGraph(strategy_counts, node_cap)
+    return GameGraph(strategy_counts)
 
 
 class EdgeFlow:
@@ -280,31 +273,36 @@ def _as_node_array(graph: GameGraph, phi) -> np.ndarray:
     return phi
 
 
+def _differences(counts: tuple[int, ...], functions) -> np.ndarray:
+    """``f(head) - f(tail)`` over player m's edges for each ``(m, f)``, in edge order."""
+    blocks = []
+    for m, f in functions:
+        rows = np.moveaxis(f.reshape(counts), m, 0).reshape(counts[m], -1)
+        a, b = np.nonzero(~np.tri(counts[m], dtype=bool))  # own pairs, ``combinations`` order
+        blocks.append((rows[b] - rows[a]).ravel())
+    return np.concatenate(blocks)
+
+
 def pairwise_comparison(game: Game, graph: GameGraph | None = None) -> EdgeFlow:
     """Flow assigning ``u^m(q) - u^m(p)`` to every m-comparable pair (p, q)."""
     if graph is None:
         graph = build_graph(game.strategy_counts)
     elif graph.strategy_counts != game.strategy_counts:
         raise ShapeError("graph shape does not match game shape")
-    blocks = []
-    for m in range(game.num_players):
-        tails, heads = graph.edges_of_player(m)
-        blocks.append(game.utilities[m][heads] - game.utilities[m][tails])
-    return EdgeFlow(graph, np.concatenate(blocks))
+    return EdgeFlow(graph, _differences(game.strategy_counts, enumerate(game.utilities)))
 
 
 def gradient(graph: GameGraph, phi) -> EdgeFlow:
     """Combinatorial gradient: ``(grad phi)(p, q) = phi(q) - phi(p)`` on edges."""
-    phi = _as_node_array(graph, phi)
-    return EdgeFlow(graph, phi[graph.heads] - phi[graph.tails])
+    phis = enumerate([_as_node_array(graph, phi)] * graph.num_players)
+    return EdgeFlow(graph, _differences(graph.strategy_counts, phis))
 
 
 def player_gradient(graph: GameGraph, player: int, phi) -> EdgeFlow:
     """Gradient restricted to one player's edges, zero elsewhere."""
     phi = _as_node_array(graph, phi)
     values = np.zeros(graph.num_edges)
-    s = graph.player_slice(player)
-    values[s] = phi[graph.heads[s]] - phi[graph.tails[s]]
+    values[graph.player_slice(player)] = _differences(graph.strategy_counts, [(player, phi)])
     return EdgeFlow(graph, values)
 
 
@@ -312,18 +310,24 @@ def divergence_adjoint(flow: EdgeFlow) -> np.ndarray:
     """Adjoint of the gradient: ``(p) -> -sum_q X(p, q)``.
 
     The negative of this quantity is the net flow leaving each node, i.e.
-    the divergence.  One ``np.bincount`` scatters the values onto the heads,
-    one onto the tails.
+    the divergence; it is the sum of :func:`player_divergence` over players.
     """
-    graph, x, n = flow.graph, flow.values, flow.graph.num_nodes
-    return np.bincount(graph.heads, x, n) - np.bincount(graph.tails, x, n)
+    return sum(player_divergence(flow, m) for m in range(flow.graph.num_players))
 
 
 def player_divergence(flow: EdgeFlow, player: int) -> np.ndarray:
-    """Adjoint of :func:`player_gradient`: the gradient adjoint over one player's edges."""
-    graph, s = flow.graph, flow.graph.player_slice(player)
-    x, n = flow.values[s], graph.num_nodes
-    return np.bincount(graph.heads[s], x, n) - np.bincount(graph.tails[s], x, n)
+    """Adjoint of :func:`player_gradient`: the gradient adjoint over one player's edges.
+
+    The pairs (a, a+1..h-1) are contiguous rows of the player's block: their
+    sum leaves row a of the result, and each enters the row of its other end.
+    """
+    counts, h = flow.graph.strategy_counts, flow.graph.strategy_counts[player]
+    block = flow.values[flow.graph.player_slice(player)].reshape(-1, flow.graph.num_nodes // h)
+    out = np.zeros((h, block.shape[1]))
+    for a, rows in enumerate(np.split(block, list(accumulate(range(h - 1, 1, -1))))):
+        out[a] -= rows.sum(axis=0)
+        out[a + 1:] += rows
+    return np.moveaxis(out.reshape((h,) + counts[:player] + counts[player + 1:]), 0, player).ravel()
 
 
 def restrict_player(flow: EdgeFlow, player: int) -> EdgeFlow:
@@ -488,38 +492,34 @@ def _check_same_graph(x: EdgeFlow, y: EdgeFlow) -> None:
 
 
 def _arrows(flow: EdgeFlow, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(tails, heads, magnitudes)`` of the edges with ``|value| > zero_tol``,
-    in edge order, each arrow pointing along the positive flow."""
-    graph, values = flow.graph, flow.values
-    keep = np.abs(values) > zero_tol
-    values, tails, heads = values[keep], graph.tails[keep], graph.heads[keep]
+    """``(tails, heads, magnitudes)`` of the edges with ``|value| > zero_tol``, along the flow."""
+    keep = np.abs(flow.values) > zero_tol
+    values, ends = flow.values[keep], flow.graph._cliques(2)[:, keep]
     back = values < 0
-    return np.where(back, heads, tails), np.where(back, tails, heads), np.abs(values)
+    ends[:, back] = ends[::-1, back]
+    return ends[0], ends[1], np.abs(values)
+
+
+def _dot_chunks(flow: EdgeFlow, node_labels: Sequence[str], zero_tol: float):
+    """The DOT text of :func:`flow_to_dot`: the nodes, then ``_DOT_CHUNK`` arrows at a time."""
+    yield "digraph flow {\n"
+    yield "".join(f'  n{i} [label="{label}"];\n' for i, label in enumerate(node_labels))
+    arrows = _arrows(flow, zero_tol)
+    for start in range(0, arrows[0].size, _DOT_CHUNK):
+        rows = zip(*(a[start:start + _DOT_CHUNK].tolist() for a in arrows))
+        yield "".join(f'  n{i} -> n{j} [label="{v:.12g}"];\n' for i, j, v in rows)
+    yield "}\n"
 
 
 def flow_to_dot(
-    flow: EdgeFlow,
-    node_labels: Sequence[str] | None = None,
-    zero_tol: float = 0.0,
+    flow: EdgeFlow, node_labels: Sequence[str] | None = None, zero_tol: float = 0.0
 ) -> str:
     """Render a flow as a DOT digraph.
 
-    Each edge with ``|value| > zero_tol`` becomes one arrow pointing in the
-    positive-flow (payoff-improvement) direction, labeled with the magnitude;
-    the arrows are one masked gather over the graph's edge arrays.
+    Each edge with ``|value| > zero_tol`` becomes, in edge order, one arrow
+    along the positive (payoff-improving) flow, labeled with its magnitude.
     """
-    graph = flow.graph
     if node_labels is None:
-        node_labels = [
-            "(" + ",".join(map(str, p)) + ")"
-            for p in np.ndindex(*graph.strategy_counts)
-        ]
-    tails, heads, magnitudes = _arrows(flow, zero_tol)
-    lines = ["digraph flow {"]
-    lines += [f'  n{i} [label="{label}"];' for i, label in enumerate(node_labels)]
-    lines += [
-        f'  n{i} -> n{j} [label="{v:.12g}"];'
-        for i, j, v in zip(tails.tolist(), heads.tolist(), magnitudes.tolist())
-    ]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        profiles = np.ndindex(flow.graph.strategy_counts)
+        node_labels = ["(" + ",".join(map(str, p)) + ")" for p in profiles]
+    return "".join(_dot_chunks(flow, node_labels, zero_tol))

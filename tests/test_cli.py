@@ -375,10 +375,34 @@ class TestExportFlowCommand:
         assert main(["export-flow", path]) == 0
         assert capsys.readouterr().out == flow_to_dot(pairwise_comparison(g), node_labels=names)
 
-    def test_node_cap_exits_4(self, game_file, capsys, monkeypatch):
-        monkeypatch.setenv("GAMEHODGE_MAX_NODES", "3")
+    def test_dot_spanning_many_chunks_matches_per_edge_listing(self, game_file, capsys):
+        # 60x60 has 212 400 edges, more than the export writes in one chunk
+        counts = (60, 60)
+        g = random_game(np.random.default_rng(35), counts)
+        path = game_file(g, "g60.json")
+        graph = build_graph(counts)
+        flow = pairwise_comparison(g, graph)
+        labels = ["(" + ",".join(map(str, p)) + ")" for p in g.profiles()]
+        dot = ["digraph flow {"] + [f'  n{i} [label="{s}"];' for i, s in enumerate(labels)]
+        for t, h, v in zip(graph.tails.tolist(), graph.heads.tolist(), flow.values.tolist()):
+            if v < 0:
+                t, h, v = h, t, -v
+            dot.append(f'  n{t} -> n{h} [label="{v:.12g}"];')
+        assert len(dot) == 1 + 3600 + 212_400
+        assert main(["export-flow", path]) == 0
+        assert capsys.readouterr().out == "\n".join(dot + ["}"]) + "\n"
+
+    def test_verify_checks_the_edge_cap_before_any_profile_loop(
+        self, game_file, capsys, monkeypatch
+    ):
+        def fail(*args):
+            raise AssertionError("profile loop ran before the edge cap")
+
+        monkeypatch.setattr(gamehodge.flows, "DEFAULT_EDGE_CAP", 3)
+        monkeypatch.setattr(gamehodge.cli, "profile_of_index", fail)
         path = game_file(matching_pennies(), "mp.json")
-        assert main(["export-flow", path]) == 4
+        assert main(["verify", path]) == 4
+        assert capsys.readouterr().err.startswith("precondition error:")
 
     @pytest.mark.parametrize("command", ["verify", "export-flow"])
     def test_edge_cap_exits_4(self, game_file, capsys, monkeypatch, command):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -74,8 +75,9 @@ class TestGameGraph:
 
     def test_player_edges_partition(self):
         g = build_graph((2, 3, 2))
-        total = sum(len(g.edges_of_player(m)[0]) for m in range(3))
-        assert total == g.num_edges
+        slices = [g.player_slice(m) for m in range(3)]
+        assert sum(s.stop - s.start for s in slices) == g.num_edges
+        assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
 
     def test_triangles_stay_within_one_player(self):
         g = build_graph((3, 3))
@@ -86,12 +88,21 @@ class TestGameGraph:
             deviators = {g.comparable(p, q), g.comparable(q, r), g.comparable(p, r)}
             assert len(deviators) == 1
 
-    def test_node_cap(self, monkeypatch):
-        with pytest.raises(SizeError):
+    def test_node_cap(self):
+        # 2*10^7 profiles: the edge cap rejects them, there is no node cap
+        with pytest.raises(SizeError, match="edge cap"):
             build_graph((5000, 4000))
-        monkeypatch.setenv("GAMEHODGE_MAX_NODES", "3")
-        with pytest.raises(SizeError):
-            build_graph((2, 2))
+
+    def test_construction_allocates_no_edge_array(self):
+        # 200x200 has 7 960 000 edges; one int64 array of them is 64 MB
+        tracemalloc.start()
+        try:
+            graph = build_graph((200, 200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.num_edges == 7_960_000
+        assert peak < 1_000_000
 
     def test_edge_cap(self, monkeypatch):
         # (3, 3) has 18 edges: it builds at the cap, and one edge over it
