@@ -4,11 +4,13 @@ Subcommands: decompose, project, equilibria, pareto, distance, dims, verify,
 export-flow.  Exit codes: 0 success, 1 verification failure, 2 parse error,
 3 numeric error, 4 precondition violation.  All numeric output is printed
 with 12 significant digits.  Only ``export-flow`` and ``verify`` build the
-game graph, a shape descriptor with no index arrays: ``verify`` checks the
-curl without listing triangles and takes its maximum one own-strategy pair
-at a time, so no array holds one value per triangle, and ``export-flow``
-writes its DOT text a fixed number of lines at a time.  The graph's one size
-cap, 3x10^7 edges, bounds those two commands alone; above it they exit 4.
+game graph, a shape descriptor with no index arrays.  ``verify`` builds no
+array over the whole graph: it reads the game's flow identities off payoff
+arrays, tests the edge operators one player's block of edges at a time, and
+takes the curl's maximum one own-strategy pair at a time, so no array holds
+one value per edge or triangle.  ``export-flow`` writes its DOT or JSON text
+a fixed number of arrows at a time.  The graph's one size cap, 3x10^7
+edges, bounds those two commands alone; above it they exit 4.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import numpy as np
 
 from . import __version__
 from .decompose import (
+    _max_curl,
+    _spread,
     closest_harmonic,
     closest_potential,
     decompose,
@@ -40,27 +44,16 @@ from .errors import (
     SizeError,
 )
 from .flows import (
-    EdgeFlow,
+    _DOT_CHUNK,
     _arrows,
-    _curl_blocks,
+    _differences,
+    _divergence,
     _dot_chunks,
     build_graph,
-    divergence_adjoint,
-    flow_inner,
-    gradient,
-    laplacian_player_apply,
-    node_inner,
     pairwise_comparison,
     project_player,
 )
-from .game import (
-    game_to_dict,
-    is_normalized,
-    load_game,
-    normalize,
-    profile_index,
-    profile_of_index,
-)
+from .game import game_to_dict, is_normalized, load_game, normalize
 from .subspaces import subspace_dims, verify_normalized_harmonic
 
 EXIT_OK = 0
@@ -173,36 +166,57 @@ def cmd_export_flow(args) -> int:
     game = load_game(args.input)
     flow = pairwise_comparison(game)
     if args.format == "json":
-        tails, heads, values = _arrows(flow, 0.0)
-        froms, tos = (
-            np.column_stack(np.unravel_index(ends, game.strategy_counts)).tolist()
-            for ends in (tails, heads)
-        )
-        edges = [{"from": f, "to": t, "value": v} for f, t, v in zip(froms, tos, values.tolist())]
-        _emit({"edges": edges}, args.out)
+        _emit_text(_json_chunks(flow), args.out)
     else:
         _emit_text(_dot_chunks(flow, _profile_labels(game), 0.0), args.out)
     return EXIT_OK
 
 
+def _json_chunks(flow):
+    """The ``export-flow`` JSON document, ``{"edges": [...]}``, in chunks.
+
+    Each chunk of ``_DOT_CHUNK`` arrows is dumped alone, its brackets
+    stripped and its lines indented one level further, so the text is what
+    ``_emit`` writes for the whole list, and no string holds all of it.
+    """
+    arrows = _arrows(flow, 0.0)
+    if arrows[0].size == 0:
+        yield '{\n  "edges": []\n}\n'
+        return
+    yield '{\n  "edges": [\n'
+    for start in range(0, arrows[0].size, _DOT_CHUNK):
+        tails, heads, values = (a[start:start + _DOT_CHUNK] for a in arrows)
+        froms, tos = (
+            np.column_stack(np.unravel_index(ends, flow.graph.strategy_counts)).tolist()
+            for ends in (tails, heads)
+        )
+        edges = [{"from": f, "to": t, "value": v} for f, t, v in zip(froms, tos, values.tolist())]
+        text = json.dumps(_round12(edges), indent=2)[2:-2]  # without "[\n" and "\n]"
+        yield ("  " if start == 0 else ",\n  ") + text.replace("\n", "\n  ")
+    yield "\n  ]\n}\n"
+
+
 def cmd_verify(args) -> int:
     game = load_game(args.input)
-    # first, so a game over the edge cap exits at once, before any loop
-    graph = build_graph(game.strategy_counts)
+    # first, so a game over the edge cap exits at once; the checks read the
+    # flow identities off payoff spreads and test the edge operators one
+    # player's block of edges at a time, so no array spans the whole graph
+    build_graph(game.strategy_counts)
     tol = args.tol
     rng = np.random.default_rng(args.seed)
     counts = game.strategy_counts
     n = game.num_profiles
-    scale = float(np.abs(game.utilities).max(initial=0.0))
+    u = game.utilities
+    scale = float(np.abs(u).max(initial=0.0))
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, violation: float, bound: float) -> None:
         checks.append((name, violation <= bound, f"violation {_fmt(violation)} vs {_fmt(bound)}"))
 
     # profile indexing round-trips
-    bad = sum(
-        1 for i in range(n) if profile_index(profile_of_index(i, counts), counts) != i
-    )
+    index = np.arange(n)
+    round_trip = np.ravel_multi_index(np.unravel_index(index, counts), counts)
+    bad = int(np.count_nonzero(round_trip != index))
     checks.append(("profile-index-bijection", bad == 0, f"{bad} mismatches"))
 
     # normalization behavior
@@ -213,11 +227,8 @@ def cmd_verify(args) -> int:
         float(np.abs(twice.utilities - norm_game.utilities).max(initial=0.0)),
         1e-12 * scale,
     )
-    flow = pairwise_comparison(game, graph)
     check(
-        "normalize-preserves-comparisons",
-        (pairwise_comparison(norm_game, graph) - flow).max_abs(),
-        1e-12 * scale,
+        "normalize-preserves-comparisons", _spread(counts, norm_game.utilities - u), 1e-12 * scale
     )
     checks.append(("normalized-output", is_normalized(norm_game, 1e-9 * scale), ""))
 
@@ -226,15 +237,11 @@ def cmd_verify(args) -> int:
     check("reconstruction", d.residuals["reconstruction"], tol * scale)
     check(
         "potential-flow-is-gradient",
-        (pairwise_comparison(d.potential_part, graph) - gradient(graph, d.potential_fn)).max_abs(),
+        _spread(counts, d.potential_part.utilities - d.potential_fn),
         tol * scale,
     )
     check("harmonic-flow-divergence-free", d.residuals["harmonic_divergence"], tol * scale)
-    check(
-        "nonstrategic-flow-zero",
-        pairwise_comparison(d.nonstrategic_part, graph).max_abs(),
-        tol * scale,
-    )
+    check("nonstrategic-flow-zero", _spread(counts, d.nonstrategic_part.utilities), tol * scale)
     check("game-flow-curl-free", d.residuals["curl"], 1e-10 * scale)
     checks.append(
         (
@@ -257,24 +264,23 @@ def cmd_verify(args) -> int:
     )
     check("orthogonality-pythagoras", abs(total - parts), 1e-8 * total)
 
-    # operator identities on seeded random data
+    # operator identities on seeded random data: <grad_m phi, x_m> = <phi,
+    # grad_m* x_m> summed over the players, and grad_m* grad_m = h_m P_m
     adj = lap = 0.0
     for _ in range(20):
         phi = rng.uniform(-1.0, 1.0, size=n)
-        x = rng.uniform(-1.0, 1.0, size=graph.num_edges)
-        xf = EdgeFlow(graph, x)
-        adj = max(adj, abs(flow_inner(gradient(graph, phi), xf) - node_inner(phi, divergence_adjoint(xf))))
+        gap = 0.0
         for m, h in enumerate(counts):
-            gap = laplacian_player_apply(counts, m, phi) - h * project_player(counts, m, phi)
-            lap = max(lap, float(np.abs(gap).max()))
+            grad = _differences(counts, [(m, phi)])
+            x = rng.uniform(-1.0, 1.0, size=grad.size)
+            gap += grad @ x - phi @ _divergence(counts, m, x)
+            laplacian = _divergence(counts, m, grad)
+            lap = max(lap, float(np.abs(laplacian - h * project_player(counts, m, phi)).max()))
+            del grad, x, laplacian  # so two players' edge blocks are never held at once
+        adj = max(adj, abs(gap))
     check("gradient-divergence-adjointness", adj, 1e-9 * n)
     check("player-laplacian-projection-identity", lap, 1e-9)
-    # the running maximum over curl blocks; the whole triangle array can
-    # exceed memory where one block does not
-    worst_curl = max(
-        (float(np.abs(block).max(initial=0.0)) for block in _curl_blocks(flow)), default=0.0
-    )
-    check("curl-of-game-flow", worst_curl, 1e-10 * scale)
+    check("curl-of-game-flow", _max_curl(counts, u, max(counts)), 1e-10 * scale)
 
     width = max(len(name) for name, _, _ in checks)
     lines, failed = [], 0

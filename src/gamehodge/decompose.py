@@ -36,10 +36,13 @@ The residual diagnostics are node-space identities as well:
 
 * ``harmonic_divergence`` is ``max |sum_m h_m u_H^m|``, the divergence of the
   harmonic flow, because ``P_m u_H^m = u_H^m``;
-* ``curl`` is the star certificate ``max |X(a, b) - (X(0, b) - X(0, a))|``
-  over each player's own-strategy differences ``X(a, b) = u^m(b, .) -
-  u^m(a, .)``, which is zero exactly when the curl of the game flow is zero
-  and bounds it within a factor of 3;
+* ``curl`` is the largest circulation ``|X(0, a) + X(a, b) - X(0, b)|``
+  around the triangles through each player's first own strategy, where
+  ``X(a, b) = u^m(b, .) - u^m(a, .)``; it is zero exactly when the curl of
+  the game flow is zero and bounds it within a factor of 3.  ``gamehodge
+  verify`` walks the same triangles from every pivot for the whole curl,
+  and reads its other flow identities off payoff spreads (``_spread``), so
+  neither builds an array with one value per edge or triangle;
 * ``reconstruction`` is the largest entry of ``u - (u_P + u_H + u_N)``;
 * ``solver`` is the residual norm ``||b - Laplacian(phi)||`` of the solve,
   read off the same divergence: ``Laplacian(phi) = sum_m h_m u_P^m``, so
@@ -101,7 +104,7 @@ def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
             np.abs(game.utilities - (u_pot + u_harm + u_non)).max(initial=0.0)
         ),
         "harmonic_divergence": float(np.abs(div).max(initial=0.0)),
-        "curl": _star_curl_certificate(game),
+        "curl": _max_curl(game.strategy_counts, game.utilities, 1),
         "solver": float(np.linalg.norm(div)),
     }
     return Decomposition(
@@ -170,26 +173,42 @@ def _decompose_batch(counts: tuple[int, ...], u: np.ndarray, tol: float = 1e-10)
     return phi, u_pot, proj, u_non
 
 
-def _star_curl_certificate(game: Game) -> float:
-    """Largest ``|X(a, b) - (X(0, b) - X(0, a))|`` over every player's clique.
+def _spread(counts: tuple[int, ...], rows) -> float:
+    """Largest entry of the comparison flow of ``rows``, one node function per player.
 
-    ``X(a, b)`` is the game flow from own strategy ``a`` to ``b``; the
-    quantity is zero exactly when every 3-clique circulation is, and it costs
-    one pass over the edges with node-sized temporaries.  Rounded
-    subtraction is antisymmetric, so the pairs ``a < b`` give the maximum,
-    and the pairs with ``a = 0`` are zero by construction.
+    Row m's flow on player m's edges is ``r(b) - r(a)`` over own strategies
+    with the opponents fixed; rounded subtraction is monotone, so its
+    largest magnitude is exactly the spread ``max - min`` along axis m.
+    """
+    return max(
+        (float(np.ptp(r.reshape(counts), axis=m).max()) for m, r in enumerate(rows)),
+        default=0.0,
+    )
+
+
+def _max_curl(counts: tuple[int, ...], u: np.ndarray, pivots: int) -> float:
+    """Largest ``|X(a, b) + X(b, c) - X(a, c)|`` over triangles with pivot ``a < pivots``.
+
+    ``X(a, b) = u^m(b, .) - u^m(a, .)`` is the game flow on player m's
+    clique, and the triangles are its own strategies ``a < b < c``.  The
+    terms are the float operations of :func:`gamehodge.flows.curl` on
+    :func:`gamehodge.flows.pairwise_comparison`, so walking every pivot
+    gives that curl's exact maximum; pivot 0 alone gives the star triangles,
+    zero exactly when every circulation is, within a factor of 3 of it.
+    One (a, b) block of node-sized temporaries is held at a time.
     """
     worst = 0.0
-    for m in range(game.num_players):
-        t = np.moveaxis(game.tensor(m), m, 0)
-        star = t - t[0]  # X(0, b) for every b
-        for a in range(1, t.shape[0] - 1):
-            gap = (t[a + 1:] - t[a]) - (star[a + 1:] - star[a])
-            worst = max(worst, float(np.abs(gap).max()))
+    for m, h in enumerate(counts):
+        t = np.moveaxis(u[m].reshape(counts), m, 0)
+        for a in range(min(pivots, h - 2)):
+            x = t - t[a]  # X(a, .)
+            for b in range(a + 1, h - 1):
+                curl = x[b] + (t[b + 1:] - t[b]) - x[b + 1:]
+                worst = max(worst, float(np.abs(curl).max()))
     return worst
 
 
-def decompose_bimatrix_normalized(A, B, tol: float = 1e-9):
+def decompose_bimatrix_normalized(A, B):
     """Closed-form decomposition of a normalized square bimatrix game.
 
     With ``S = (A+B)/2``, ``Dm = (A-B)/2`` and
@@ -197,7 +216,7 @@ def decompose_bimatrix_normalized(A, B, tol: float = 1e-9):
     ``(S+G, S-G)`` and the harmonic component ``(Dm-G, -Dm+G)``.
 
     Requires both payoff matrices square of the same size ``h`` with
-    ``1^T A = 0`` and ``B 1 = 0`` to within ``tol`` times the largest
+    ``1^T A = 0`` and ``B 1 = 0`` to within 1e-9 times the largest
     payoff (run :func:`gamehodge.game.normalize` first otherwise).
     """
     A = np.asarray(A, dtype=float)
@@ -205,8 +224,8 @@ def decompose_bimatrix_normalized(A, B, tol: float = 1e-9):
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise ShapeError("closed form needs square payoff matrices of equal size")
     h = A.shape[0]
-    scale = max(np.abs(A).max(), np.abs(B).max())
-    if np.abs(A.sum(axis=0)).max() > tol * scale or np.abs(B.sum(axis=1)).max() > tol * scale:
+    bound = 1e-9 * max(np.abs(A).max(), np.abs(B).max())
+    if np.abs(A.sum(axis=0)).max() > bound or np.abs(B.sum(axis=1)).max() > bound:
         raise PreconditionError(
             "payoff matrices are not normalized; normalize the game first"
         )
@@ -285,11 +304,7 @@ def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
     ``tol`` times the norm of the normalised game.
     """
     phi, u_pot, u_harm, _ = _parts(game)
-    phi_t = phi.reshape(game.strategy_counts)
-    mismatch = max(
-        float(np.ptp(game.tensor(m) - phi_t, axis=m).max())
-        for m in range(game.num_players)
-    )
+    mismatch = _spread(game.strategy_counts, (u - phi for u in game.utilities))
     return phi.copy() if _negligible(mismatch, game, u_pot, u_harm, tol) else None
 
 

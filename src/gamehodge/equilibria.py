@@ -209,7 +209,11 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     n = game.num_profiles
     counts = game.strategy_counts
     equalities = np.zeros((sum(h * h for h in counts) + 1, n))
-    equalities[-1] = 1.0
+    # Scaling a row leaves the solution set alone.  The total-probability
+    # row is ranked at the size of the payoffs, one scale for the whole game,
+    # so the rank threshold sees rows of one size whatever the payoff scale;
+    # the system returned has its row of ones.
+    equalities[-1] = float(np.abs(game.utilities).max(initial=0.0)) or 1.0
     start = 0
     for m, h in enumerate(counts):
         # rows[a, b] is the view of row (m, a, b) with player m's axis first:
@@ -218,11 +222,13 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
         own = np.arange(h)
         rows[own, :, own] = np.moveaxis(game.tensor(m), m, 0)
         start += h * h
+    dimension = n - numeric_rank(equalities, tol)
+    equalities[-1] = 1.0
     rhs = np.zeros(len(equalities))
     rhs[-1] = 1.0
 
     particular = np.full(n, 1.0 / n)
-    return AffineSolutionSet(equalities, rhs, particular, n - numeric_rank(equalities, tol))
+    return AffineSolutionSet(equalities, rhs, particular, dimension)
 
 
 # -- structural checks for harmonic games ---------------------------------------

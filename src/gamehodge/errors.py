@@ -18,11 +18,11 @@ class PreconditionError(GameHodgeError):
 
 
 class SizeError(GameHodgeError):
-    """Requested game graph exceeds the configured node cap."""
+    """Requested game graph has more edges than the edge cap allows."""
 
 
 class NumericError(GameHodgeError):
-    """A numeric routine failed to converge to the requested tolerance."""
+    """A numeric result failed its residual check against the requested tolerance."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

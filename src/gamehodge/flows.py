@@ -64,8 +64,8 @@ __all__ = [
     "flow_to_dot",
 ]
 
-# verify peaks near 37 bytes per edge and DOT export near 62 (60^3, 19 116 000
-# edges): 3e7 admits 200x200, 2^20 and 60^3 and rejects 1000x1000
+# DOT export peaks near 62 bytes per edge (60^3, 19 116 000 edges), verify
+# near 10: 3e7 admits 200x200, 2^20 and 60^3 and rejects 1000x1000
 DEFAULT_EDGE_CAP = 3 * 10**7
 _DOT_CHUNK = 1 << 16  # arrows per chunk: bounds the Python strings DOT export holds
 
@@ -218,11 +218,6 @@ class EdgeFlow:
         _check_same_graph(self, other)
         return EdgeFlow(self.graph, self.values - other.values)
 
-    def __mul__(self, scalar: float) -> "EdgeFlow":
-        return EdgeFlow(self.graph, self.values * scalar)
-
-    __rmul__ = __mul__
-
     def max_abs(self) -> float:
         return float(np.abs(self.values).max(initial=0.0))
 
@@ -316,13 +311,19 @@ def divergence_adjoint(flow: EdgeFlow) -> np.ndarray:
 
 
 def player_divergence(flow: EdgeFlow, player: int) -> np.ndarray:
-    """Adjoint of :func:`player_gradient`: the gradient adjoint over one player's edges.
+    """Adjoint of :func:`player_gradient`: the gradient adjoint over one player's edges."""
+    graph = flow.graph
+    return _divergence(graph.strategy_counts, player, flow.values[graph.player_slice(player)])
 
-    The pairs (a, a+1..h-1) are contiguous rows of the player's block: their
-    sum leaves row a of the result, and each enters the row of its other end.
+
+def _divergence(counts: tuple[int, ...], player: int, x: np.ndarray) -> np.ndarray:
+    """:func:`player_divergence` of player ``player``'s block ``x`` of edge values.
+
+    The pairs (a, a+1..h-1) are contiguous rows of the block: their sum
+    leaves row a of the result, and each enters the row of its other end.
     """
-    counts, h = flow.graph.strategy_counts, flow.graph.strategy_counts[player]
-    block = flow.values[flow.graph.player_slice(player)].reshape(-1, flow.graph.num_nodes // h)
+    h = counts[player]
+    block = x.reshape(-1, math.prod(counts) // h)
     out = np.zeros((h, block.shape[1]))
     for a, rows in enumerate(np.split(block, list(accumulate(range(h - 1, 1, -1))))):
         out[a] -= rows.sum(axis=0)
@@ -339,29 +340,23 @@ def restrict_player(flow: EdgeFlow, player: int) -> EdgeFlow:
 
 
 def curl(flow: EdgeFlow) -> TriangleFlow:
-    """Circulation ``X(p,q) + X(q,r) + X(r,p)`` around every 3-clique (p, q, r)."""
-    values = np.empty(flow.graph.num_triangles)
-    pos = 0
-    for block in _curl_blocks(flow):
-        values[pos:pos + block.size] = block.ravel()
-        pos += block.size
-    return TriangleFlow(flow.graph, values)
-
-
-def _curl_blocks(flow: EdgeFlow):
-    """Yield the curl one own-strategy pair at a time, in triangle order.
+    """Circulation ``X(p,q) + X(q,r) + X(r,p)`` around every 3-clique (p, q, r).
 
     Player ``m``'s edges form a (pairs, n/h) array in which the rows (b, c)
     and the rows (a, c) after (a, b), all c > b, are contiguous; so each own
-    pair (a, b) gives its triangles (a, b, c) as one row-slice block.  A
-    caller that needs only a summary of the curl holds one block at a time.
+    pair (a, b) gives its triangles (a, b, c) as one row-slice block.
     """
     graph, n = flow.graph, flow.graph.num_nodes
+    values = np.empty(graph.num_triangles)
+    pos = 0
     for m, h in enumerate(graph.strategy_counts):
         x = flow.values[graph.player_slice(m)].reshape(-1, n // h)
         first = [a * h - a * (a + 1) // 2 for a in range(h + 1)]  # first row of pairs (a, .)
         for ab, (a, b) in enumerate(combinations(range(h), 2)):
-            yield x[ab] + x[first[b]:first[b + 1]] - x[ab + 1:first[a + 1]]
+            block = x[ab] + x[first[b]:first[b + 1]] - x[ab + 1:first[a + 1]]
+            values[pos:pos + block.size] = block.ravel()
+            pos += block.size
+    return TriangleFlow(graph, values)
 
 
 # -- node-space operators (shape-only, no graph needed) ----------------------

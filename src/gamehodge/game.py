@@ -139,10 +139,6 @@ class Game:
         self._check_player(player)
         return self.utilities[player].reshape(self.strategy_counts)
 
-    def payoff_matrices(self) -> tuple[np.ndarray, ...]:
-        """All payoff tensors; for two-player games these are the (A, B) matrices."""
-        return tuple(self.tensor(m) for m in range(self.num_players))
-
     def utility(self, player: int, profile: Sequence[int]) -> float:
         """Payoff of ``player`` at a pure strategy profile."""
         self._check_player(player)

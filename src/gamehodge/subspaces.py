@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 RANK_AMBIENT_CAP = 4096
+_RANK_TOL = 1e-9  # relative threshold of the rank-measured dimensions
 
 
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
@@ -142,18 +143,12 @@ def subspace_dims(strategy_counts: Sequence[int]) -> SubspaceDims:
     return SubspaceDims(dim_p, dim_h, dim_n, dim_p + dim_n, dim_h + dim_n)
 
 
-def empirical_dims(
-    strategy_counts: Sequence[int],
-    samples: int | None = None,
-    seed: int = 0,
-    rank_tol: float = 1e-9,
-) -> tuple[int, int, int]:
+def empirical_dims(strategy_counts: Sequence[int], seed: int = 0) -> tuple[int, int, int]:
     """Measure (potential, harmonic, nonstrategic) dimensions by numeric rank.
 
-    Draws ``samples`` seeded random games as one (samples, M, n) array,
+    Draws ``M * n + 8`` seeded random games as one (samples, M, n) array,
     decomposes them in one batched pass and ranks the stacked component
-    coordinates; with enough samples this reproduces :func:`subspace_dims`
-    almost surely.
+    coordinates; this reproduces :func:`subspace_dims` almost surely.
     """
     counts = tuple(int(h) for h in strategy_counts)
     m_players = len(counts)
@@ -161,13 +156,12 @@ def empirical_dims(
     ambient = m_players * n
     if ambient > RANK_AMBIENT_CAP:
         raise SizeError(f"ambient dimension {ambient} exceeds {RANK_AMBIENT_CAP}")
-    if samples is None:
-        samples = ambient + 8
+    samples = ambient + 8
 
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, m_players, n))
     _, pot, harm, non = _decompose_batch(counts, u)
     return tuple(
-        numeric_rank(part.reshape(samples, ambient), rank_tol) for part in (pot, harm, non)
+        numeric_rank(part.reshape(samples, ambient), _RANK_TOL) for part in (pot, harm, non)
     )
 
 
@@ -181,7 +175,7 @@ class IntersectionTable:
     agrees: bool | None
 
 
-def zs_ii_intersection_dims(h: int, seed: int = 0, rank_tol: float = 1e-9) -> IntersectionTable:
+def zs_ii_intersection_dims(h: int, seed: int = 0) -> IntersectionTable:
     """Dimensions of the zero-sum / identical-interest subspaces met with each game class.
 
     Both the closed-form table and the rank-computed one (via
@@ -217,13 +211,13 @@ def zs_ii_intersection_dims(h: int, seed: int = 0, rank_tol: float = 1e-9) -> In
 
     rows = {"potential_games": pot, "harmonic_games": harm, "all_games": np.eye(ambient)}
     cols = {"zero_sum": span_z, "identical": span_i, "direct_sum": np.vstack([span_z, span_i])}
-    col_ranks = {col: numeric_rank(span, rank_tol) for col, span in cols.items()}
+    col_ranks = {col: numeric_rank(span, _RANK_TOL) for col, span in cols.items()}
     computed = {}
     for row, span in rows.items():
-        rank = numeric_rank(span, rank_tol)
+        rank = numeric_rank(span, _RANK_TOL)
         # dim(A & B) = dim A + dim B - dim(A + B)
         computed[row] = {
-            col: rank + col_ranks[col] - numeric_rank(np.vstack([span, other]), rank_tol)
+            col: rank + col_ranks[col] - numeric_rank(np.vstack([span, other]), _RANK_TOL)
             for col, other in cols.items()
         }
     return IntersectionTable(h, closed, computed, computed == closed)

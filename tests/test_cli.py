@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -86,6 +87,14 @@ class TestDecomposeCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["decompose", "/nonexistent/game.json"]) == 2
 
+    def test_missed_solve_tolerance_exits_3(self, game_file, capsys):
+        path = game_file(random_game(np.random.default_rng(65), (3, 3)), "g.json")
+        assert main(["decompose", path, "--tol", "1e-16"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: Laplacian solve missed its tolerance")
+        assert "(residual " in captured.err
+
 
 class TestProjectCommand:
     def test_potential_game_roundtrip(self, game_file, capsys):
@@ -149,6 +158,19 @@ class TestNumericFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: must be a finite number >= 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--tol", "abc", "invalid number: 'abc'"), ("--seed", "x", "invalid integer: 'x'")],
+    )
+    def test_unparsable_value_exits_2(self, game_file, capsys, flag, value, message):
+        path = game_file(matching_pennies(), "mp.json")
+        with pytest.raises(SystemExit) as info:
+            main(["verify", path, flag, value])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: {message}" in captured.err
 
     def test_zero_is_accepted(self, game_file, capsys):
         path = game_file(matching_pennies(), "mp.json")
@@ -312,6 +334,21 @@ class TestVerifyCommand:
     def test_out_file_on_failure(self, offset_game, tmp_path, capsys):
         self.check_out_matches_stdout(offset_game, 1, tmp_path, capsys)
 
+    def test_broken_edge_operator_fails(self, game_file, capsys, monkeypatch):
+        # the operator checks test the block divergence that verify calls
+        def zero(counts, player, x):
+            return np.zeros(math.prod(counts))
+
+        monkeypatch.setattr(gamehodge.cli, "_divergence", zero)
+        path = game_file(road_sharing(), "road.json")
+        assert main(["verify", path]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(
+            line.startswith("FAIL  player-laplacian-projection-identity  (violation ")
+            for line in lines
+        )
+        assert lines[-1] == "13/15 checks passed"
+
 
 class TestExportFlowCommand:
     def test_battle_of_sexes_dot(self, game_file, capsys):
@@ -392,14 +429,40 @@ class TestExportFlowCommand:
         assert main(["export-flow", path]) == 0
         assert capsys.readouterr().out == "\n".join(dot + ["}"]) + "\n"
 
+    def test_json_spanning_many_chunks_matches_per_edge_listing(self, game_file, capsys):
+        counts = (60, 60)
+        g = random_game(np.random.default_rng(35), counts)
+        path = game_file(g, "g60.json")
+        graph = build_graph(counts)
+        flow = pairwise_comparison(g, graph)
+        edges = []
+        for t, h, v in zip(graph.tails.tolist(), graph.heads.tolist(), flow.values.tolist()):
+            if v < 0:
+                t, h, v = h, t, -v
+            edges.append(
+                {
+                    "from": list(profile_of_index(t, counts)),
+                    "to": list(profile_of_index(h, counts)),
+                    "value": float(f"{v:.12g}"),
+                }
+            )
+        assert len(edges) == 212_400
+        assert main(["export-flow", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps({"edges": edges}, indent=2) + "\n"
+
+    def test_json_without_arrows(self, game_file, capsys):
+        path = game_file(Game(np.zeros((2, 9)), (3, 3)), "zero.json")
+        assert main(["export-flow", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == '{\n  "edges": []\n}\n'
+
     def test_verify_checks_the_edge_cap_before_any_profile_loop(
         self, game_file, capsys, monkeypatch
     ):
         def fail(*args):
-            raise AssertionError("profile loop ran before the edge cap")
+            raise AssertionError("a check ran before the edge cap")
 
         monkeypatch.setattr(gamehodge.flows, "DEFAULT_EDGE_CAP", 3)
-        monkeypatch.setattr(gamehodge.cli, "profile_of_index", fail)
+        monkeypatch.setattr(gamehodge.cli, "normalize", fail)
         path = game_file(matching_pennies(), "mp.json")
         assert main(["verify", path]) == 4
         assert capsys.readouterr().err.startswith("precondition error:")

@@ -25,6 +25,7 @@ from gamehodge import (
     epsilon_transfer_bound,
     equilibrium_report,
     game_distance,
+    game_inner,
     game_norm,
     gradient,
     is_harmonic,
@@ -575,6 +576,19 @@ class TestMetric:
                 + game_norm(d.nonstrategic_part) ** 2
             )
             assert abs(total - parts) <= 1e-8 * max(1.0, total)
+
+    def test_inner_product(self):
+        rng = np.random.default_rng(34)
+        for counts in [(2, 2), (2, 3), (3, 1, 4), (2, 2, 2)]:
+            g, other = random_game(rng, counts), random_game(rng, counts)
+            assert game_inner(g, other) == pytest.approx(game_inner(other, g), rel=1e-14)
+            assert game_inner(g, g) == pytest.approx(game_norm(g) ** 2, rel=1e-14)
+            d = decompose(g)
+            parts = [d.potential_part, d.harmonic_part, d.nonstrategic_part]
+            for i, j in [(0, 1), (0, 2), (1, 2)]:
+                assert abs(game_inner(parts[i], parts[j])) <= 1e-12 * game_norm(g) ** 2
+        with pytest.raises(ShapeError):
+            game_inner(matching_pennies(), road_sharing())
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -321,6 +321,26 @@ class TestHarmonicCorrelatedSystem:
         with pytest.raises(PreconditionError):
             harmonic_correlated_system(battle_of_sexes())
 
+    def test_rejects_normalized_non_harmonic(self):
+        # normalized, so it is the harmonic check that rejects it
+        with pytest.raises(PreconditionError, match="must be harmonic"):
+            harmonic_correlated_system(normalize(battle_of_sexes()))
+
+    # correlated dimension of each game at payoff scale 1; scaling the
+    # payoffs must not change it
+    SCALE_FREE_DIMS = {
+        "rps": 0, "matching-pennies": 0, "2x2": 0, "3x3": 0, "4x5": 1, "2x3x4": 4, "3x3x3": 9,
+    }
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("name", list(SCALE_FREE_DIMS))
+    def test_dimension_is_scale_free(self, name, scale):
+        g = generalized_rps(1, 1, 1) if name == "rps" else direction_game(name)
+        g = g.with_utilities(scale * g.utilities)
+        dim = self.SCALE_FREE_DIMS[name]
+        assert harmonic_correlated_system(g).dimension == dim
+        assert equilibrium_report(g)["correlated_dim"] == dim
+
     def test_rejects_unnormalized(self):
         rng = np.random.default_rng(55)
         g = random_harmonic_2p(rng, 2, 2)
