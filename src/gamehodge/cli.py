@@ -100,7 +100,7 @@ def _profile_labels(game) -> list[str]:
 
 def cmd_decompose(args) -> int:
     game = load_game(args.input)
-    d = decompose(game, tol=args.tol)
+    d = decompose(game)
     _emit(decomposition_to_dict(d), args.out)
     return EXIT_OK
 
@@ -233,7 +233,7 @@ def cmd_verify(args) -> int:
     checks.append(("normalized-output", is_normalized(norm_game, 1e-9 * scale), ""))
 
     # decomposition structure
-    d = decompose(game, tol=min(tol, 1e-10))
+    d = decompose(game)
     check("reconstruction", d.residuals["reconstruction"], tol * scale)
     check(
         "potential-flow-is-gradient",
@@ -242,7 +242,6 @@ def cmd_verify(args) -> int:
     )
     check("harmonic-flow-divergence-free", d.residuals["harmonic_divergence"], tol * scale)
     check("nonstrategic-flow-zero", _spread(counts, d.nonstrategic_part.utilities), tol * scale)
-    check("game-flow-curl-free", d.residuals["curl"], 1e-10 * scale)
     checks.append(
         (
             "components-normalized",
@@ -280,6 +279,7 @@ def cmd_verify(args) -> int:
         adj = max(adj, abs(gap))
     check("gradient-divergence-adjointness", adj, 1e-9 * n)
     check("player-laplacian-projection-identity", lap, 1e-9)
+    # every pivot, so this covers decompose's star triangles (pivot 0) too
     check("curl-of-game-flow", _max_curl(counts, u, max(counts)), 1e-10 * scale)
 
     width = max(len(name) for name, _, _ in checks)
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="write the three-component decomposition")
     add_common(p)
-    add_tol(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("project", help="closest potential or harmonic game")

@@ -20,11 +20,12 @@ projections read; :func:`decompose` adds the residuals and the ``Game``
 wrapping, and :mod:`gamehodge.subspaces` calls the kernel directly.
 
 ``_parts`` keeps the last game's parts in a one-slot cache keyed by the
-identity of the (immutable) ``Game`` and by ``tol``, so every public call on
-the same game object after the first reuses one kernel run.  The slot holds
-a weak reference to the game and the parts as read-only arrays; it holds one
-game at a time and is emptied when that game is collected, so it never keeps
-a game or its parts alive.  An equal game in another object is a miss.
+identity of the (immutable) ``Game`` alone, so every public call on the same
+game object after the first reuses one kernel run.  The slot is the pair
+``(weak reference to the game, parts)``, the parts being read-only arrays;
+it holds one game at a time and is emptied when that game is collected, so
+it never keeps a game or its parts alive.  An equal game in another object
+is a miss.
 
 The membership tests (:func:`is_potential`, :func:`is_harmonic`,
 :func:`potential_function`) measure against the norm of the normalised game
@@ -44,9 +45,12 @@ The residual diagnostics are node-space identities as well:
   and reads its other flow identities off payoff spreads (``_spread``), so
   neither builds an array with one value per edge or triangle;
 * ``reconstruction`` is the largest entry of ``u - (u_P + u_H + u_N)``;
-* ``solver`` is the residual norm ``||b - Laplacian(phi)||`` of the solve,
-  read off the same divergence: ``Laplacian(phi) = sum_m h_m u_P^m``, so
-  the residual is ``sum_m h_m u_H^m`` and no second Laplacian is applied.
+* ``solver`` is ``||sum_m h_m u_H^m||``, the 2-norm of that divergence.  In
+  exact arithmetic it equals the solve's residual ``||b - Laplacian(phi)||``,
+  but it also carries the rounding of ``u_H = P_m u^m - u_P`` at the
+  payoffs' scale: on the harmonic part of a random 20x20 game it reads
+  1.4e-14 where ``||b - Laplacian(phi)||``, the residual that the kernel
+  checks, is 3e-29.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .flows import laplacian_pinv_solve
+from .flows import _SOLVE_TOL, _check_residual, _pinv_transform, _row_norms
 from .game import Game, game_to_dict, project_player
 
 __all__ = [
@@ -95,10 +99,10 @@ class Decomposition:
     residuals: dict
 
 
-def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
+def decompose(game: Game) -> Decomposition:
     """Split a game into its potential, harmonic and nonstrategic parts."""
-    phi, u_pot, u_harm, u_non = _parts(game, tol)
-    div = np.asarray(game.strategy_counts, dtype=float) @ u_harm  # = b - Laplacian(phi)
+    phi, u_pot, u_harm, u_non = _parts(game)
+    div = np.asarray(game.strategy_counts, dtype=float) @ u_harm
     residuals = {
         "reconstruction": float(
             np.abs(game.utilities - (u_pot + u_harm + u_non)).max(initial=0.0)
@@ -116,26 +120,26 @@ def decompose(game: Game, tol: float = 1e-10) -> Decomposition:
     )
 
 
-# (weakref to the game, tol, parts) of the last _parts call, or None
+# (weakref to the game, parts) of the last _parts call, or None
 _slot = None
 
 
-def _parts(game: Game, tol: float = 1e-10):
+def _parts(game: Game):
     """``(phi, u_P, u_H, u_N)`` of one game: the K = 1 call of the kernel.
 
-    A repeat call with the same ``Game`` object and ``tol`` returns the
-    stored arrays, which are read-only; callers that hand one out copy it.
-    The slot holds one game, through a weak reference whose callback empties
-    it when that game is collected.  A kernel call that raises stores nothing.
+    A repeat call with the same ``Game`` object returns the stored arrays,
+    which are read-only; callers that hand one out copy it.  The slot holds
+    one game, through a weak reference whose callback empties it when that
+    game is collected.  A kernel call that raises stores nothing.
     """
     global _slot
     slot = _slot
-    if slot is not None and slot[0]() is game and slot[1] == tol:
-        return slot[2]
-    parts = tuple(a[0] for a in _decompose_batch(game.strategy_counts, game.utilities[None], tol))
+    if slot is not None and slot[0]() is game:
+        return slot[1]
+    parts = tuple(a[0] for a in _decompose_batch(game.strategy_counts, game.utilities[None]))
     for a in parts:
         a.flags.writeable = False
-    _slot = (weakref.ref(game, _release), tol, parts)
+    _slot = (weakref.ref(game, _release), parts)
     return parts
 
 
@@ -151,12 +155,15 @@ def _release(ref) -> None:
         _slot = None
 
 
-def _decompose_batch(counts: tuple[int, ...], u: np.ndarray, tol: float = 1e-10):
+def _decompose_batch(counts: tuple[int, ...], u: np.ndarray):
     """Decompose K games of one shape at once: the maths of :func:`decompose`.
 
     ``u`` has shape (K, M, n), one payoff row per player of each game.
     Returns ``(phi, u_P, u_H, u_N)``: the potentials, shape (K, n), and the
-    three parts, each (K, M, n).
+    three parts, each (K, M, n).  On a product of cliques ``Laplacian =
+    sum_m h_m P_m``, so ``Laplacian(phi) = sum_m h_m u_P^m`` and the solve is
+    checked with no second Laplacian: :class:`NumericError` when a game's
+    ``||b - Laplacian(phi)||`` exceeds ``_SOLVE_TOL * ||b||``.
     """
     h = np.asarray(counts, dtype=float)
     players = range(len(counts))
@@ -164,11 +171,11 @@ def _decompose_batch(counts: tuple[int, ...], u: np.ndarray, tol: float = 1e-10)
     u_non = u - proj
     b = h @ proj
     # b is orthogonal to constants by construction; its rounding-level mean
-    # is dropped so that the solve's precondition, relative to ||b||, holds
-    # even when b is all rounding (a harmonic game).
+    # is dropped, as the solve's transform expects
     b -= b.sum(axis=-1, keepdims=True) / b.shape[-1]
-    phi = laplacian_pinv_solve(counts, b, tol=tol)
+    phi = _pinv_transform(counts, b)
     u_pot = np.stack([project_player(counts, m, phi) for m in players], axis=1)
+    _check_residual(_row_norms(b - h @ u_pot), _SOLVE_TOL * _row_norms(b))
     proj -= u_pot
     return phi, u_pot, proj, u_non
 

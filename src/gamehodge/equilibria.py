@@ -256,8 +256,11 @@ def harmonic_indifference_checks(game: Game, tol: float = 1e-9) -> HarmonicIndif
     profiles is the same for each of its own strategies, and at any pure Nash
     equilibrium every player is indifferent across *all* own strategies.
     The spread of a player's payoffs along its own axis is read at the Nash
-    mask.  Violations are reported, never raised.
+    mask.  Both spreads are compared against ``tol * max|u|``, so the result
+    does not change when the payoffs are scaled; ``tol`` is relative, and the
+    report carries it as given.  Violations are reported, never raised.
     """
+    bound = tol * float(np.abs(game.utilities).max(initial=0.0))
     violations: list[str] = []
 
     flux = 0.0
@@ -265,7 +268,7 @@ def harmonic_indifference_checks(game: Game, tol: float = 1e-9) -> HarmonicIndif
         axes = tuple(k for k in range(game.num_players) if k != m)
         spread = float(np.ptp(game.tensor(m).sum(axis=axes)))
         flux = max(flux, spread)
-        if spread > tol:
+        if spread > bound:
             violations.append(
                 f"player {m}: per-strategy payoff sums differ by {spread:.3e}"
             )
@@ -277,7 +280,7 @@ def harmonic_indifference_checks(game: Game, tol: float = 1e-9) -> HarmonicIndif
         for m in range(game.num_players)
     ], axis=1)  # (equilibrium, player)
     ne_spread = float(spreads.max(initial=0.0))
-    for e, m in np.argwhere(spreads > tol).tolist():
+    for e, m in np.argwhere(spreads > bound).tolist():
         violations.append(
             f"equilibrium {equilibria[e]}: player {m} not indifferent (spread {spreads[e, m]:.3e})"
         )

@@ -68,6 +68,7 @@ __all__ = [
 # near 10: 3e7 admits 200x200, 2^20 and 60^3 and rejects 1000x1000
 DEFAULT_EDGE_CAP = 3 * 10**7
 _DOT_CHUNK = 1 << 16  # arrows per chunk: bounds the Python strings DOT export holds
+_SOLVE_TOL = 1e-10  # residual bound of the Laplacian solve, relative to ||b||
 
 
 class GameGraph:
@@ -403,7 +404,7 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def laplacian_pinv_solve(
-    strategy_counts: Sequence[int], b, tol: float = 1e-10
+    strategy_counts: Sequence[int], b, tol: float = _SOLVE_TOL
 ) -> np.ndarray:
     """Mean-zero solution of ``Laplacian(phi) = b``, solved exactly.
 
@@ -428,6 +429,9 @@ def laplacian_pinv_solve(
         if a row of ``b`` has a mean component above ``tol * ||b||``.
     NumericError
         if a row's solution misses residual ``tol * ||b||``.
+
+    The decomposition kernel runs :func:`_pinv_transform` alone and checks
+    the residual with the Laplacian it already holds.
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
@@ -444,24 +448,34 @@ def laplacian_pinv_solve(
             "it cannot be in the image of the Laplacian"
         )
     b = b - (total / n)[..., None]
+    x = _pinv_transform(counts, b)
+    _check_residual(_row_norms(laplacian_apply(counts, x) - b), tol * bnorm)
+    return x
 
+
+def _pinv_transform(counts: tuple[int, ...], b: np.ndarray) -> np.ndarray:
+    """Mean-zero ``pinv(Laplacian) b`` by the DFT, rows along the last axis.
+
+    No check: ``b`` should already be orthogonal to constants.
+    """
     # passing the sizes with the axes keeps numpy from rebuilding them per call
     axes = tuple(range(-len(counts), 0))
     x = np.fft.fftn(b.reshape(b.shape[:-1] + counts), s=counts, axes=axes)
     x /= _spectrum(counts)
     x = np.fft.ifftn(x, s=counts, axes=axes).real.reshape(b.shape)
+    return x - x.sum(axis=-1, keepdims=True) / b.shape[-1]
 
-    target = tol * bnorm
-    residual = _row_norms(laplacian_apply(counts, x) - b)
+
+def _check_residual(residual: np.ndarray, target: np.ndarray) -> None:
+    """Raise :class:`NumericError` on the first row whose residual exceeds its target."""
     missed = residual > target
     if missed.any():
         k = int(np.argmax(missed))  # the first failing row, in C order
         raise NumericError(
             f"Laplacian solve missed its tolerance: residual {residual.flat[k]:.3e} "
-            f"exceeds {target.flat[k]:.3e}" + (f" in row {k}" if b.ndim > 1 else ""),
+            f"exceeds {target.flat[k]:.3e}" + (f" in row {k}" if residual.ndim > 0 else ""),
             residual=float(residual.flat[k]),
         )
-    return x - x.sum(axis=-1, keepdims=True) / n
 
 
 # -- inner products ----------------------------------------------------------

@@ -444,22 +444,19 @@ class TestKernelCache:
         parts = decompose_module._parts(g1)
         assert decompose_module._parts(games[-1]) is not parts
 
-    def test_other_tol_is_a_miss(self, kernel_calls):
-        g = random_game(np.random.default_rng(62), (3, 3))
-        decompose(g)
-        decompose(g)
-        assert len(kernel_calls) == 1
-        decompose(g, tol=1e-9)
-        decompose(g, tol=1e-9)
-        assert len(kernel_calls) == 2
-        is_potential(g)  # the predicates decompose at the default 1e-10
-        assert len(kernel_calls) == 3
-
-    def test_failed_kernel_run_stores_nothing(self, kernel_calls):
-        g = random_game(np.random.default_rng(65), (3, 3))
-        for _ in range(2):
-            with pytest.raises(NumericError):
-                decompose(g, tol=1e-16)
+    def test_failed_kernel_run_stores_nothing(self, kernel_calls, monkeypatch):
+        # a corrupted inverse transform makes the kernel's solve check raise
+        rng = np.random.default_rng(65)
+        g = random_game(rng, (3, 3))
+        monkeypatch.setattr(decompose_module, "_slot", None)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                np.fft, "ifftn", lambda a, *args, **kwargs: rng.uniform(-1.0, 1.0, np.shape(a)) + 0j
+            )
+            for _ in range(2):
+                with pytest.raises(NumericError):
+                    decompose(g)
+                assert decompose_module._slot is None
         assert len(kernel_calls) == 2
         assert _identical(decompose(g), decompose(_fresh(g)))
 
@@ -679,11 +676,13 @@ class TestDecompositionStructure:
         assert d.residuals["reconstruction"] <= 1e-12
 
     def test_solver_residual_is_the_laplacian_residual(self, monkeypatch):
-        # a perturbed solve makes the residual large enough to compare
+        # a perturbed transform makes the residual large enough to compare;
+        # the kernel's own check of it is switched off
         rng = np.random.default_rng(44)
-        solve = decompose_module.laplacian_pinv_solve
-        noise = lambda counts, b, tol: solve(counts, b, tol) + rng.uniform(-0.1, 0.1, b.size)
-        monkeypatch.setattr(decompose_module, "laplacian_pinv_solve", noise)
+        transform = decompose_module._pinv_transform
+        noise = lambda counts, b: transform(counts, b) + rng.uniform(-0.1, 0.1, b.shape)
+        monkeypatch.setattr(decompose_module, "_pinv_transform", noise)
+        monkeypatch.setattr(decompose_module, "_check_residual", lambda residual, target: None)
         for counts in [(3, 3), (4, 3, 2), (1, 5)]:
             g = random_game(rng, counts, scale=2.0)
             d = decompose(g)
@@ -693,16 +692,24 @@ class TestDecompositionStructure:
             assert abs(d.residuals["solver"] - direct) <= 1e-12 * direct
 
     def test_applies_the_laplacian_once(self, monkeypatch):
-        # the post-check of the solve is the only Laplacian application; the
-        # solver residual is read off the harmonic divergence
-        calls = []
+        # the kernel projects u and phi once per player and reads
+        # Laplacian(phi) = sum_m h_m P_m phi off the potential part, so it
+        # calls no laplacian_apply; the solver residual is read off the
+        # harmonic divergence
+        applies, projections = [], []
         apply = flows.laplacian_apply
-        monkeypatch.setattr(flows, "laplacian_apply", lambda *a: calls.append(a) or apply(*a))
+        monkeypatch.setattr(flows, "laplacian_apply", lambda *a: applies.append(a) or apply(*a))
+        project = flows.project_player
+        counted = lambda *a: projections.append(a) or project(*a)
+        for module in (flows, decompose_module):
+            monkeypatch.setattr(module, "project_player", counted)
         rng = np.random.default_rng(45)
-        for counts in [(3, 3), (2, 3, 4), (5,)]:
-            calls.clear()
+        for counts in [(3, 3), (2, 3, 4), (5,), (2, 2, 2, 2, 2)]:
+            applies.clear()
+            projections.clear()
             decompose(random_game(rng, counts))
-            assert len(calls) == 1
+            assert len(applies) == 0
+            assert len(projections) == 2 * len(counts)
 
     def test_json_export_shape(self):
         d = decompose(matching_pennies())
@@ -713,6 +720,21 @@ class TestDecompositionStructure:
 
 
 class TestLargeGames:
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("counts", [(2, 5000), (50, 2, 50), (200, 200)])
+    def test_slowest_mode_potential_solves_at_every_scale(self, counts, scale):
+        # the potential varies along the smallest player's axis, the
+        # Laplacian's slowest mode, plus uniform noise; every player's payoff
+        # is the potential, so the game is an exact potential game
+        rng = np.random.default_rng(46)
+        axis = np.indices(counts)[int(np.argmin(counts))]
+        phi = np.cos(np.pi * axis / axis.max()) + 1e-3 * rng.uniform(-1.0, 1.0, counts)
+        phi = scale * phi.ravel()
+        g = Game(np.tile(phi, (len(counts), 1)), counts)
+        d = decompose(g)
+        assert is_potential(g)
+        assert np.abs(d.potential_fn - (phi - phi.mean())).max() <= 1e-12 * scale
+
     def test_random_100x100_residuals_are_tiny(self):
         # the same bounds as TestGeneralizedRps.test_residuals_are_tiny
         d = decompose(random_game(np.random.default_rng(41), (100, 100)))

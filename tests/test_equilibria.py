@@ -398,6 +398,20 @@ class TestHarmonicIndifference:
             report = harmonic_indifference_checks(g, tol=1e-9)
             assert report.passed
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("counts", [(3, 3), (2, 3, 4)], ids=["3x3", "2x3x4"])
+    def test_harmonic_parts_pass_at_every_scale(self, counts, scale):
+        # the per-strategy sums spread by rounding at the payoffs' scale
+        g = decompose(random_game(np.random.default_rng(59), counts)).harmonic_part
+        report = harmonic_indifference_checks(g.with_utilities(scale * g.utilities))
+        assert report.passed, report.violations
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_violations_at_every_scale(self, scale):
+        g = battle_of_sexes()
+        report = harmonic_indifference_checks(g.with_utilities(scale * g.utilities))
+        assert len(report.violations) == len(harmonic_indifference_checks(g).violations) > 0
+
     def test_zero_game_full_indifference(self):
         g = Game(np.zeros((2, 6)), (2, 3))
         report = harmonic_indifference_checks(g)
@@ -671,13 +685,14 @@ class TestEnumerationByDefinition:
 
     @pytest.mark.parametrize("tol", [1e-9, 1.0])
     def test_indifference_checks(self, game, tol):
+        bound = tol * max(abs(game.utility(m, p)) for m in range(game.num_players) for p in all_profiles(game))
         violations = []
         flux = 0.0
         for m, hm in enumerate(game.strategy_counts):
             sums = [sum(game.utility(m, p) for p in all_profiles(game) if p[m] == a) for a in range(hm)]
             spread = max(sums) - min(sums)
             flux = max(flux, spread)
-            if spread > tol:
+            if spread > bound:
                 violations.append(f"player {m}: per-strategy payoff sums differ by {spread:.3e}")
         equilibria = equilibria_by_definition(game, 0.0)
         ne_spread = 0.0
@@ -686,7 +701,7 @@ class TestEnumerationByDefinition:
                 line = [game.utility(m, q) for q in deviations(game, m, p)]
                 spread = max(line) - min(line)
                 ne_spread = max(ne_spread, spread)
-                if spread > tol:
+                if spread > bound:
                     violations.append(f"equilibrium {p}: player {m} not indifferent (spread {spread:.3e})")
         report = harmonic_indifference_checks(game, tol)
         assert report.flux_max_violation == flux and type(report.flux_max_violation) is float
