@@ -149,11 +149,12 @@ class TestEquilibriaCommand:
 
 class TestNumericFlags:
     # a bad --tol or --eps is a usage error (exit 2), not a traceback, a
-    # verify failure, a blamed input or an output with NaN in it
+    # verify failure, a blamed input or an output with NaN in it; decompose
+    # reads no --tol, so there the flag itself is the usage error
     @pytest.mark.parametrize("value", ["-1", "nan"])
     @pytest.mark.parametrize(
         "command, flag",
-        [("equilibria", "--tol"), ("verify", "--tol"), ("equilibria", "--eps")],
+        [("decompose", "--tol"), ("equilibria", "--tol"), ("verify", "--tol"), ("equilibria", "--eps")],
     )
     def test_negative_and_nan_exit_2(self, game_file, capsys, command, flag, value):
         path = game_file(matching_pennies(), "mp.json")
@@ -162,7 +163,10 @@ class TestNumericFlags:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {flag}: must be a finite number >= 0" in captured.err
+        if command == "decompose":
+            assert f"unrecognized arguments: {flag} {value}" in captured.err
+        else:
+            assert f"argument {flag}: must be a finite number >= 0" in captured.err
 
     @pytest.mark.parametrize(
         "flag, value, message",
