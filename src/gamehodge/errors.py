@@ -18,7 +18,12 @@ class PreconditionError(GameHodgeError):
 
 
 class SizeError(GameHodgeError):
-    """Requested game graph has more edges than the edge cap allows."""
+    """Requested work exceeds a documented size cap.
+
+    Raised before anything is allocated: a game graph above the edge cap, a
+    numeric-rank dimension count above the ambient-dimension cap, or a Pareto
+    scan of three or more players above its n^2 (M - 1) work cap.
+    """
 
 
 class NumericError(GameHodgeError):

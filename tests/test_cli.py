@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gamehodge.cli
+import gamehodge.equilibria
 import gamehodge.flows
 from gamehodge import (
     Game,
@@ -235,6 +236,17 @@ class TestParetoCommand:
         assert main(["pareto", path, "--transform"]) == 0
         transformed = game_from_dict(read_json(capsys))
         assert pure_nash(transformed) == pareto_optimal(transformed)
+
+    @pytest.mark.parametrize("command", ["pareto", "equilibria"])
+    def test_work_cap_exits_4(self, game_file, capsys, monkeypatch, command):
+        # 2x2x2 has 8 profiles and 3 players: n^2 (M - 1) = 128
+        monkeypatch.setattr(gamehodge.equilibria, "PARETO_WORK_CAP", 127)
+        path = game_file(random_game(np.random.default_rng(5), (2, 2, 2)), "g222.json")
+        assert main([command, path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error:")
+        assert "work cap" in captured.err
 
 
 class TestDistanceCommand:

@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gamehodge import (
     Game,
     PreconditionError,
+    SizeError,
     closest_harmonic,
     closest_potential,
     decompose,
@@ -443,24 +447,65 @@ class TestPareto:
         assert len(pareto_optimal(g)) == 4
 
     def test_matches_brute_force_with_ties_across_blocks(self):
-        from gamehodge import profile_of_index
-        from gamehodge.equilibria import _PARETO_ROWS
+        from gamehodge.equilibria import _PARETO_DENSE, _PARETO_WINDOW
 
-        rng = np.random.default_rng(60)
-        for counts in [(17, 31), (5, 7, 9), (3, 3, 3, 3, 3, 3)]:
-            n = int(np.prod(counts))
-            assert n > _PARETO_ROWS and n % _PARETO_ROWS != 0
-            # payoffs rounded to one decimal, so ties and repeated profiles abound
-            g = Game(np.round(rng.uniform(-1.0, 1.0, size=(len(counts), n)), 1), counts)
+        def brute_force(g):
             payoffs = g.utilities.T
-            expected = [
-                profile_of_index(i, counts)
-                for i in range(n)
+            return [
+                profile_of_index(i, g.strategy_counts)
+                for i in range(g.num_profiles)
                 if not np.any(
                     np.all(payoffs >= payoffs[i], axis=1) & np.any(payoffs > payoffs[i], axis=1)
                 )
             ]
-            assert pareto_optimal(g) == expected
+
+        rng = np.random.default_rng(60)
+        games = []
+        # payoffs rounded to one decimal, so ties and repeated profiles abound
+        for counts in [(17, 31), (5, 7, 9), (3, 3, 3, 3, 3, 3)]:
+            u = np.round(rng.uniform(-1.0, 1.0, size=(len(counts), math.prod(counts))), 1)
+            games.append(Game(u, counts))
+        # distinct vectors on both sides of the dense/sorted crossover and of
+        # the 64-bit word and window boundaries, with 1, 2, 3 and 6 players
+        w = _PARETO_WINDOW
+        sizes = [_PARETO_DENSE - 1, _PARETO_DENSE, 127, 128, 129, w - 1, w, w + 1, 2 * w + 1]
+        for players in (1, 2, 3, 6):
+            for n in sizes:
+                counts = (n,) + (1,) * (players - 1)
+                games.append(Game(rng.uniform(-1.0, 1.0, size=(players, n)), counts))
+        # -0.0 against 0.0: equal, so neither dominates the other
+        for players in (2, 3):
+            u = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(players, 150))
+            games.append(Game(u, (150,) + (1,) * (players - 1)))
+        # all payoff vectors equal: nothing is dominated
+        games.append(Game(np.full((3, 600), 0.5), (600, 1, 1)))
+        # 300 distinct vectors repeated at index positions windows apart
+        base = rng.uniform(-1.0, 1.0, size=(3, 300))
+        games.append(Game(base[:, rng.integers(0, 300, size=4 * w)], (4 * w, 1, 1)))
+        for g in games:
+            assert pareto_optimal(g) == brute_force(g)
+
+    def test_work_cap_raises_before_allocating(self):
+        from gamehodge.equilibria import PARETO_WORK_CAP
+
+        g = Game(np.zeros((3, 2**18)), (64, 64, 64))
+        assert g.num_profiles**2 * 2 > PARETO_WORK_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="work cap"):
+                pareto_optimal(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_two_players_have_no_cap(self):
+        # n^2 > 2^36 with two players: the running-maximum sweep takes it
+        from gamehodge.equilibria import PARETO_WORK_CAP
+
+        g = Game(np.stack([np.arange(513 * 513.0), -np.arange(513 * 513.0)]), (513, 513))
+        assert g.num_profiles**2 > PARETO_WORK_CAP
+        assert len(pareto_optimal(g)) == g.num_profiles
 
 
 class TestParetoAlignTransform:
