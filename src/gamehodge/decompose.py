@@ -41,7 +41,7 @@ The residual diagnostics are node-space identities as well:
   around the triangles through each player's first own strategy, where
   ``X(a, b) = u^m(b, .) - u^m(a, .)``; it is zero exactly when the curl of
   the game flow is zero and bounds it within a factor of 3.  ``gamehodge
-  verify`` walks the same triangles from every pivot for the whole curl,
+  verify`` walks the triangles of the other pivots for the whole curl,
   and reads its other flow identities off payoff spreads (``_spread``), so
   neither builds an array with one value per edge or triangle;
 * ``reconstruction`` is the largest entry of ``u - (u_P + u_H + u_N)``;
@@ -108,7 +108,7 @@ def decompose(game: Game) -> Decomposition:
             np.abs(game.utilities - (u_pot + u_harm + u_non)).max(initial=0.0)
         ),
         "harmonic_divergence": float(np.abs(div).max(initial=0.0)),
-        "curl": _max_curl(game.strategy_counts, game.utilities, 1),
+        "curl": _max_curl(game.strategy_counts, game.utilities, range(1)),
         "solver": float(np.linalg.norm(div)),
     }
     return Decomposition(
@@ -193,8 +193,8 @@ def _spread(counts: tuple[int, ...], rows) -> float:
     )
 
 
-def _max_curl(counts: tuple[int, ...], u: np.ndarray, pivots: int) -> float:
-    """Largest ``|X(a, b) + X(b, c) - X(a, c)|`` over triangles with pivot ``a < pivots``.
+def _max_curl(counts: tuple[int, ...], u: np.ndarray, pivots: range) -> float:
+    """Largest ``|X(a, b) + X(b, c) - X(a, c)|`` over triangles with pivot ``a`` in ``pivots``.
 
     ``X(a, b) = u^m(b, .) - u^m(a, .)`` is the game flow on player m's
     clique, and the triangles are its own strategies ``a < b < c``.  The
@@ -207,7 +207,7 @@ def _max_curl(counts: tuple[int, ...], u: np.ndarray, pivots: int) -> float:
     worst = 0.0
     for m, h in enumerate(counts):
         t = np.moveaxis(u[m].reshape(counts), m, 0)
-        for a in range(min(pivots, h - 2)):
+        for a in range(pivots.start, min(pivots.stop, h - 2)):
             x = t - t[a]  # X(a, .)
             for b in range(a + 1, h - 1):
                 curl = x[b] + (t[b + 1:] - t[b]) - x[b + 1:]

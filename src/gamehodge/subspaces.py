@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 RANK_AMBIENT_CAP = 4096
-_RANK_TOL = 1e-9  # relative threshold of the rank-measured dimensions
 
 
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
@@ -161,7 +160,7 @@ def empirical_dims(strategy_counts: Sequence[int], seed: int = 0) -> tuple[int, 
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, m_players, n))
     _, pot, harm, non = _decompose_batch(counts, u)
     return tuple(
-        numeric_rank(part.reshape(samples, ambient), _RANK_TOL) for part in (pot, harm, non)
+        numeric_rank(part.reshape(samples, ambient)) for part in (pot, harm, non)
     )
 
 
@@ -211,13 +210,13 @@ def zs_ii_intersection_dims(h: int, seed: int = 0) -> IntersectionTable:
 
     rows = {"potential_games": pot, "harmonic_games": harm, "all_games": np.eye(ambient)}
     cols = {"zero_sum": span_z, "identical": span_i, "direct_sum": np.vstack([span_z, span_i])}
-    col_ranks = {col: numeric_rank(span, _RANK_TOL) for col, span in cols.items()}
+    col_ranks = {col: numeric_rank(span) for col, span in cols.items()}
     computed = {}
     for row, span in rows.items():
-        rank = numeric_rank(span, _RANK_TOL)
+        rank = numeric_rank(span)
         # dim(A & B) = dim A + dim B - dim(A + B)
         computed[row] = {
-            col: rank + col_ranks[col] - numeric_rank(np.vstack([span, other]), _RANK_TOL)
+            col: rank + col_ranks[col] - numeric_rank(np.vstack([span, other]))
             for col, other in cols.items()
         }
     return IntersectionTable(h, closed, computed, computed == closed)

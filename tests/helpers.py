@@ -57,6 +57,15 @@ def random_game(rng, counts, scale=1.0):
     return Game(rng.uniform(-scale, scale, size=(m, n)), counts)
 
 
+def slowest_mode_potential(rng, counts, scale=1.0):
+    """An exact potential game whose potential varies along the smallest
+    player's axis, the Laplacian's slowest mode, plus uniform noise; every
+    player's payoff is the potential."""
+    axis = np.indices(counts)[int(np.argmin(counts))]
+    phi = np.cos(np.pi * axis / axis.max()) + 1e-3 * rng.uniform(-1.0, 1.0, counts)
+    return Game(np.tile(scale * phi.ravel(), (len(counts), 1)), counts)
+
+
 def nonstrategic_payoffs(rng, counts):
     """Random payoffs that ignore each player's own strategy."""
     rows = []

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -28,7 +29,7 @@ from gamehodge.catalog import (
     road_sharing,
 )
 from gamehodge.cli import main
-from helpers import random_game
+from helpers import random_game, slowest_mode_potential
 
 
 @pytest.fixture
@@ -150,8 +151,8 @@ class TestEquilibriaCommand:
 
 class TestNumericFlags:
     # a bad --tol or --eps is a usage error (exit 2), not a traceback, a
-    # verify failure, a blamed input or an output with NaN in it; decompose
-    # reads no --tol, so there the flag itself is the usage error
+    # blamed input or an output with NaN in it; decompose and verify read no
+    # --tol, so there the flag itself is the usage error
     @pytest.mark.parametrize("value", ["-1", "nan"])
     @pytest.mark.parametrize(
         "command, flag",
@@ -164,7 +165,7 @@ class TestNumericFlags:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        if command == "decompose":
+        if command in ("decompose", "verify"):
             assert f"unrecognized arguments: {flag} {value}" in captured.err
         else:
             assert f"argument {flag}: must be a finite number >= 0" in captured.err
@@ -175,8 +176,9 @@ class TestNumericFlags:
     )
     def test_unparsable_value_exits_2(self, game_file, capsys, flag, value, message):
         path = game_file(matching_pennies(), "mp.json")
+        command = "equilibria" if flag == "--tol" else "verify"
         with pytest.raises(SystemExit) as info:
-            main(["verify", path, flag, value])
+            main([command, path, flag, value])
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -300,6 +302,8 @@ def _verify_games():
         "random-2x3x4": random_game(rng, (2, 3, 4)),
         "random-4x1x5": random_game(rng, (4, 1, 5)),
         "road-sharing": road_sharing(),
+        "random-3^6": random_game(rng, (3,) * 6),
+        "slowest-mode-50x2x50": slowest_mode_potential(np.random.default_rng(46), (50, 2, 50)),
     }
 
 
@@ -321,17 +325,33 @@ class TestVerifyCommand:
         path = game_file(g.with_utilities(scale * g.utilities), "g.json")
         assert main(["verify", path]) == 0, capsys.readouterr().out
 
+    def test_passes_where_clique_sizes_bite(self, game_file, capsys):
+        # the bounds that grow with max h or sum h, at a large scale
+        path = game_file(random_game(np.random.default_rng(52), (2, 500), 1e12), "g.json")
+        assert main(["verify", path]) == 0, capsys.readouterr().out
+
+    def test_every_check_prints_its_violation_and_bound(self, game_file, capsys):
+        path = game_file(road_sharing(), "road.json")
+        assert main(["verify", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "PASS  profile-index-bijection               (0 mismatches)"
+        assert len(lines) == 14
+        for line in lines[1:-1]:
+            assert line.startswith("PASS  ")
+            assert re.search(r"  \(violation \S+ vs \S+\)$", line), line
+        assert lines[-1] == "13/13 checks passed"
+
     @pytest.fixture
     def offset_game(self, game_file, monkeypatch):
-        # an error of 1e-6 relative to the game must fail verify, also when
-        # the game's payoffs are far below 1
+        # an error of 1e-12 relative to the game, far above its rounding,
+        # must fail verify, also when the game's payoffs are far below 1
         scale = 1e-12
         path = game_file(random_game(np.random.default_rng(51), (3, 3), scale), "g.json")
         decompose = gamehodge.cli.decompose
 
         def offset(game):
             d = decompose(game)
-            harmonic = d.harmonic_part.utilities + 1e-6 * scale
+            harmonic = d.harmonic_part.utilities + 1e-12 * scale
             return dataclasses.replace(d, harmonic_part=game.with_utilities(harmonic))
 
         monkeypatch.setattr(gamehodge.cli, "decompose", offset)
@@ -369,7 +389,20 @@ class TestVerifyCommand:
             line.startswith("FAIL  player-laplacian-projection-identity  (violation ")
             for line in lines
         )
-        assert lines[-1] == "12/14 checks passed"
+        assert lines[-1] == "11/13 checks passed"
+
+    def test_slightly_scaled_divergence_fails(self, game_file, capsys, monkeypatch):
+        # a relative defect of 1e-10 in one edge operator fails both
+        # operator checks
+        divergence = gamehodge.cli._divergence
+        monkeypatch.setattr(
+            gamehodge.cli, "_divergence", lambda *args: divergence(*args) * (1 + 1e-10)
+        )
+        path = game_file(road_sharing(), "road.json")
+        assert main(["verify", path]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line.split()[1] for line in lines if line.startswith("FAIL")]
+        assert failed == ["gradient-divergence-adjointness", "player-laplacian-projection-identity"]
 
 
 class TestExportFlowCommand:
@@ -514,7 +547,7 @@ class TestLargeGame:
         # the curl-of-game-flow check covers all 32 340 000 triangles
         path = game_file(random_game(np.random.default_rng(42), (100, 100)), "g100.json")
         assert main(["verify", path]) == 0
-        assert "14/14 checks passed" in capsys.readouterr().out.splitlines()
+        assert "13/13 checks passed" in capsys.readouterr().out.splitlines()
 
     def test_100x100_verify_peak_memory(self, game_file):
         # the curl check keeps a running maximum over one own-strategy pair's

@@ -55,6 +55,7 @@ from helpers import (
     rps_harmonic,
     rps_nonstrategic,
     rps_potential,
+    slowest_mode_potential,
 )
 
 # the package attribute ``gamehodge.decompose`` is the function
@@ -723,14 +724,8 @@ class TestLargeGames:
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     @pytest.mark.parametrize("counts", [(2, 5000), (50, 2, 50), (200, 200)])
     def test_slowest_mode_potential_solves_at_every_scale(self, counts, scale):
-        # the potential varies along the smallest player's axis, the
-        # Laplacian's slowest mode, plus uniform noise; every player's payoff
-        # is the potential, so the game is an exact potential game
-        rng = np.random.default_rng(46)
-        axis = np.indices(counts)[int(np.argmin(counts))]
-        phi = np.cos(np.pi * axis / axis.max()) + 1e-3 * rng.uniform(-1.0, 1.0, counts)
-        phi = scale * phi.ravel()
-        g = Game(np.tile(phi, (len(counts), 1)), counts)
+        g = slowest_mode_potential(np.random.default_rng(46), counts, scale)
+        phi = g.utilities[0]
         d = decompose(g)
         assert is_potential(g)
         assert np.abs(d.potential_fn - (phi - phi.mean())).max() <= 1e-12 * scale
