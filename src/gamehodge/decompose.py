@@ -14,18 +14,21 @@ own-strategy means; the parts are then read off as
 ``u_N^m = (I - P_m) u^m``, all in node space, so no game graph and no
 edge-space array is ever built.  The maths is written once, in
 ``_decompose_batch``, over payoffs of shape (K, M, n): K games of one shape
-go through one projection, one batched FFT solve and one projection back.
+go through one projection, one batched solve by the real Helmert transform
+(:func:`gamehodge.flows.laplacian_pinv_solve`) and one projection back.
 Its K = 1 case, ``_parts``, is all that the membership tests and the
-projections read; :func:`decompose` adds the residuals and the ``Game``
-wrapping, and :mod:`gamehodge.subspaces` calls the kernel directly.
+projections read; :func:`decompose` adds the residuals and wraps the
+kernel's read-only arrays in ``Game`` objects without copying them, and
+:mod:`gamehodge.subspaces` calls the kernel directly.
 
 ``_parts`` keeps the last game's parts in a one-slot cache keyed by the
 identity of the (immutable) ``Game`` alone, so every public call on the same
-game object after the first reuses one kernel run.  The slot is the pair
-``(weak reference to the game, parts)``, the parts being read-only arrays;
-it holds one game at a time and is emptied when that game is collected, so
-it never keeps a game or its parts alive.  An equal game in another object
-is a miss.
+game object after the first reuses one kernel run.  The slot is the triple
+``(weak reference to the game, parts, norms)``: the parts are read-only
+views of read-only arrays, and the norms are those of ``u_P``, ``u_H`` and
+``u``, so the membership tests compute no norm.  It holds one game at a
+time and is emptied when that game is collected, so it never keeps a game
+or its parts alive.  An equal game in another object is a miss.
 
 The membership tests (:func:`is_potential`, :func:`is_harmonic`,
 :func:`potential_function`) measure against the norm of the normalised game
@@ -33,17 +36,11 @@ The membership tests (:func:`is_potential`, :func:`is_harmonic`,
 nonstrategic part is added; a game with no strategic part is both potential
 and harmonic.
 
-The residual diagnostics are node-space identities as well:
+The residual diagnostics are node-space identities as well, and read only
+the kernel's output and the input's payoffs:
 
 * ``harmonic_divergence`` is ``max |sum_m h_m u_H^m|``, the divergence of the
   harmonic flow, because ``P_m u_H^m = u_H^m``;
-* ``curl`` is the largest circulation ``|X(0, a) + X(a, b) - X(0, b)|``
-  around the triangles through each player's first own strategy, where
-  ``X(a, b) = u^m(b, .) - u^m(a, .)``; it is zero exactly when the curl of
-  the game flow is zero and bounds it within a factor of 3.  ``gamehodge
-  verify`` walks the triangles of the other pivots for the whole curl,
-  and reads its other flow identities off payoff spreads (``_spread``), so
-  neither builds an array with one value per edge or triangle;
 * ``reconstruction`` is the largest entry of ``u - (u_P + u_H + u_N)``;
 * ``solver`` is ``||sum_m h_m u_H^m||``, the 2-norm of that divergence.  In
   exact arithmetic it equals the solve's residual ``||b - Laplacian(phi)||``,
@@ -88,8 +85,9 @@ class Decomposition:
     ``potential_part + harmonic_part + nonstrategic_part`` reconstructs the
     input; ``potential_fn`` is the mean-zero scalar potential of the
     potential part; ``residuals`` holds numeric diagnostics (reconstruction
-    error, divergence of the harmonic flow, curl of the game flow, and the
-    Laplacian solver residual).
+    error, divergence of the harmonic flow and the Laplacian solver
+    residual).  The three parts hold the kernel's read-only arrays, shared
+    with every later call on the same game object.
     """
 
     potential_part: Game
@@ -103,44 +101,54 @@ def decompose(game: Game) -> Decomposition:
     """Split a game into its potential, harmonic and nonstrategic parts."""
     phi, u_pot, u_harm, u_non = _parts(game)
     div = np.asarray(game.strategy_counts, dtype=float) @ u_harm
+    rows = zip(game.utilities, u_pot, u_harm, u_non)  # a player at a time: no (M, n) temporary
     residuals = {
-        "reconstruction": float(
-            np.abs(game.utilities - (u_pot + u_harm + u_non)).max(initial=0.0)
-        ),
+        "reconstruction": max(float(np.abs(u - (p + h + n)).max()) for u, p, h, n in rows),
         "harmonic_divergence": float(np.abs(div).max(initial=0.0)),
-        "curl": _max_curl(game.strategy_counts, game.utilities, range(1)),
         "solver": float(np.linalg.norm(div)),
     }
     return Decomposition(
-        game.with_utilities(u_pot),
-        game.with_utilities(u_harm),
-        game.with_utilities(u_non),
-        phi.copy(),
-        residuals,
+        game._sharing(u_pot), game._sharing(u_harm), game._sharing(u_non), phi.copy(), residuals
     )
 
 
-# (weakref to the game, parts) of the last _parts call, or None
+# (weakref to the game, parts, norms) of the last kernel run, or None
 _slot = None
 
 
 def _parts(game: Game):
     """``(phi, u_P, u_H, u_N)`` of one game: the K = 1 call of the kernel.
 
-    A repeat call with the same ``Game`` object returns the stored arrays,
-    which are read-only; callers that hand one out copy it.  The slot holds
-    one game, through a weak reference whose callback empties it when that
-    game is collected.  A kernel call that raises stores nothing.
+    The arrays are read-only views of read-only arrays, so no caller can
+    make one writeable; callers that hand out ``phi`` copy it.
+    """
+    return _cached(game)[1]
+
+
+def _norms(game: Game) -> tuple[float, float, float]:
+    """The game norms of ``u_P``, ``u_H`` and ``u``, kept with the parts."""
+    return _cached(game)[2]
+
+
+def _cached(game: Game):
+    """The slot for ``game``, after one kernel run if it holds another game.
+
+    The slot holds one game, through a weak reference whose callback
+    empties it when that game is collected.  A kernel call that raises
+    stores nothing.
     """
     global _slot
     slot = _slot
     if slot is not None and slot[0]() is game:
-        return slot[1]
-    parts = tuple(a[0] for a in _decompose_batch(game.strategy_counts, game.utilities[None]))
-    for a in parts:
+        return slot
+    counts = game.strategy_counts
+    batch = _decompose_batch(counts, game.utilities[None])
+    for a in batch:
         a.flags.writeable = False
-    _slot = (weakref.ref(game, _release), parts)
-    return parts
+    parts = tuple(a[0] for a in batch)
+    norms = (_norm(counts, parts[1]), _norm(counts, parts[2]), _norm(counts, game.utilities))
+    slot = _slot = (weakref.ref(game, _release), parts, norms)
+    return slot
 
 
 def _release(ref) -> None:
@@ -167,14 +175,18 @@ def _decompose_batch(counts: tuple[int, ...], u: np.ndarray):
     """
     h = np.asarray(counts, dtype=float)
     players = range(len(counts))
-    proj = np.stack([project_player(counts, m, u[:, m]) for m in players], axis=1)
+    proj = np.empty_like(u)
+    for m in players:
+        proj[:, m] = project_player(counts, m, u[:, m])
     u_non = u - proj
     b = h @ proj
     # b is orthogonal to constants by construction; its rounding-level mean
     # is dropped, as the solve's transform expects
     b -= b.sum(axis=-1, keepdims=True) / b.shape[-1]
     phi = _pinv_transform(counts, b)
-    u_pot = np.stack([project_player(counts, m, phi) for m in players], axis=1)
+    u_pot = np.empty_like(proj)
+    for m in players:
+        u_pot[:, m] = project_player(counts, m, phi)
     _check_residual(_row_norms(b - h @ u_pot), _SOLVE_TOL * _row_norms(b))
     proj -= u_pot
     return phi, u_pot, proj, u_non
@@ -191,28 +203,6 @@ def _spread(counts: tuple[int, ...], rows) -> float:
         (float(np.ptp(r.reshape(counts), axis=m).max()) for m, r in enumerate(rows)),
         default=0.0,
     )
-
-
-def _max_curl(counts: tuple[int, ...], u: np.ndarray, pivots: range) -> float:
-    """Largest ``|X(a, b) + X(b, c) - X(a, c)|`` over triangles with pivot ``a`` in ``pivots``.
-
-    ``X(a, b) = u^m(b, .) - u^m(a, .)`` is the game flow on player m's
-    clique, and the triangles are its own strategies ``a < b < c``.  The
-    terms are the float operations of :func:`gamehodge.flows.curl` on
-    :func:`gamehodge.flows.pairwise_comparison`, so walking every pivot
-    gives that curl's exact maximum; pivot 0 alone gives the star triangles,
-    zero exactly when every circulation is, within a factor of 3 of it.
-    One (a, b) block of node-sized temporaries is held at a time.
-    """
-    worst = 0.0
-    for m, h in enumerate(counts):
-        t = np.moveaxis(u[m].reshape(counts), m, 0)
-        for a in range(pivots.start, min(pivots.stop, h - 2)):
-            x = t - t[a]  # X(a, .)
-            for b in range(a + 1, h - 1):
-                curl = x[b] + (t[b + 1:] - t[b]) - x[b + 1:]
-                worst = max(worst, float(np.abs(curl).max()))
-    return worst
 
 
 def decompose_bimatrix_normalized(A, B):
@@ -275,30 +265,31 @@ def _norm(counts: tuple[int, ...], u: np.ndarray) -> float:
 # -- membership tests and projections ------------------------------------------
 
 
-def _negligible(value: float, game: Game, u_pot, u_harm, tol: float) -> bool:
+def _negligible(value: float, norms: tuple[float, float, float], tol: float) -> bool:
     """True iff ``value`` is within ``tol`` of the norm of the normalised game.
 
-    The normalised game is ``u_P + u_H``, whose norm is the hypotenuse of the
+    ``norms`` are those of ``u_P``, ``u_H`` and ``u`` (:func:`_norms`).  The
+    normalised game is ``u_P + u_H``, whose norm is the hypotenuse of the
     two parts' norms.  Measuring against it makes the membership tests
     independent of the payoff scale and of any nonstrategic part.  A game
     whose strategic part is itself within ``tol`` of its whole norm (so it is
     zero, or rounding left by removing a nonstrategic part) passes every test.
     """
-    counts = game.strategy_counts
-    strategic = math.hypot(_norm(counts, u_pot), _norm(counts, u_harm))
-    return value <= tol * strategic or strategic <= tol * game_norm(game)
+    pot, harm, whole = norms
+    strategic = math.hypot(pot, harm)
+    return value <= tol * strategic or strategic <= tol * whole
 
 
 def is_potential(game: Game, tol: float = 1e-9) -> bool:
     """True iff the harmonic part is negligible relative to the normalised game."""
-    _, u_pot, u_harm, _ = _parts(game)
-    return _negligible(_norm(game.strategy_counts, u_harm), game, u_pot, u_harm, tol)
+    norms = _norms(game)
+    return _negligible(norms[1], norms, tol)
 
 
 def is_harmonic(game: Game, tol: float = 1e-9) -> bool:
     """True iff the potential part is negligible relative to the normalised game."""
-    _, u_pot, u_harm, _ = _parts(game)
-    return _negligible(_norm(game.strategy_counts, u_pot), game, u_pot, u_harm, tol)
+    norms = _norms(game)
+    return _negligible(norms[0], norms, tol)
 
 
 def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
@@ -310,19 +301,19 @@ def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
     largest spread of ``u^m - phi`` along axis ``m``; it must be within
     ``tol`` times the norm of the normalised game.
     """
-    phi, u_pot, u_harm, _ = _parts(game)
+    phi = _parts(game)[0]
     mismatch = _spread(game.strategy_counts, (u - phi for u in game.utilities))
-    return phi.copy() if _negligible(mismatch, game, u_pot, u_harm, tol) else None
+    return phi.copy() if _negligible(mismatch, _norms(game), tol) else None
 
 
 def closest_potential(game: Game) -> Game:
     """Orthogonal projection onto the potential games: drop the harmonic part."""
-    return game.with_utilities(game.utilities - _parts(game)[2])
+    return game._sharing(game.utilities - _parts(game)[2])
 
 
 def closest_harmonic(game: Game) -> Game:
     """Orthogonal projection onto the harmonic games: drop the potential part."""
-    return game.with_utilities(game.utilities - _parts(game)[1])
+    return game._sharing(game.utilities - _parts(game)[1])
 
 
 # -- JSON export ---------------------------------------------------------------
@@ -337,6 +328,5 @@ def decomposition_to_dict(d: Decomposition) -> dict:
         "residuals": {
             "reconstruction": d.residuals["reconstruction"],
             "harmonic_divergence": d.residuals["harmonic_divergence"],
-            "curl": d.residuals["curl"],
         },
     }

@@ -199,8 +199,15 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     distribution.  Each player's h_m² rows are written in one assignment
     through a view of the matrix with that player's axis first, the mode-m
     unfolding; only reading ``directions`` of the result runs an n x n SVD.
+    A game whose strategic part is within ``tol`` of its own norm (a
+    nonstrategic game, or rounding left by removing one) is taken as the
+    zero game, as :func:`equilibrium_report` does, since every joint
+    distribution is a correlated equilibrium of it.
     """
-    if not is_normalized(game, max(tol, 1e-12) * float(np.abs(game.utilities).max(initial=0.0))):
+    strategic = normalize(game)
+    if game_norm(strategic) <= tol * game_norm(game):
+        game = strategic = game.with_utilities(np.zeros_like(game.utilities))
+    elif not is_normalized(game, max(tol, 1e-12) * float(np.abs(game.utilities).max(initial=0.0))):
         raise PreconditionError("game must be normalized; call normalize() first")
     # A game is harmonic iff sum_m h_m P_m u^m = 0 (for a normalized game,
     # sum_m h_m u^m = 0): that sum is L phi for the potential phi, and
@@ -210,7 +217,7 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     # every normalized game that passes it passes this bound, with no
     # decomposition.
     h = np.asarray(game.strategy_counts, dtype=float)
-    weighted = float(np.linalg.norm(h @ normalize(game).utilities))
+    weighted = float(np.linalg.norm(h @ strategic.utilities))
     if weighted > math.sqrt(h.sum()) * tol * game_norm(game):
         raise PreconditionError("game must be harmonic (zero potential part)")
 

@@ -10,10 +10,11 @@ Laplacians.
 
 The node-space operators need only the shape, never a graph.  Among them,
 the Laplacian pseudoinverse solve is exact: the game-graph Laplacian is a
-Kronecker sum of clique Laplacians, so the multidimensional DFT diagonalizes
-it and the solve is one forward and one inverse FFT, with no iterative
-method and no dense fallback.  Node functions lie on the last axis of an
-array; :func:`laplacian_apply`, :func:`laplacian_pinv_solve` and the
+Kronecker sum of clique Laplacians, so the tensor product of real
+orthonormal Helmert bases diagonalizes it and the solve is one forward and
+one inverse transform, one axis at a time, with no iterative method, no
+dense fallback and no complex array.  Node functions lie on the last axis
+of an array; :func:`laplacian_apply`, :func:`laplacian_pinv_solve` and the
 demeaning :func:`project_player` (defined in :mod:`gamehodge.game`,
 re-exported here) treat any leading axes as a batch, so many
 games of one shape go through one vectorised pass.  The solve checks its
@@ -69,6 +70,7 @@ __all__ = [
 DEFAULT_EDGE_CAP = 3 * 10**7
 _DOT_CHUNK = 1 << 16  # arrows per chunk: bounds the Python strings DOT export holds
 _SOLVE_TOL = 1e-10  # residual bound of the Laplacian solve, relative to ||b||
+_HELMERT_CUT = 64  # longest axis by a cached matrix (<= 32 KiB); cumsum is 2x faster at h = 1000
 
 
 class GameGraph:
@@ -382,7 +384,7 @@ def laplacian_apply(strategy_counts: Sequence[int], phi) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _spectrum(counts: tuple[int, ...]) -> np.ndarray:
-    """Read-only Laplacian eigenvalues on the DFT grid of ``counts``.
+    """Read-only Laplacian eigenvalues on the Helmert grid of ``counts``.
 
     The zero eigenvalue of the constants is stored as ``inf``, so dividing
     by the spectrum maps them to zero.
@@ -411,10 +413,14 @@ def laplacian_pinv_solve(
     The game graph is connected, so the Laplacian kernel is exactly the
     constants; ``b`` must therefore be orthogonal to constants.  The
     Laplacian is the Kronecker sum of the clique Laplacians
-    ``h_m (I - J/h_m)``, which the multidimensional DFT diagonalizes: at
-    multi-index ``k`` its eigenvalue is the sum of ``h_m`` over the players
-    with ``k_m != 0``.  The solve divides the transform of ``b`` by that
-    spectrum, with the zero eigenvalue (the constants) mapped to zero.
+    ``h_m (I - J/h_m)``.  Any orthonormal basis of each axis whose first
+    vector is the constant diagonalizes them; the solve uses the real
+    Helmert basis (Lancaster 1965, *The Helmert matrices*), whose vector
+    ``k >= 1`` is ``(1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1))``.  The
+    spectrum is the DFT's: at multi-index ``k`` the eigenvalue is the sum of
+    ``h_m`` over the players with ``k_m != 0``.  The solve divides the
+    transform of ``b`` by it, with the zero eigenvalue (the constants)
+    mapped to zero.
 
     The last axis of ``b`` holds the ``prod(strategy_counts)`` profiles;
     leading axes are a batch of right-hand sides, solved together by
@@ -454,16 +460,96 @@ def laplacian_pinv_solve(
 
 
 def _pinv_transform(counts: tuple[int, ...], b: np.ndarray) -> np.ndarray:
-    """Mean-zero ``pinv(Laplacian) b`` by the DFT, rows along the last axis.
+    """Mean-zero ``pinv(Laplacian) b`` by the Helmert transform, rows along the last axis.
 
     No check: ``b`` should already be orthogonal to constants.
     """
-    # passing the sizes with the axes keeps numpy from rebuilding them per call
-    axes = tuple(range(-len(counts), 0))
-    x = np.fft.fftn(b.reshape(b.shape[:-1] + counts), s=counts, axes=axes)
-    x /= _spectrum(counts)
-    x = np.fft.ifftn(x, s=counts, axes=axes).real.reshape(b.shape)
+    x = _helmert(counts, b, inverse=False) / _spectrum(counts).ravel()
+    x = _helmert_inverse(counts, x)
     return x - x.sum(axis=-1, keepdims=True) / b.shape[-1]
+
+
+def _helmert_inverse(counts: tuple[int, ...], y: np.ndarray) -> np.ndarray:
+    """Node functions on the last axis from their Helmert coefficients.
+
+    The inverse step of every Laplacian solve, the kernel's included, kept
+    apart so that tests can corrupt it.
+    """
+    return _helmert(counts, y, inverse=True)
+
+
+def _helmert(counts: tuple[int, ...], x: np.ndarray, inverse: bool) -> np.ndarray:
+    """Orthonormal Helmert coefficients of the node functions on the last axis of ``x``.
+
+    Applies the Helmert matrix of every axis of ``counts``, or its transpose
+    (the inverse) if ``inverse``.  Axis m is the middle axis of a
+    ``(-1, h_m, rest)`` reshape; axes of size one are the identity and are
+    skipped.  A new array unless every axis is.
+    """
+    shape = x.shape
+    pre, post = math.prod(shape[:-1]), shape[-1]
+    for h in counts:
+        post //= h
+        if h > 1:
+            fibres = x.reshape(pre, h, post)
+            if h <= _HELMERT_CUT:
+                matrix = _helmert_matrix(h).T if inverse else _helmert_matrix(h)
+                # the last axis as one product of rows, not a stack of products
+                x = np.matmul(matrix, fibres) if post > 1 else fibres[..., 0] @ matrix.T
+            else:
+                x = (_helmert_cumsum_inverse if inverse else _helmert_cumsum)(fibres)
+        pre *= h
+    return x.reshape(shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _helmert_matrix(h: int) -> np.ndarray:
+    """Read-only h x h orthonormal Helmert matrix: row 0 constant, row k ``(1^k, -k, 0)``."""
+    k = np.arange(1, h)
+    matrix = np.tri(h, h, -1)
+    matrix[k, k] = -k
+    matrix[0] = 1.0
+    matrix /= np.sqrt(np.append(h, k * (k + 1.0)))[:, None]
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _helmert_weights(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """``k`` and ``1 / sqrt(k (k + 1))`` for k = 1..h-1, as (h - 1, 1) columns."""
+    k = np.arange(1.0, h)[:, None]
+    return k, 1.0 / np.sqrt(k * (k + 1.0))
+
+
+def _helmert_cumsum(x: np.ndarray) -> np.ndarray:
+    """Helmert matrix along axis 1 of ``x`` in O(h): ``y_k = (x_0 + .. + x_{k-1} - k x_k) w_k``.
+
+    ``w_k = 1 / sqrt(k (k + 1))``, and ``y_0`` is the sum over ``sqrt(h)``.
+    """
+    h = x.shape[1]
+    k, w = _helmert_weights(h)
+    sums = np.cumsum(x, axis=1)
+    y = np.empty_like(sums)
+    y[:, :1] = sums[:, -1:] / math.sqrt(h)
+    np.multiply(x[:, 1:], k, out=y[:, 1:])
+    np.subtract(sums[:, :-1], y[:, 1:], out=y[:, 1:])
+    y[:, 1:] *= w
+    return y
+
+
+def _helmert_cumsum_inverse(y: np.ndarray) -> np.ndarray:
+    """Transpose of :func:`_helmert_cumsum`: ``x_j = y_0 / sqrt(h) - j z_j + sum_{k > j} z_k``.
+
+    ``z_k = y_k w_k``, with the weights of :func:`_helmert_cumsum`.
+    """
+    h = y.shape[1]
+    k, w = _helmert_weights(h)
+    z = y[:, 1:] * w
+    x = np.empty_like(y)
+    x[:] = y[:, :1] / math.sqrt(h)
+    x[:, :-1] += np.cumsum(z[:, ::-1], axis=1)[:, ::-1]  # sum_{k > j} z_k
+    z *= k
+    x[:, 1:] -= z
+    return x
 
 
 def _check_residual(residual: np.ndarray, target: np.ndarray) -> None:

@@ -86,19 +86,8 @@ class Game:
         counts = tuple(int(h) for h in strategy_counts)
         if len(counts) < 1 or any(h < 1 for h in counts):
             raise ShapeError(f"invalid strategy counts {counts}")
-        n = math.prod(counts)
         m = len(counts)
-
-        u = np.asarray(utilities, dtype=float)
-        if u.shape == (m,) + counts:
-            u = u.reshape(m, n)
-        if u.shape != (m, n):
-            raise GameFormatError(
-                f"utilities shape {u.shape} does not match {m} players "
-                f"x {n} profiles for strategy counts {counts}"
-            )
-        if not np.all(np.isfinite(u)):
-            raise GameFormatError("payoffs must be finite")
+        u = _checked_payoffs(np.asarray(utilities, dtype=float), counts)
 
         if player_names is None:
             player_names = [f"player{k + 1}" for k in range(m)]
@@ -115,7 +104,7 @@ class Game:
         self.utilities = u
         self.strategy_counts = counts
         self.num_players = m
-        self.num_profiles = n
+        self.num_profiles = u.shape[1]
         self.player_names = tuple(player_names)
         self.strategy_labels = tuple(tuple(ls) for ls in labels)
 
@@ -152,6 +141,19 @@ class Game:
         """Same shape and labels, different payoffs."""
         return Game(utilities, self.strategy_counts, self.player_names, self.strategy_labels)
 
+    def _sharing(self, utilities: np.ndarray) -> "Game":
+        """:meth:`with_utilities` without the copy, for a float array the caller owns.
+
+        The new game holds ``utilities`` itself and makes it read-only, so
+        the caller must never write it through another reference; the shape
+        and finiteness checks still run.
+        """
+        utilities.flags.writeable = False
+        game = object.__new__(Game)
+        game.__dict__.update(vars(self))
+        game.utilities = _checked_payoffs(utilities, self.strategy_counts)
+        return game
+
     def _check_player(self, player: int) -> None:
         if not 0 <= player < self.num_players:
             raise IndexError(f"player index {player} out of range [0, {self.num_players})")
@@ -165,6 +167,21 @@ class Game:
 
     def __repr__(self) -> str:
         return f"Game(players={self.num_players}, strategies={self.strategy_counts})"
+
+
+def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """``u`` as an (M, n) array, or :class:`GameFormatError` if its shape or a payoff is off."""
+    m, n = len(counts), math.prod(counts)
+    if u.shape == (m,) + counts:
+        u = u.reshape(m, n)
+    if u.shape != (m, n):
+        raise GameFormatError(
+            f"utilities shape {u.shape} does not match {m} players "
+            f"x {n} profiles for strategy counts {counts}"
+        )
+    if not np.all(np.isfinite(u)):
+        raise GameFormatError("payoffs must be finite")
+    return u
 
 
 def project_player(strategy_counts: Sequence[int], player: int, u) -> np.ndarray:

@@ -94,7 +94,7 @@ class TestDecomposeCommand:
         rng = np.random.default_rng(65)
         path = game_file(random_game(rng, (3, 3)), "g.json")
         monkeypatch.setattr(
-            np.fft, "ifftn", lambda a, *args, **kwargs: rng.uniform(-1.0, 1.0, np.shape(a)) + 0j
+            gamehodge.flows, "_helmert_inverse", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
         )
         assert main(["decompose", path]) == 3
         captured = capsys.readouterr()
@@ -324,6 +324,15 @@ class TestVerifyCommand:
         g = VERIFY_GAMES[name]
         path = game_file(g.with_utilities(scale * g.utilities), "g.json")
         assert main(["verify", path]) == 0, capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", list(VERIFY_GAMES))
+    def test_curl_line_reads_the_library_curl(self, game_file, capsys, name):
+        # the walk repeats the float operations of flows.curl on the game flow
+        g = VERIFY_GAMES[name]
+        assert main(["verify", game_file(g, "g.json")]) == 0
+        line = next(s for s in capsys.readouterr().out.splitlines() if "curl-of-game-flow" in s)
+        want = gamehodge.flows.curl(gamehodge.flows.pairwise_comparison(g)).max_abs()
+        assert f"(violation {want:.12g} vs " in line
 
     def test_passes_where_clique_sizes_bite(self, game_file, capsys):
         # the bounds that grow with max h or sum h, at a large scale

@@ -87,7 +87,6 @@ class TestGeneralizedRps:
         d = decompose(generalized_rps(2.0, 1.0, 3.0))
         assert d.residuals["reconstruction"] <= 1e-12
         assert d.residuals["harmonic_divergence"] <= 1e-9
-        assert d.residuals["curl"] <= 1e-10
         assert d.residuals["solver"] <= 1e-9
 
 
@@ -452,7 +451,7 @@ class TestKernelCache:
         monkeypatch.setattr(decompose_module, "_slot", None)
         with monkeypatch.context() as patch:
             patch.setattr(
-                np.fft, "ifftn", lambda a, *args, **kwargs: rng.uniform(-1.0, 1.0, np.shape(a)) + 0j
+                flows, "_helmert_inverse", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
             )
             for _ in range(2):
                 with pytest.raises(NumericError):
@@ -460,6 +459,16 @@ class TestKernelCache:
                 assert decompose_module._slot is None
         assert len(kernel_calls) == 2
         assert _identical(decompose(g), decompose(_fresh(g)))
+
+    def test_parts_share_the_read_only_kernel_arrays(self):
+        g = random_game(np.random.default_rng(67), (3, 4))
+        d = decompose(g)
+        for part in (d.potential_part, d.harmonic_part, d.nonstrategic_part):
+            with pytest.raises(ValueError):
+                part.utilities.flags.writeable = True
+        again = decompose(g)
+        assert _identical(again, d)
+        assert again.potential_part.utilities is d.potential_part.utilities
 
     def test_cached_arrays_are_read_only(self):
         g = battle_of_sexes()
@@ -716,7 +725,7 @@ class TestDecompositionStructure:
         d = decompose(matching_pennies())
         doc = decomposition_to_dict(d)
         assert set(doc) == {"potential", "harmonic", "nonstrategic", "phi", "residuals"}
-        assert set(doc["residuals"]) == {"reconstruction", "harmonic_divergence", "curl"}
+        assert set(doc["residuals"]) == {"reconstruction", "harmonic_divergence"}
         assert len(doc["phi"]) == 4
 
 
@@ -735,5 +744,4 @@ class TestLargeGames:
         d = decompose(random_game(np.random.default_rng(41), (100, 100)))
         assert d.residuals["reconstruction"] <= 1e-12
         assert d.residuals["harmonic_divergence"] <= 1e-9
-        assert d.residuals["curl"] <= 1e-10
         assert d.residuals["solver"] <= 1e-9

@@ -345,6 +345,16 @@ class TestHarmonicCorrelatedSystem:
         assert harmonic_correlated_system(g).dimension == dim
         assert equilibrium_report(g)["correlated_dim"] == dim
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("counts", [(3,), (7,)], ids=str)
+    def test_one_player_harmonic_game_at_every_scale(self, counts, scale):
+        # one player has no harmonic flow: the game's harmonic game is its
+        # nonstrategic part plus rounding, where every distribution is correlated
+        g = random_game(np.random.default_rng(68), counts, scale=scale)
+        harmonic = closest_harmonic(g)
+        assert harmonic_correlated_system(harmonic).dimension == g.num_profiles - 1
+        assert equilibrium_report(harmonic)["correlated_dim"] == g.num_profiles - 1
+
     def test_rejects_unnormalized(self):
         rng = np.random.default_rng(55)
         g = random_harmonic_2p(rng, 2, 2)

@@ -498,7 +498,8 @@ class TestLaplacianSolve:
     def test_zero_tol_is_accepted(self):
         assert np.all(laplacian_pinv_solve((2, 2), np.zeros(4), tol=0.0) == 0.0)
 
-    @pytest.mark.parametrize("counts", [(1,), (1, 4), (2, 3, 4), (2,) * 6, (5, 5)])
+    # the last two put axes above the Helmert matrix cut, one beside a size-1 axis
+    @pytest.mark.parametrize("counts", [(1,), (1, 4), (2, 3, 4), (2,) * 6, (5, 5), (65, 2), (1, 70)])
     def test_matches_dense_least_squares(self, counts):
         # Laplacian from the definition: degree minus adjacency, where two
         # profiles are adjacent when exactly one player's strategy differs
@@ -522,7 +523,9 @@ class TestLaplacianSolve:
         psi = rng.uniform(-1.0, 1.0, size=9)
         b = laplacian_apply((3, 3), psi - psi.mean())
         monkeypatch.setattr(
-            np.fft, "ifftn", lambda a, *args, **kwargs: rng.uniform(-1.0, 1.0, np.shape(a)) + 0j
+            gamehodge.flows,
+            "_helmert_inverse",
+            lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a)),
         )
         with pytest.raises(NumericError) as info:
             laplacian_pinv_solve((3, 3), b)
@@ -534,14 +537,16 @@ class TestLaplacianSolve:
             laplacian_pinv_solve((2, 2), scale * np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_batch_rows_solve_like_single_rows(self):
-        # two leading batch axes; the transforms run over the profile axes
+        # two leading batch axes; the transforms run over the profile axes,
+        # by the Helmert matrices and, for the axis of 70, the cumsum form
         rng = np.random.default_rng(24)
-        counts = (2, 3, 4)
-        b = laplacian_apply(counts, rng.uniform(-1.0, 1.0, size=(2, 3, 24)))
-        sol = laplacian_pinv_solve(counts, b)
-        assert sol.shape == b.shape
-        for k in np.ndindex(2, 3):
-            assert np.abs(sol[k] - laplacian_pinv_solve(counts, b[k])).max() <= 1e-14
+        for counts in [(2, 3, 4), (70, 3)]:
+            n = math.prod(counts)
+            b = laplacian_apply(counts, rng.uniform(-1.0, 1.0, size=(2, 3, n)))
+            sol = laplacian_pinv_solve(counts, b)
+            assert sol.shape == b.shape
+            for k in np.ndindex(2, 3):
+                assert np.abs(sol[k] - laplacian_pinv_solve(counts, b[k])).max() <= 1e-14
 
     def test_batch_precondition_checks_every_row(self):
         rng = np.random.default_rng(25)
@@ -555,14 +560,14 @@ class TestLaplacianSolve:
     def test_batch_residual_check_raises_on_one_corrupted_row(self, monkeypatch, scale):
         rng = np.random.default_rng(26)
         b = scale * laplacian_apply((3, 3), rng.uniform(-1.0, 1.0, size=(4, 9)))
-        ifftn = np.fft.ifftn
+        inverse = gamehodge.flows._helmert_inverse
 
-        def corrupt_row_1(a, *args, **kwargs):
-            out = ifftn(a, *args, **kwargs)
+        def corrupt_row_1(counts, a):
+            out = inverse(counts, a)
             out[1] += scale * rng.uniform(-1.0, 1.0, out[1].shape)
             return out
 
-        monkeypatch.setattr(np.fft, "ifftn", corrupt_row_1)
+        monkeypatch.setattr(gamehodge.flows, "_helmert_inverse", corrupt_row_1)
         with pytest.raises(NumericError) as info:
             laplacian_pinv_solve((3, 3), b)
         assert info.value.residual > 1e-10 * np.linalg.norm(b[1])
