@@ -265,6 +265,17 @@ def _norm(counts: tuple[int, ...], u: np.ndarray) -> float:
 # -- membership tests and projections ------------------------------------------
 
 
+def _strategic_negligible(strategic: float, whole: float, tol: float) -> bool:
+    """True iff a game's strategic part, of norm ``strategic``, counts as zero.
+
+    That is when it is within ``tol`` of the game's norm ``whole``: the game
+    is zero, or the part is rounding left by removing a nonstrategic part.
+    Such a game passes every membership test, and its correlated system is
+    that of the zero game (:mod:`gamehodge.equilibria`).
+    """
+    return strategic <= tol * whole
+
+
 def _negligible(value: float, norms: tuple[float, float, float], tol: float) -> bool:
     """True iff ``value`` is within ``tol`` of the norm of the normalised game.
 
@@ -272,12 +283,12 @@ def _negligible(value: float, norms: tuple[float, float, float], tol: float) -> 
     normalised game is ``u_P + u_H``, whose norm is the hypotenuse of the
     two parts' norms.  Measuring against it makes the membership tests
     independent of the payoff scale and of any nonstrategic part.  A game
-    whose strategic part is itself within ``tol`` of its whole norm (so it is
-    zero, or rounding left by removing a nonstrategic part) passes every test.
+    with a negligible strategic part (:func:`_strategic_negligible`) passes
+    every test.
     """
     pot, harm, whole = norms
     strategic = math.hypot(pot, harm)
-    return value <= tol * strategic or strategic <= tol * whole
+    return value <= tol * strategic or _strategic_negligible(strategic, whole, tol)
 
 
 def is_potential(game: Game, tol: float = 1e-9) -> bool:

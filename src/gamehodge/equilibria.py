@@ -3,8 +3,11 @@
 Pure and epsilon equilibria are found by exhaustive enumeration; mixed and
 correlated equilibrium *candidates* are verified rather than searched for.
 For harmonic games (zero potential part) the correlated equilibria form an
-affine slice of the probability simplex, which is solved here as a linear
-system.  The module also covers Pareto optimality and the nonstrategic
+affine slice of the probability simplex, cut out by linear equalities.  With
+two players those equalities factor: the slice's directions are a tensor
+product of two null spaces, so its dimension takes two h x h ranks and no
+system is stacked.  More players rank the stacked system, under a cap on its
+entries.  The module also covers Pareto optimality and the nonstrategic
 retuning that makes the pure Nash set coincide with the Pareto set.  The
 Pareto set is read off the payoff vectors sorted lexicographically: a
 running maximum for two players, a windowed bitset scan under a work cap for
@@ -19,9 +22,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .decompose import closest_potential, game_distance, game_norm, is_harmonic
+from .decompose import (
+    _norm,
+    _norms,
+    _parts,
+    _strategic_negligible,
+    closest_potential,
+    game_distance,
+    game_norm,
+    is_harmonic,
+)
 from .errors import PreconditionError, SizeError
-from .game import Game, is_normalized, normalize
+from .game import Game, is_normalized, project_player
 from .subspaces import numeric_rank
 
 __all__ = [
@@ -162,30 +174,78 @@ def is_correlated_equilibrium(game: Game, x, tol: float = 1e-9) -> bool:
 # -- correlated equilibria of harmonic games ------------------------------------
 
 
+# Entries of the largest stacked correlated system, (sum_m h_m^2 + 1) x n,
+# that is built: 2^24 float64 entries, 128 MB.  On 2 CPUs with one BLAS
+# thread its values-only SVD takes 2.2 s at 20^3 (1201 x 8000) and 4.3 s at
+# 22^3 (1453 x 10648, 15.5 million entries), the largest cube under the cap.
+# One- and two-player games never build it to find their dimension.
+CORRELATED_SYSTEM_CAP = 1 << 24
+
+
 @dataclass(frozen=True)
 class AffineSolutionSet:
     """Affine subspace ``{x : equalities @ x = rhs}`` met with the simplex.
 
-    ``particular`` is one solution (the uniform joint distribution) and
-    ``dimension`` the affine dimension, ranked from singular values alone.
-    ``directions``, a dense basis of the homogeneous solutions, costs an
-    n x n SVD on first read.
+    ``game`` is the normalized harmonic game whose correlated equilibria
+    these are, ``particular`` one solution (the uniform joint distribution)
+    and ``dimension`` the affine dimension, ranked from singular values
+    alone.  The rest is built on first read.  For one or two players the
+    homogeneous solutions are a Kronecker product of two null spaces (see
+    :func:`harmonic_correlated_system`), so ``directions`` costs two h x h
+    SVDs and nothing needs ``equalities``; for more players ``equalities``
+    comes with the dimension and ``directions`` costs an n x n SVD.
+    ``residual`` reads the payoffs, not ``equalities``.  Above
+    ``CORRELATED_SYSTEM_CAP`` entries, reading ``equalities`` raises
+    ``SizeError``.
     """
 
-    equalities: np.ndarray
-    rhs: np.ndarray
-    particular: np.ndarray
+    game: Game
+    tol: float
     dimension: int
 
     @cached_property
+    def equalities(self) -> np.ndarray:
+        _check_system_size(self.game)
+        return _stacked_system(self.game, 1.0)
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        rhs = np.zeros(sum(h * h for h in self.game.strategy_counts) + 1)
+        rhs[-1] = 1.0
+        return rhs
+
+    @cached_property
+    def particular(self) -> np.ndarray:
+        return np.full(self.game.num_profiles, 1.0 / self.game.num_profiles)
+
+    @cached_property
     def directions(self) -> np.ndarray:
-        vt = np.linalg.svd(self.equalities)[2]
-        return vt[len(vt) - self.dimension:]
+        if self.game.num_players > 2:
+            vt = np.linalg.svd(self.equalities)[2]
+            return vt[len(vt) - self.dimension:]
+        factors = _factors(self.game)
+        ranks = _factor_ranks(self.game, factors, self.tol)
+        cols, rows = (_null_basis(a, r) for a, r in zip(factors, ranks))
+        # every product of a row basis vector and a column basis vector but
+        # the first, the uniform distribution
+        kron = rows[:, None, :, None] * cols[None, :, None, :]
+        return kron.reshape(len(rows) * len(cols), -1)[1:]
 
     def residual(self, x) -> float:
-        """Largest violation of the defining equalities at ``x``."""
-        r = self.equalities @ np.asarray(x, dtype=float).ravel() - self.rhs
-        return float(np.abs(r).max(initial=0.0))
+        """Largest violation of the defining equalities at ``x``.
+
+        Player m's rows are ``X_m U_m^T`` for the mode-m unfoldings of ``x``
+        and of u^m, as in :func:`is_correlated_equilibrium`, so no row of
+        ``equalities`` is built.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        counts = self.game.strategy_counts
+        violation = abs(float(x.sum()) - 1.0)
+        for m, h in enumerate(counts):
+            w = np.moveaxis(x.reshape(counts), m, 0).reshape(h, -1)
+            u = np.moveaxis(self.game.tensor(m), m, 0).reshape(h, -1)
+            violation = max(violation, float(np.abs(w @ u.T).max()))
+        return violation
 
 
 def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionSet:
@@ -196,39 +256,81 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     ``sum over opponent profiles of u^m(b, .) x(a, .)`` vanishes.  The system
     returned stacks those equalities, ordered by m, then a, then b, with the
     total-probability row; its solution set always contains the uniform
-    distribution.  Each player's h_m² rows are written in one assignment
-    through a view of the matrix with that player's axis first, the mode-m
-    unfolding; only reading ``directions`` of the result runs an n x n SVD.
+    distribution.
+
+    With two players and X the h1 x h2 joint distribution, player 1's rows
+    say ``X U1^T = 0`` and player 2's ``U2^T X = 0``, so the homogeneous
+    solutions are ``null(U2^T) (x) null(U1)`` and the dimension is
+    ``(h1 - rank U2)(h2 - rank U1) - 1``: two h x h ranks, with no stacked
+    system.  One player is the case h2 = 1 with U2 = 0.  More players rank
+    the stacked system itself, each player's h_m^2 rows written in one
+    assignment through its mode-m unfolding; it is refused with
+    ``SizeError`` above ``CORRELATED_SYSTEM_CAP`` entries, from the shape
+    alone before any other work.  Every rank counts the singular values
+    above ``tol`` times the stacked system's largest, its
+    total-probability row scaled to ``max|u|``, so it does not change when
+    the payoffs are scaled.
+
     A game whose strategic part is within ``tol`` of its own norm (a
     nonstrategic game, or rounding left by removing one) is taken as the
     zero game, as :func:`equilibrium_report` does, since every joint
     distribution is a correlated equilibrium of it.
     """
-    strategic = normalize(game)
-    if game_norm(strategic) <= tol * game_norm(game):
-        game = strategic = game.with_utilities(np.zeros_like(game.utilities))
-    elif not is_normalized(game, max(tol, 1e-12) * float(np.abs(game.utilities).max(initial=0.0))):
-        raise PreconditionError("game must be normalized; call normalize() first")
-    # A game is harmonic iff sum_m h_m P_m u^m = 0 (for a normalized game,
-    # sum_m h_m u^m = 0): that sum is L phi for the potential phi, and
-    # ||L phi||^2 <= (sum_m h_m) phi'L phi, where phi'L phi is the squared
-    # norm of the potential part.  is_harmonic(game, tol) bounds that norm by
-    # tol times the norm of the normalised game, here the game itself; so
-    # every normalized game that passes it passes this bound, with no
-    # decomposition.
-    h = np.asarray(game.strategy_counts, dtype=float)
-    weighted = float(np.linalg.norm(h @ strategic.utilities))
-    if weighted > math.sqrt(h.sum()) * tol * game_norm(game):
-        raise PreconditionError("game must be harmonic (zero potential part)")
-
-    n = game.num_profiles
+    if game.num_players > 2:
+        _check_system_size(game)
     counts = game.strategy_counts
-    equalities = np.zeros((sum(h * h for h in counts) + 1, n))
-    # Scaling a row leaves the solution set alone.  The total-probability
-    # row is ranked at the size of the payoffs, one scale for the whole game,
-    # so the rank threshold sees rows of one size whatever the payoff scale;
-    # the system returned has its row of ones.
-    equalities[-1] = float(np.abs(game.utilities).max(initial=0.0)) or 1.0
+    h = np.asarray(counts, dtype=float)
+    whole = game_norm(game)
+    strategic = np.stack([project_player(counts, m, u) for m, u in enumerate(game.utilities)])
+    if _strategic_negligible(_norm(counts, strategic), whole, tol):
+        game = game._sharing(np.zeros_like(game.utilities))
+    else:
+        if not is_normalized(game, max(tol, 1e-12) * float(np.abs(game.utilities).max(initial=0.0))):
+            raise PreconditionError("game must be normalized; call normalize() first")
+        # A game is harmonic iff sum_m h_m P_m u^m = 0 (for a normalized game,
+        # sum_m h_m u^m = 0): that sum is L phi for the potential phi, and
+        # ||L phi||^2 <= (sum_m h_m) phi'L phi, where phi'L phi is the squared
+        # norm of the potential part.  is_harmonic(game, tol) bounds that norm
+        # by tol times the norm of the normalised game, here the game itself;
+        # so every normalized game that passes it passes this bound, with no
+        # decomposition.
+        if float(np.linalg.norm(h @ strategic)) > math.sqrt(h.sum()) * tol * whole:
+            raise PreconditionError("game must be harmonic (zero potential part)")
+
+    if game.num_players <= 2:
+        factors = _factors(game)
+        nullity = [a.shape[1] - r for a, r in zip(factors, _factor_ranks(game, factors, tol))]
+        return AffineSolutionSet(game, tol, math.prod(nullity) - 1)
+    equalities = _stacked_system(game, _scale(game))
+    system = AffineSolutionSet(game, tol, game.num_profiles - numeric_rank(equalities, tol))
+    equalities[-1] = 1.0
+    system.__dict__["equalities"] = equalities  # the cached_property's slot
+    return system
+
+
+def _scale(game: Game) -> float:
+    """``max|u|``, or 1 for the zero game: the total-probability row's rank weight.
+
+    Scaling a row leaves the solution set alone; at the size of the payoffs
+    the rank threshold sees rows of one size whatever the payoff scale.
+    """
+    return float(np.abs(game.utilities).max(initial=0.0)) or 1.0
+
+
+def _check_system_size(game: Game) -> None:
+    rows = sum(h * h for h in game.strategy_counts) + 1
+    if rows * game.num_profiles > CORRELATED_SYSTEM_CAP:
+        raise SizeError(
+            f"correlated system of {rows} x {game.num_profiles} exceeds the cap of "
+            f"{CORRELATED_SYSTEM_CAP} entries"
+        )
+
+
+def _stacked_system(game: Game, ones: float) -> np.ndarray:
+    """The stacked equalities, with ``ones`` in the total-probability row."""
+    counts = game.strategy_counts
+    equalities = np.zeros((sum(h * h for h in counts) + 1, game.num_profiles))
+    equalities[-1] = ones
     start = 0
     for m, h in enumerate(counts):
         # rows[a, b] is the view of row (m, a, b) with player m's axis first:
@@ -237,13 +339,49 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
         own = np.arange(h)
         rows[own, :, own] = np.moveaxis(game.tensor(m), m, 0)
         start += h * h
-    dimension = n - numeric_rank(equalities, tol)
-    equalities[-1] = 1.0
-    rhs = np.zeros(len(equalities))
-    rhs[-1] = 1.0
+    return equalities
 
-    particular = np.full(n, 1.0 / n)
-    return AffineSolutionSet(equalities, rhs, particular, dimension)
+
+def _factors(game: Game) -> tuple[np.ndarray, np.ndarray]:
+    """``(U1, U2^T)`` of a game of at most two players, each own strategy x opponent's.
+
+    The rows of X lie in the null space of the first, its columns in that of
+    the second.  A lone player gets an opponent of one strategy and zero
+    payoffs.
+    """
+    h1, h2 = (game.strategy_counts + (1,))[:2]
+    u = game.utilities
+    second = u[1].reshape(h1, h2).T if game.num_players == 2 else np.zeros((h2, h1))
+    return u[0].reshape(h1, h2), second
+
+
+def _factor_ranks(game: Game, factors, tol: float) -> list[int]:
+    """Numeric ranks of the two factors, at the stacked system's scale.
+
+    The stacked system's singular values are ``sqrt(s^2 + t^2)`` over
+    pairs of the factors' singular values, but ``max|u| sqrt(n)`` for the
+    pair of the two ones vectors, which span the total-probability row; the
+    largest of them sets the threshold.  A normalized harmonic game has zero
+    flux, so the ones vector lies in both null spaces and no rank exceeds
+    h - 1.
+    """
+    svals = [np.linalg.svd(a, compute_uv=False) for a in factors]
+    top = max(_scale(game) * math.sqrt(game.num_profiles), math.hypot(svals[0][0], svals[1][0]))
+    return [min(int(np.sum(s > tol * top)), a.shape[1] - 1) for a, s in zip(factors, svals)]
+
+
+def _null_basis(a: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal rows spanning the null space of ``a``, ``1 / sqrt(h)`` first.
+
+    The rest of the null space is taken inside the complement of the ones:
+    the last ``h - 1 - rank`` right singular vectors of ``a`` restricted to
+    the orthonormal basis of it that QR makes from ``[1, e_1, ..., e_{h-1}]``.
+    """
+    h = a.shape[1]
+    ones = np.full(h, 1.0 / math.sqrt(h))
+    rest = np.linalg.qr(np.column_stack([ones, np.eye(h)[:, 1:]]))[0][:, 1:]
+    vt = np.linalg.svd(a @ rest)[2]
+    return np.vstack([ones, vt[rank:] @ rest.T])
 
 
 # -- structural checks for harmonic games ---------------------------------------
@@ -481,15 +619,21 @@ def pareto_align_transform(game: Game) -> Game:
 
 
 def equilibrium_report(game: Game, eps: float = 0.0, tol: float = 1e-9) -> dict:
-    """JSON-ready summary of the game's equilibrium structure."""
+    """JSON-ready summary of the game's equilibrium structure.
+
+    For a harmonic game the strategic part ``u - u_N`` is read from the
+    decomposition that :func:`is_harmonic` ran, or taken as zero when its
+    norm is within ``tol`` of the game's, and handed to
+    :func:`harmonic_correlated_system` without a copy.
+    """
     correlated_dim = None
     if is_harmonic(game, tol):
-        strategic = normalize(game)
-        if game_norm(strategic) <= tol * game_norm(game):
-            # no strategic part beyond the rounding of removing the rest:
-            # every joint distribution is a correlated equilibrium
-            strategic = game.with_utilities(np.zeros_like(game.utilities))
-        correlated_dim = harmonic_correlated_system(strategic, tol).dimension
+        pot, harm, whole = _norms(game)
+        if _strategic_negligible(math.hypot(pot, harm), whole, tol):
+            strategic = np.zeros_like(game.utilities)
+        else:
+            strategic = game.utilities - _parts(game)[3]
+        correlated_dim = harmonic_correlated_system(game._sharing(strategic), tol).dimension
     return {
         "pure_nash": [list(p) for p in pure_nash(game)],
         "epsilon": float(eps),

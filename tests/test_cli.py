@@ -148,6 +148,15 @@ class TestEquilibriaCommand:
             "correlated_dim",
         }
 
+    def test_correlated_system_cap_exits_4(self, game_file, capsys):
+        # the zero 24^3 game is harmonic; its stacked system would have
+        # 1729 x 13824 entries, above the cap
+        path = game_file(Game(np.zeros((3, 24**3)), (24, 24, 24)), "zero24.json")
+        assert main(["equilibria", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error: correlated system")
+
 
 class TestNumericFlags:
     # a bad --tol or --eps is a usage error (exit 2), not a traceback, a

@@ -36,7 +36,7 @@ from gamehodge.catalog import (
     matching_pennies,
 )
 from gamehodge.equilibria import deviation_payoffs
-from gamehodge.subspaces import harmonic_basis_2p, nonstrategic_basis
+from gamehodge.subspaces import harmonic_basis_2p, nonstrategic_basis, numeric_rank
 from helpers import nonstrategic_payoffs, random_game
 
 
@@ -396,6 +396,155 @@ class TestHarmonicCorrelatedSystem:
                     cross = w @ u.T
                     diffs = np.diag(cross)[:, None] - cross
                     assert np.abs(diffs).max() <= 1e-9
+
+
+def rank_one_harmonic_2p(rng, h1, h2):
+    # u^1 = a b^T with a and b mean-zero, u^2 = -(h1 / h2) u^1: harmonic and
+    # normalized, with both payoff matrices of rank one
+    a = rng.uniform(-1, 1, h1)
+    b = rng.uniform(-1, 1, h2)
+    u1 = np.outer(a - a.mean(), b - b.mean()).ravel()
+    return Game(np.stack([u1, -(h1 / h2) * u1]), (h1, h2))
+
+
+PRODUCT_SHAPES = [(h, h) for h in range(2, 9)] + [(1, 5), (3, 7), (10, 10)]
+
+
+def scaled_equalities(system):
+    """The stacked system with its ones row scaled to max|u|, as it is ranked."""
+    equalities = system.equalities.copy()
+    equalities[-1] = float(np.abs(system.game.utilities).max(initial=0.0)) or 1.0
+    return equalities
+
+
+def stacked_dimension(system):
+    return system.game.num_profiles - numeric_rank(scaled_equalities(system))
+
+
+def relabelled(game, rng):
+    perms = [rng.permutation(h) for h in game.strategy_counts]
+    u = [game.tensor(m)[np.ix_(*perms)].ravel() for m in range(game.num_players)]
+    return Game(np.stack(u), game.strategy_counts)
+
+
+class TestProductForm:
+    """Two-player correlated systems from the two payoff matrices alone."""
+
+    @pytest.fixture(params=[(shape, kind) for shape in PRODUCT_SHAPES for kind in ("random", "rank-1")],
+                    ids=lambda param: f"{'x'.join(map(str, param[0]))}-{param[1]}")
+    def harmonic(self, request):
+        (h1, h2), kind = request.param
+        rng = np.random.default_rng(h1 * 100 + h2)
+        if kind == "rank-1":
+            return rank_one_harmonic_2p(rng, h1, h2)
+        if h1 == 1:  # one strategy against five: no harmonic game but zero
+            return Game(np.zeros((2, h1 * h2)), (h1, h2))
+        return random_harmonic_2p(rng, h1, h2)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_dimension_is_the_stacked_rank(self, harmonic, scale):
+        g = harmonic.with_utilities(scale * harmonic.utilities)
+        system = harmonic_correlated_system(g)
+        assert system.dimension == stacked_dimension(system)
+        assert system.dimension == harmonic_correlated_system(harmonic).dimension
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_dimension_ignores_labels_and_nonstrategic_parts(self, harmonic, scale):
+        rng = np.random.default_rng(69)
+        g = harmonic.with_utilities(scale * harmonic.utilities)
+        dim = harmonic_correlated_system(g).dimension
+        assert harmonic_correlated_system(relabelled(g, rng)).dimension == dim
+        shifted = g.with_utilities(g.utilities + scale * nonstrategic_payoffs(rng, g.strategy_counts))
+        assert equilibrium_report(shifted)["correlated_dim"] == dim
+        assert equilibrium_report(relabelled(shifted, rng))["correlated_dim"] == dim
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_directions_span_the_homogeneous_solutions(self, harmonic, scale):
+        g = harmonic.with_utilities(scale * harmonic.utilities)
+        system = harmonic_correlated_system(g)
+        directions = system.directions
+        n = g.num_profiles
+        assert directions.shape == (system.dimension, n)
+        assert np.allclose(directions @ directions.T, np.eye(system.dimension), atol=1e-12)
+        hom = system.equalities @ directions.T
+        # payoff rows at the payoffs' scale, the total-probability row at 1
+        assert np.abs(hom[:-1]).max(initial=0.0) <= 1e-12 * scale
+        assert np.abs(hom[-1]).max(initial=0.0) <= 1e-12
+        # the same subspace as the stacked system's null space
+        vt = np.linalg.svd(scaled_equalities(system))[2]
+        null = vt[len(vt) - system.dimension:]
+        assert np.allclose(directions.T @ directions, null.T @ null, atol=1e-9)
+
+    def test_residual_matches_the_equalities(self, harmonic):
+        system = harmonic_correlated_system(harmonic)
+        rng = np.random.default_rng(70)
+        n = harmonic.num_profiles
+        for x in [system.particular, rng.dirichlet(np.ones(n)), rng.uniform(0, 1, n)]:
+            full = float(np.abs(system.equalities @ x - system.rhs).max())
+            assert system.residual(x) == pytest.approx(full, rel=1e-12, abs=1e-15)
+
+    def test_ranks_at_the_stacked_threshold(self):
+        # u^1 = a b^T + eps c d^T with spiky a and b, so that max|u| sqrt(n),
+        # the total-probability row's singular value, is about 5 times the
+        # largest payoff singular value; the second term's singular value lies
+        # between tol times each, so only the stacked system's threshold
+        # drops it
+        h = 8
+        spike = np.full(h, -1.0)
+        spike[0] = h - 1
+        rng = np.random.default_rng(73)
+        c, d = (v - v.mean() for v in rng.uniform(-1, 1, (2, h)))
+        top = math.hypot(*[np.linalg.norm(spike) ** 2] * 2)
+        eps = 2.2e-9 * top / (np.linalg.norm(c) * np.linalg.norm(d))
+        u1 = (np.outer(spike, spike) + eps * np.outer(c, d)).ravel()
+        g = Game(np.stack([u1, -u1]), (h, h))
+        system = harmonic_correlated_system(g)
+        assert system.dimension == stacked_dimension(system) == (h - 1) ** 2 - 1
+
+    @pytest.mark.parametrize(
+        "game",
+        [matching_pennies(), generalized_rps(1, 1, 1), Game(np.zeros((2, 6)), (2, 3)),
+         *harmonic_basis_2p(2, 3).games],
+        ids=["matching-pennies", "rps", "zero-2x3", "basis-2x3-0", "basis-2x3-1"],
+    )
+    def test_exact_games_at_zero_tol(self, game):
+        # with tol = 0 every rounding-level singular value counts; the ones
+        # vector still lies in both null spaces, as in the stacked system
+        system = harmonic_correlated_system(game, tol=0.0)
+        assert system.dimension == game.num_profiles - numeric_rank(scaled_equalities(system), 0.0)
+        assert system.directions.shape == (system.dimension, game.num_profiles)
+
+    def test_dimension_builds_no_stacked_system(self):
+        g = normalize(closest_harmonic(random_game(np.random.default_rng(71), (100, 100))))
+        system = harmonic_correlated_system(g)
+        assert system.dimension == 0
+        assert system.directions.shape == (0, g.num_profiles)
+        assert system.residual(system.particular) <= 1e-12
+        assert "equalities" not in vars(system)
+
+    def test_one_player_builds_no_stacked_system(self):
+        # the stacked system of 3000 strategies would have 9 million rows
+        g = random_game(np.random.default_rng(72), (3000,))
+        harmonic = closest_harmonic(g)
+        system = harmonic_correlated_system(harmonic)
+        assert system.dimension == 2999
+        assert equilibrium_report(harmonic)["correlated_dim"] == 2999
+        assert "equalities" not in vars(system)
+
+    def test_cap_raises_before_allocating(self):
+        from gamehodge.equilibria import CORRELATED_SYSTEM_CAP
+
+        counts = (24, 24, 24)
+        g = Game(np.zeros((3, 24**3)), counts)
+        assert (3 * 24 * 24 + 1) * g.num_profiles > CORRELATED_SYSTEM_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="correlated system"):
+                harmonic_correlated_system(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestHarmonicIndifference:
