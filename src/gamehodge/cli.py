@@ -2,26 +2,18 @@
 
 Subcommands: decompose, project, equilibria, pareto, distance, dims, verify,
 export-flow.  Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 numeric error, 4 precondition violation.  All numeric output is printed
-with 12 significant digits.  Only ``export-flow`` and ``verify`` build the
-game graph, a shape descriptor with no index arrays.  ``verify`` builds no
-array over the whole graph: it reads the game's flow identities off payoff
-arrays, tests the edge operators one player's block of edges at a time, and
-takes the curl's maximum one own-strategy pair at a time, so no array holds
-one value per edge or triangle.  ``export-flow`` writes its DOT or JSON text
-a fixed number of arrows at a time.  The graph's one size cap, 3x10^7
-edges, bounds those two commands alone; above it they exit 4.
-
-``verify`` runs 13 checks and passes each numeric one when its violation is
-at most ``_ROUNDING * ops * size``, so it takes no tolerance; every line
-prints the violation and the bound.
+3 numeric error, 4 precondition violation.  Numbers are printed with 12
+significant digits, and every JSON document by one writer,
+``gamehodge.game._json_pieces``, a row slice of the kernel's arrays at a
+time.  ``verify`` (11 checks, each against ``_ROUNDING * ops * size``) and
+``export-flow`` hold no array over the whole game graph and exit 4 above
+its one size cap, 3x10^7 edges.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 from typing import Iterable
@@ -30,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .decompose import (
+    _decomposition_document,
     _spread,
     closest_harmonic,
     closest_potential,
     decompose,
-    decomposition_to_dict,
     game_distance,
     game_norm,
 )
@@ -47,7 +39,6 @@ from .errors import (
     SizeError,
 )
 from .flows import (
-    _DOT_CHUNK,
     _arrows,
     _differences,
     _divergence,
@@ -56,7 +47,7 @@ from .flows import (
     pairwise_comparison,
     project_player,
 )
-from .game import game_to_dict, load_game, normalize
+from .game import _game_document, _json_pieces, load_game, normalize
 from .subspaces import subspace_dims
 
 EXIT_OK = 0
@@ -70,70 +61,49 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round12(v) for v in obj]
-    return obj
+def _number(x: float) -> str:
+    """JSON text of a float rounded to 12 significant digits."""
+    return repr(float(_fmt(x)))
 
 
-def _emit_text(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, or each string ``text`` yields, to ``out`` or stdout."""
-    chunks = [text] if isinstance(text, str) else text
+def _emit_text(pieces: Iterable[str], out: str | None) -> None:
+    """Write each string of ``pieces`` to ``out`` or stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.writelines(chunks)
+            fh.writelines(pieces)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(pieces)
 
 
-def _emit(data, out: str | None) -> None:
-    _emit_text(json.dumps(_round12(data), indent=2) + "\n", out)
-
-
-def _profile_labels(game) -> list[str]:
-    return ["(" + ",".join(p) + ")" for p in itertools.product(*game.strategy_labels)]
+def _emit(doc, out: str | None) -> None:
+    _emit_text(itertools.chain(_json_pieces(doc, _number), ["\n"]), out)
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_decompose(args) -> int:
-    game = load_game(args.input)
-    d = decompose(game)
-    _emit(decomposition_to_dict(d), args.out)
+    _emit(_decomposition_document(decompose(load_game(args.input))), args.out)
     return EXIT_OK
 
 
 def cmd_project(args) -> int:
-    game = load_game(args.input)
-    proj = closest_potential(game) if args.onto == "potential" else closest_harmonic(game)
-    _emit(game_to_dict(proj), args.out)
+    project = closest_potential if args.onto == "potential" else closest_harmonic
+    _emit(_game_document(project(load_game(args.input))), args.out)
     return EXIT_OK
 
 
 def cmd_equilibria(args) -> int:
-    game = load_game(args.input)
-    _emit(equilibrium_report(game, eps=args.eps, tol=args.tol), args.out)
+    _emit(equilibrium_report(load_game(args.input), eps=args.eps, tol=args.tol), args.out)
     return EXIT_OK
 
 
 def cmd_pareto(args) -> int:
     game = load_game(args.input)
     if args.transform:
-        transformed = pareto_align_transform(game)
-        _emit(game_to_dict(transformed), args.out)
+        _emit(_game_document(pareto_align_transform(game)), args.out)
     else:
-        _emit(
-            {
-                "pure_nash": [list(p) for p in pure_nash(game)],
-                "pareto_optimal": [list(p) for p in pareto_optimal(game)],
-            },
-            args.out,
-        )
+        _emit({"pure_nash": pure_nash(game), "pareto_optimal": pareto_optimal(game)}, args.out)
     return EXIT_OK
 
 
@@ -161,7 +131,7 @@ def cmd_dims(args) -> int:
     if args.format == "json":
         _emit(dims._asdict(), args.out)
     else:
-        _emit_text(f"P={dims.potential} H={dims.harmonic} N={dims.nonstrategic}\n", args.out)
+        _emit_text([f"P={dims.potential} H={dims.harmonic} N={dims.nonstrategic}\n"], args.out)
     return EXIT_OK
 
 
@@ -169,34 +139,20 @@ def cmd_export_flow(args) -> int:
     game = load_game(args.input)
     flow = pairwise_comparison(game)
     if args.format == "json":
-        _emit_text(_json_chunks(flow), args.out)
+        _emit({"edges": _edges(flow)}, args.out)
     else:
-        _emit_text(_dot_chunks(flow, _profile_labels(game), 0.0), args.out)
+        labels = ["(" + ",".join(p) + ")" for p in itertools.product(*game.strategy_labels)]
+        _emit_text(_dot_chunks(flow, labels, 0.0), args.out)
     return EXIT_OK
 
 
-def _json_chunks(flow):
-    """The ``export-flow`` JSON document, ``{"edges": [...]}``, in chunks.
-
-    Each chunk of ``_DOT_CHUNK`` arrows is dumped alone, its brackets
-    stripped and its lines indented one level further, so the text is what
-    ``_emit`` writes for the whole list, and no string holds all of it.
-    """
-    arrows = _arrows(flow, 0.0)
-    if arrows[0].size == 0:
-        yield '{\n  "edges": []\n}\n'
-        return
-    yield '{\n  "edges": [\n'
-    for start in range(0, arrows[0].size, _DOT_CHUNK):
-        tails, heads, values = (a[start:start + _DOT_CHUNK] for a in arrows)
-        froms, tos = (
-            np.column_stack(np.unravel_index(ends, flow.graph.strategy_counts)).tolist()
-            for ends in (tails, heads)
-        )
-        edges = [{"from": f, "to": t, "value": v} for f, t, v in zip(froms, tos, values.tolist())]
-        text = json.dumps(_round12(edges), indent=2)[2:-2]  # without "[\n" and "\n]"
-        yield ("  " if start == 0 else ",\n  ") + text.replace("\n", "\n  ")
-    yield "\n  ]\n}\n"
+def _edges(flow):
+    """The arrows of ``flow`` as ``export-flow`` JSON objects, one at a time."""
+    counts = flow.graph.strategy_counts
+    for *ends, values in _arrows(flow, 0.0):
+        froms, tos = (np.column_stack(np.unravel_index(e, counts)).tolist() for e in ends)
+        for f, t, v in zip(froms, tos, values.tolist()):
+            yield {"from": f, "to": t, "value": v}
 
 
 # ops is the length of the longest float sum behind a checked value and size
@@ -206,32 +162,9 @@ def _json_chunks(flow):
 _ROUNDING = 128 * np.finfo(float).eps
 
 
-def _max_curl(counts: tuple[int, ...], u: np.ndarray) -> float:
-    """Largest circulation ``|X(a, b) + X(b, c) - X(a, c)|`` of the game flow.
-
-    ``X(a, b) = u^m(b, .) - u^m(a, .)`` is the game flow on player m's
-    clique, and the triangles are its own strategies ``a < b < c``.  The
-    terms are the float operations of :func:`gamehodge.flows.curl` on
-    :func:`gamehodge.flows.pairwise_comparison`, so this is that curl's
-    exact maximum.  One (a, b) block of node-sized temporaries is held at a
-    time.
-    """
-    worst = 0.0
-    for m, h in enumerate(counts):
-        t = np.moveaxis(u[m].reshape(counts), m, 0)
-        for a in range(h - 2):
-            x = t - t[a]  # X(a, .)
-            for b in range(a + 1, h - 1):
-                curl = x[b] + (t[b + 1:] - t[b]) - x[b + 1:]
-                worst = max(worst, float(np.abs(curl).max()))
-    return worst
-
-
 def cmd_verify(args) -> int:
     game = load_game(args.input)
-    # first, so a game over the edge cap exits at once; the checks read the
-    # flow identities off payoff spreads and test the edge operators one
-    # player's block of edges at a time, so no array spans the whole graph
+    # first, so a game over the edge cap exits at once
     build_graph(game.strategy_counts)
     rng = np.random.default_rng(args.seed)
     counts = game.strategy_counts
@@ -249,12 +182,6 @@ def cmd_verify(args) -> int:
 
     def block_sums(*games) -> float:  # largest |own-strategy block sum| in ``games``
         return max(float(np.abs(g.tensor(m).sum(axis=m)).max()) for g in games for m in players)
-
-    # profile indexing round-trips
-    index = np.arange(n)
-    round_trip = np.ravel_multi_index(np.unravel_index(index, counts), counts)
-    bad = int(np.count_nonzero(round_trip != index))
-    checks.append(("profile-index-bijection", bad == 0, f"{bad} mismatches"))
 
     # normalization behavior
     norm_game = normalize(game)
@@ -291,7 +218,6 @@ def cmd_verify(args) -> int:
         del grad, x, laplacian  # so two players' edge blocks are never held at once
     check("gradient-divergence-adjointness", abs(adj), h_sum, n)
     check("player-laplacian-projection-identity", lap, h_max, 1.0)
-    check("curl-of-game-flow", _max_curl(counts, u), 1, scale)
 
     width = max(len(name) for name, _, _ in checks)
     lines = [
@@ -299,7 +225,7 @@ def cmd_verify(args) -> int:
     ]
     failed = sum(not ok for _, ok, _ in checks)
     lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
-    _emit_text("\n".join(lines) + "\n", args.out)
+    _emit_text([line + "\n" for line in lines], args.out)
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 

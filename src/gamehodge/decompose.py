@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import PreconditionError, ShapeError
 from .flows import _SOLVE_TOL, _check_residual, _pinv_transform, _row_norms
-from .game import Game, game_to_dict, project_player
+from .game import Game, _game_document, project_player
 
 __all__ = [
     "Decomposition",
@@ -330,14 +330,16 @@ def closest_harmonic(game: Game) -> Game:
 # -- JSON export ---------------------------------------------------------------
 
 
-def decomposition_to_dict(d: Decomposition) -> dict:
+def _decomposition_document(d: Decomposition, rows=np.asarray) -> dict:
+    """The JSON document of ``d``, its payoffs and ``phi`` passed through ``rows``."""
     return {
-        "potential": game_to_dict(d.potential_part),
-        "harmonic": game_to_dict(d.harmonic_part),
-        "nonstrategic": game_to_dict(d.nonstrategic_part),
-        "phi": [float(v) for v in d.potential_fn],
-        "residuals": {
-            "reconstruction": d.residuals["reconstruction"],
-            "harmonic_divergence": d.residuals["harmonic_divergence"],
-        },
+        "potential": _game_document(d.potential_part, rows),
+        "harmonic": _game_document(d.harmonic_part, rows),
+        "nonstrategic": _game_document(d.nonstrategic_part, rows),
+        "phi": rows(d.potential_fn),
+        "residuals": {k: d.residuals[k] for k in ("reconstruction", "harmonic_divergence")},
     }
+
+
+def decomposition_to_dict(d: Decomposition) -> dict:
+    return _decomposition_document(d, np.ndarray.tolist)

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ShapeError, SizeError
-from .game import Game, profile_index, project_player
+from .game import _CHUNK, Game, profile_index, project_player
 
 __all__ = [
     "GameGraph",
@@ -65,10 +65,9 @@ __all__ = [
     "flow_to_dot",
 ]
 
-# DOT export peaks near 62 bytes per edge (60^3, 19 116 000 edges), verify
+# DOT export peaks near 19 bytes per edge (60^3, 19 116 000 edges), verify
 # near 10: 3e7 admits 200x200, 2^20 and 60^3 and rejects 1000x1000
 DEFAULT_EDGE_CAP = 3 * 10**7
-_DOT_CHUNK = 1 << 16  # arrows per chunk: bounds the Python strings DOT export holds
 _SOLVE_TOL = 1e-10  # residual bound of the Laplacian solve, relative to ||b||
 _HELMERT_CUT = 64  # longest axis by a cached matrix (<= 32 KiB); cumsum is 2x faster at h = 1000
 
@@ -586,22 +585,35 @@ def _check_same_graph(x: EdgeFlow, y: EdgeFlow) -> None:
 # -- DOT export ---------------------------------------------------------------
 
 
-def _arrows(flow: EdgeFlow, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(tails, heads, magnitudes)`` of the edges with ``|value| > zero_tol``, along the flow."""
-    keep = np.abs(flow.values) > zero_tol
-    values, ends = flow.values[keep], flow.graph._cliques(2)[:, keep]
-    back = values < 0
-    ends[:, back] = ends[::-1, back]
-    return ends[0], ends[1], np.abs(values)
+def _arrows(flow: EdgeFlow, zero_tol: float):
+    """``(tails, heads, magnitudes)`` of the edges with ``|value| > zero_tol``, along the flow.
+
+    In edge order, ``_CHUNK`` edges at a time.  Player m's edge ``i`` is
+    own pair ``(a, b)`` number ``i // (n/h)`` at opponent profile
+    ``o = i % (n/h)``; with ``s = prod(h_{m+1:})`` it runs from ``base + a*s``
+    to ``base + b*s``, where ``base = (o // s)*s*h + o % s``.
+    """
+    n = s = flow.graph.num_nodes
+    for m, h in enumerate(flow.graph.strategy_counts):
+        s //= h
+        a, b = np.triu_indices(h, 1)  # the own pairs in combinations order
+        span = flow.graph.player_slice(m)
+        for start in range(span.start, span.stop, _CHUNK):
+            x = flow.values[start:min(start + _CHUNK, span.stop)]
+            keep = np.flatnonzero(np.abs(x) > zero_tol)
+            x = x[keep]
+            pair, o = np.divmod(keep + (start - span.start), n // h)
+            base = o // s * (s * h) + o % s
+            tail, head = np.where(x < 0, b[pair], a[pair]), np.where(x < 0, a[pair], b[pair])
+            yield base + tail * s, base + head * s, np.abs(x)
 
 
 def _dot_chunks(flow: EdgeFlow, node_labels: Sequence[str], zero_tol: float):
-    """The DOT text of :func:`flow_to_dot`: the nodes, then ``_DOT_CHUNK`` arrows at a time."""
+    """The DOT text of :func:`flow_to_dot`: the nodes, then ``_CHUNK`` arrows at a time."""
     yield "digraph flow {\n"
     yield "".join(f'  n{i} [label="{label}"];\n' for i, label in enumerate(node_labels))
-    arrows = _arrows(flow, zero_tol)
-    for start in range(0, arrows[0].size, _DOT_CHUNK):
-        rows = zip(*(a[start:start + _DOT_CHUNK].tolist() for a in arrows))
+    for arrows in _arrows(flow, zero_tol):
+        rows = zip(*(a.tolist() for a in arrows))
         yield "".join(f'  n{i} -> n{j} [label="{v:.12g}"];\n' for i, j, v in rows)
     yield "}\n"
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -247,14 +249,15 @@ def zero_sum_identical_split(game: Game) -> tuple[Game, Game]:
 # ---------------------------------------------------------------------------
 
 
+def _game_document(game: Game, rows=np.asarray) -> dict:
+    """The JSON game format of ``game``, its payoffs as ``rows(game.utilities)``."""
+    names, labels = game.player_names, game.strategy_labels
+    players = [{"name": name, "strategies": list(ls)} for name, ls in zip(names, labels)]
+    return {"players": players, "utilities": rows(game.utilities)}
+
+
 def game_to_dict(game: Game) -> dict:
-    return {
-        "players": [
-            {"name": name, "strategies": list(labels)}
-            for name, labels in zip(game.player_names, game.strategy_labels)
-        ],
-        "utilities": [list(map(float, row)) for row in game.utilities],
-    }
+    return _game_document(game, np.ndarray.tolist)
 
 
 def game_from_dict(data: dict) -> Game:
@@ -311,5 +314,61 @@ def load_game(path) -> Game:
 
 def save_game(game: Game, path) -> None:
     with open(path, "w") as fh:
-        json.dump(game_to_dict(game), fh, indent=2)
+        fh.writelines(_json_pieces(_game_document(game), repr))
         fh.write("\n")
+
+
+_CHUNK = 1 << 16  # numbers or arrows per piece of exported text: bounds the strings held
+
+
+def _json_pieces(obj, number, indent: str = "\n"):
+    """The text of ``json.dumps(obj, indent=2)`` in pieces, each finite float as ``number(x)``.
+
+    ``obj`` nests dicts, lists, tuples, iterators, numpy arrays and JSON scalars.  Iterators
+    are read an item at a time and array rows ``_CHUNK`` numbers at a time; any other value
+    is one piece.
+    """
+    text = _json_text(obj, number, indent)
+    if text is not None:
+        yield text
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1:
+        sep = "," + indent + "  "
+        for start in range(0, obj.size, _CHUNK):
+            part = obj[start:start + _CHUNK]
+            plain = part.dtype.kind == "f" and np.isfinite(part).all()
+            texts = map(number if plain else lambda x: _json_text(x, number, ""), part.tolist())
+            yield ("[" + indent + "  " if start == 0 else sep) + sep.join(texts)
+        yield indent + "]" if obj.size else "[]"
+    else:
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        inner = indent + "  "
+        sep = brackets[0] + inner
+        for key, value in obj.items() if brackets == "{}" else ((None, v) for v in obj):
+            yield sep if key is None else sep + _quote(key) + ": "
+            yield from _json_pieces(value, number, inner)
+            sep = "," + inner
+        yield indent + brackets[1] if sep[0] == "," else brackets
+
+
+def _json_text(obj, number, indent: str) -> str | None:
+    """The text of a value of :func:`_json_pieces`, or None if it holds an array or iterator."""
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict, inner = isinstance(obj, dict), indent + "  "
+        values = obj.values() if is_dict else obj
+        # ints inline: profiles are lists of them
+        texts = [int.__repr__(v) if type(v) is int else _json_text(v, number, inner)
+                 for v in values]
+        if None in texts:
+            return None
+        if is_dict:
+            texts = [_quote(k) + ": " + t for k, t in zip(obj, texts)]
+        brackets = "{}" if is_dict else "[]"
+        body = ("," + inner).join(texts)
+        return brackets[0] + inner + body + indent + brackets[1] if texts else brackets
+    if isinstance(obj, float) and math.isfinite(obj):
+        return number(float(obj))  # numpy.float64 too, as json.dumps reads it
+    if isinstance(obj, (float, int, str)) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (np.ndarray, Iterator)):
+        return None
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -57,6 +57,22 @@ def random_game(rng, counts, scale=1.0):
     return Game(rng.uniform(-scale, scale, size=(m, n)), counts)
 
 
+def awkward_game():
+    """A 3x4 game whose payoffs and labels exercise the corners of the JSON text:
+    floats that print in exponent form or with many digits, -0.0, the
+    smallest subnormal, and names that need escapes or non-ASCII letters."""
+    u = [
+        [1e16, 1e15, 123456789012.0, -0.0, 1e-5, 2.5e-7, 3.0, 5e-324, 0.1, 1 / 3, -2 / 3, 7e-3],
+        [-0.0, 5e-324, 3.0, 2.5e-7, -1e-5, 123456789012.0, -1e15, 1e16, 7.0, 0.5, -1 / 7, 0.0],
+    ]
+    return Game(
+        u,
+        (3, 4),
+        player_names=["Zo\u00eb", 'pi "q" \\'],
+        strategy_labels=[["a", "\u00df", "\n"], ["x", "y", "\u2603", ""]],
+    )
+
+
 def slowest_mode_potential(rng, counts, scale=1.0):
     """An exact potential game whose potential varies along the smallest
     player's axis, the Laplacian's slowest mode, plus uniform noise; every

@@ -727,6 +727,9 @@ class TestDecompositionStructure:
         assert set(doc) == {"potential", "harmonic", "nonstrategic", "phi", "residuals"}
         assert set(doc["residuals"]) == {"reconstruction", "harmonic_divergence"}
         assert len(doc["phi"]) == 4
+        floats = doc["phi"] + [v for k in ("potential", "harmonic", "nonstrategic")
+                               for row in doc[k]["utilities"] for v in row]
+        assert all(type(v) is float for v in floats)
 
 
 class TestLargeGames:

@@ -1,8 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+import gamehodge.game
 from gamehodge import (
     Game,
     GameFormatError,
@@ -24,7 +26,8 @@ from gamehodge.catalog import (
     matching_pennies,
     modified_battle_of_sexes,
 )
-from helpers import assert_games_close, random_game, rps_nonstrategic
+from gamehodge.game import _json_pieces
+from helpers import assert_games_close, awkward_game, random_game, rps_nonstrategic
 
 
 class TestProfileIndexing:
@@ -177,6 +180,24 @@ class TestJsonFormat:
         assert loaded.player_names == g.player_names
         assert loaded.strategy_labels == g.strategy_labels
 
+    @pytest.mark.parametrize(
+        "game",
+        [
+            battle_of_sexes(),
+            generalized_rps(2.0, 1.0, 3.0),
+            awkward_game(),
+            Game([[0.5, -2.0]], (2,)),
+        ],
+        ids=["battle-of-sexes", "rps", "awkward", "one-player"],
+    )
+    def test_saved_text_is_json_dumps(self, tmp_path, game):
+        path = tmp_path / "g.json"
+        save_game(game, path)
+        doc = game_to_dict(game)
+        assert all(type(v) is float for row in doc["utilities"] for v in row)
+        assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+        assert load_game(path) == game
+
     def test_dict_roundtrip(self):
         g = battle_of_sexes()
         assert game_from_dict(game_to_dict(g)) == g
@@ -212,6 +233,56 @@ class TestJsonFormat:
         doc["utilities"][1][2] = "three"
         with pytest.raises(GameFormatError):
             game_from_dict(doc)
+
+
+class TestJsonWriter:
+    """``_json_pieces`` yields the text of ``json.dumps(..., indent=2)``."""
+
+    ROW = [1e16, 1e15, 123456789012.0, -0.0, 1e-5, 2.5e-7, 3.0, 5e-324, 0.1, 1 / 3]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rows": np.array([ROW, ROW[::-1]]), "phi": np.array(ROW)},
+            {"empty": [], "nothing": {}, "none": None, "flags": [True, False], "n": 7},
+            {"numpy-scalar": np.float64(0.1), "sum": np.float64(1e16) + 1.0},
+            {"non-finite": np.array([np.inf, -np.inf, np.nan, 1.5]), "x": float("nan")},
+            {"ints": np.arange(4), "tuples": [(0, 1), (2,), ()], "text": ["Zo\u00eb", "a\nb"]},
+            [{"a": [1, [2.5, {}]]}, [], [[]], -0.0],
+            np.zeros((0, 3)),
+            np.zeros((2, 0)),
+            3.25,
+        ],
+        ids=[
+            "arrays", "scalars", "numpy-scalars", "non-finite", "ints-and-tuples", "nested",
+            "no-rows", "empty-rows", "scalar",
+        ],
+    )
+    def test_matches_json_dumps(self, doc):
+        def plain(x):  # what json.dumps reads for each array
+            if isinstance(x, np.ndarray):
+                return x.tolist()
+            if isinstance(x, dict):
+                return {k: plain(v) for k, v in x.items()}
+            return [plain(v) for v in x] if isinstance(x, (list, tuple)) else x
+
+        assert "".join(_json_pieces(doc, repr)) == json.dumps(plain(doc), indent=2)
+
+    def test_iterators_are_read_as_lists(self):
+        doc = {"edges": ({"from": [i], "value": i / 7} for i in range(3)), "none": iter([])}
+        want = {"edges": [{"from": [i], "value": i / 7} for i in range(3)], "none": []}
+        assert "".join(_json_pieces(doc, repr)) == json.dumps(want, indent=2)
+
+    def test_long_rows_span_pieces(self, monkeypatch):
+        monkeypatch.setattr(gamehodge.game, "_CHUNK", 3)
+        row = np.arange(10) / 3
+        pieces = list(_json_pieces({"u": [row, row[:3]]}, repr))
+        assert "".join(pieces) == json.dumps({"u": [row.tolist(), row[:3].tolist()]}, indent=2)
+        assert len(pieces) > 6
+
+    def test_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError):
+            "".join(_json_pieces({"x": np.int64(3)}, repr))
 
 
 class TestGameConstruction:
