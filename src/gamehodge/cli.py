@@ -30,7 +30,13 @@ from .decompose import (
     game_distance,
     game_norm,
 )
-from .equilibria import equilibrium_report, pareto_align_transform, pareto_optimal, pure_nash
+from .equilibria import (
+    _equilibrium_mask,
+    _listed,
+    _pareto_mask,
+    equilibrium_report,
+    pareto_align_transform,
+)
 from .errors import (
     GameFormatError,
     NumericError,
@@ -103,7 +109,8 @@ def cmd_pareto(args) -> int:
     if args.transform:
         _emit(_game_document(pareto_align_transform(game)), args.out)
     else:
-        _emit({"pure_nash": pure_nash(game), "pareto_optimal": pareto_optimal(game)}, args.out)
+        nash, pareto = _equilibrium_mask(game, 0.0), _pareto_mask(game)
+        _emit({"pure_nash": _listed(nash), "pareto_optimal": _listed(pareto)}, args.out)
     return EXIT_OK
 
 

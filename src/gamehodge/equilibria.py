@@ -9,9 +9,13 @@ product of two null spaces, so its dimension takes two h x h ranks and no
 system is stacked.  More players rank the stacked system, under a cap on its
 entries.  The module also covers Pareto optimality and the nonstrategic
 retuning that makes the pure Nash set coincide with the Pareto set.  The
-Pareto set is read off the payoff vectors sorted lexicographically: a
-running maximum for two players, a windowed bitset scan under a work cap for
-more, and one dense comparison per player for games of few profiles.
+Pareto set is read off the payoff vectors sorted lexicographically, an order
+made by one argsort of player 0's payoffs with only its tied runs sorted
+further.  Then a running maximum serves two players; more take a bitset scan
+under a work cap, whose windows of comparators hold only vectors not yet
+found dominated (weak dominance is transitive), in O(n (M + window / 8))
+bytes; and games of few profiles take one dense comparison per player.
+``equilibrium_report`` lists its profiles straight from the masks.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ __all__ = [
 
 
 def _equilibrium_mask(game: Game, eps: float) -> np.ndarray:
+    if not eps >= 0:
+        raise ValueError("eps must be >= 0")
     ok = np.ones(game.strategy_counts, dtype=bool)
     for m in range(game.num_players):
         t = game.tensor(m)
@@ -66,9 +72,14 @@ def _equilibrium_mask(game: Game, eps: float) -> np.ndarray:
     return ok
 
 
+def _listed(mask: np.ndarray) -> list[list[int]]:
+    """Profiles where ``mask`` holds, in index order, as lists of Python ints."""
+    return np.argwhere(mask).tolist()
+
+
 def _profiles(mask: np.ndarray) -> list[tuple[int, ...]]:
     """Profiles where ``mask`` holds, in index order, as tuples of Python ints."""
-    return list(map(tuple, np.argwhere(mask).tolist()))
+    return list(map(tuple, _listed(mask)))
 
 
 def pure_nash(game: Game) -> list[tuple[int, ...]]:
@@ -78,8 +89,6 @@ def pure_nash(game: Game) -> list[tuple[int, ...]]:
 
 def epsilon_equilibria(game: Game, eps: float) -> list[tuple[int, ...]]:
     """Profiles from which no unilateral deviation gains more than ``eps``."""
-    if not eps >= 0:
-        raise ValueError("eps must be >= 0")
     return _profiles(_equilibrium_mask(game, eps))
 
 
@@ -459,25 +468,33 @@ PARETO_WORK_CAP = 1 << 36
 def pareto_optimal(game: Game) -> list[tuple[int, ...]]:
     """Profiles not weakly dominated (all players >=, someone >) by any other.
 
-    Sort the payoff vectors lexicographically, descending, player 0 first.
-    A weak dominator q of p is lexicographically larger, so it lies before
-    the run of vectors equal to p's, and every vector there already has
-    u_0(q) >= u_0(p).  So, with the equal vectors merged, p is dominated
-    exactly when an earlier vector has u_m >= u_m(p) for m = 1..M-1:
+    Sort the payoff vectors lexicographically, descending, player 0 first
+    (:func:`_lex_descending`).  A weak dominator q of p is lexicographically
+    larger, so it lies before the run of vectors equal to p's, and every
+    vector there already has u_0(q) >= u_0(p).  So, with the equal vectors
+    merged, p is dominated exactly when an earlier vector has u_m >= u_m(p)
+    for m = 1..M-1:
 
     - M = 1: every vector but the first is dominated;
     - M = 2: a running maximum of u_1 reaches u_1(p) before p (the maxima
       sweep of Kung, Luccio and Preparata), O(n log n);
-    - M >= 3: a scan over windows of earlier vectors with bitsets ranked
-      per player (:func:`_dominated_windowed`), O(n^2 (M - 1) / 64) word
-      operations in O(n) memory.  Above ``PARETO_WORK_CAP`` on
-      n^2 (M - 1) it raises ``SizeError`` before allocating anything.
+    - M >= 3: a scan over windows of earlier, not yet dominated vectors with
+      bitsets ranked per player (:func:`_dominated_windowed`).  Weak
+      dominance is transitive, so a vector found dominated never needs to
+      serve as a comparator.  At most O(n^2 (M - 1) / 64) word operations in
+      O(n (M + window / 8)) bytes; above ``PARETO_WORK_CAP`` on n^2 (M - 1)
+      it raises ``SizeError`` before allocating anything.
 
     Below ``_PARETO_DENSE`` profiles a dense (n, n) comparison per player is
     faster and is used instead.  Every test is an exact float comparison, so
     the paths agree.  The undominated profiles are listed from the mask, in
     index order.
     """
+    return _profiles(_pareto_mask(game))
+
+
+def _pareto_mask(game: Game) -> np.ndarray:
+    """Mask of the Pareto-optimal profiles, shaped like the game's tensors."""
     payoffs = game.utilities  # (M, n)
     players, n = payoffs.shape
     if players >= 3 and n * n * (players - 1) > PARETO_WORK_CAP:
@@ -489,7 +506,7 @@ def pareto_optimal(game: Game) -> list[tuple[int, ...]]:
         dominated = _dominated_dense(payoffs)
     else:
         dominated = _dominated_sorted(payoffs)
-    return _profiles(~dominated.reshape(game.strategy_counts))
+    return ~dominated.reshape(game.strategy_counts)
 
 
 def _dominated_dense(payoffs: np.ndarray) -> np.ndarray:
@@ -511,13 +528,37 @@ def _new_runs(rows: np.ndarray) -> np.ndarray:
     return new
 
 
+def _lex_descending(payoffs: np.ndarray) -> np.ndarray:
+    """Column order that sorts the (M, n) payoff vectors lexicographically, descending.
+
+    One argsort of player 0's payoffs orders every column but those in runs
+    that tie on player 0.  Only those columns are then ordered, by one
+    ``np.lexsort`` of players 1..M-1 with the run as its primary key, so the
+    columns stay inside their run.  The sorted vectors are those of
+    ``np.lexsort(payoffs[::-1])[::-1]``; only equal vectors (-0.0 and 0.0
+    alike) may come in another order.
+    """
+    order = np.argsort(payoffs[0])[::-1]
+    if len(payoffs) == 1:
+        return order
+    new = _new_runs(payoffs[0, order])
+    tied = np.flatnonzero(~(new & np.append(new[1:], True)))  # in a run of two or more
+    if len(tied):
+        cols = order[tied]
+        run = np.cumsum(new)[tied]
+        # ascending on (-run, u_1, ..., u_{M-1}), then reversed: runs in
+        # place, each run descending
+        order[tied] = cols[np.lexsort((*payoffs[:0:-1, cols], -run))[::-1]]
+    return order
+
+
 def _dominated_sorted(payoffs: np.ndarray) -> np.ndarray:
     """Weak domination read off the descending lexicographic order.
 
     Equal payoff vectors are merged into one column before the scan and
     share its answer.
     """
-    order = np.lexsort(payoffs[::-1])[::-1]
+    order = _lex_descending(payoffs)
     ranked = payoffs[:, order]
     new = _new_runs(ranked)
     vectors = ranked[:, new]  # distinct vectors, descending
@@ -538,24 +579,36 @@ def _dominated_windowed(rows: np.ndarray) -> np.ndarray:
     """Flag column p of ``rows`` when an earlier column is >= it in every row.
 
     ``rows`` holds players 1..M-1 of the distinct payoff vectors in
-    descending lexicographic order.  Each player m is ranked once:
-    c_m(p) = |{q : u_m(q) >= u_m(p)}| is the end of p's run of equal
-    values in that player's best-first order.  The columns are then cut
-    into windows of ``_PARETO_WINDOW``, and bit j of a row of uint64 words
-    stands for the window's column j.  Per window and player, ``table[i]``
-    holds the bits of the window's first i columns in best-first order, so
+    descending lexicographic order.  Each player m is ranked once: place_m(q)
+    is q's position in that player's best-first order, and
+    c_m(p) = |{q : u_m(q) >= u_m(p)}| is the end of p's run of equal values
+    there, so u_m(q) >= u_m(p) exactly when place_m(q) < c_m(p).
+
+    The comparators come in windows of up to ``_PARETO_WINDOW`` columns:
+    each window holds the next columns not yet known to be dominated,
+    starting after the previous window's last member, and bit j of a row of
+    uint64 words stands for its j-th member.  Per window and player,
+    ``table[i]`` holds the bits of the members among the first i places, so
     p reads the set {q in window : u_m(q) >= u_m(p)} at the number of
-    window columns among the first c_m(p).  The AND over players, limited
-    to the columns before p, is nonzero exactly when the window dominates
-    p.  Only columns after the window's start that are not yet dominated
-    visit it, so each live array is O(n * window / 8) bytes.
+    members placed before c_m(p).  The AND over players is nonzero exactly
+    when the window dominates p.  The visitors are the live columns after
+    the window's first member; a visitor that is itself a member starts from
+    the bits of the members ahead of it.
+
+    Dominated columns can leave the windows because weak dominance between
+    distinct vectors is transitive: if r dominates q and q dominates p, r
+    dominates p.  Following dominators from p ends at an undominated,
+    lexicographically earlier column, and every undominated column becomes
+    a member of some window while p is a visitor or a later member.  The
+    live arrays are the (visitors, window / 64) words of ``hits`` and two
+    length-n index arrays per player, O(n (M + window / 8)) bytes.
     """
     k = rows.shape[1]
     w = min(_PARETO_WINDOW, -(-k // 64) * 64)
     j = np.arange(w)
-    bit = np.zeros((w + 1, w // 64), dtype=np.uint64)  # row j + 1: column j alone
+    bit = np.zeros((w + 1, w // 64), dtype=np.uint64)  # row j + 1: member j alone
     bit[j + 1, j // 64] = np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
-    before = np.bitwise_or.accumulate(bit, axis=0)  # row i: the first i columns
+    before = np.bitwise_or.accumulate(bit, axis=0)  # row i: the first i members
     ranked = []
     for row in rows:
         best = np.argsort(row)[::-1]
@@ -563,24 +616,29 @@ def _dominated_windowed(rows: np.ndarray) -> np.ndarray:
         ends = np.append(np.flatnonzero(new[1:]) + 1, k)
         at_least = np.empty(k, dtype=np.intp)  # c_m
         at_least[best] = ends[np.cumsum(new) - 1]
-        ranked.append((best // w, best % w + 1, at_least))
+        place = np.empty(k, dtype=np.intp)
+        place[best] = np.arange(k)
+        ranked.append((place, at_least))
 
     dominated = np.zeros(k, dtype=bool)
-    count = np.zeros(k + 1, dtype=np.intp)
-    members = np.zeros(w + 1, dtype=np.intp)
-    for window, start in enumerate(range(0, k - 1, w)):
-        cols = np.flatnonzero(~dominated[start + 1:]) + (start + 1)
-        if not len(cols):
+    start = 0
+    while True:
+        live = np.flatnonzero(~dominated[start:]) + start
+        if len(live) < 2:
             break
-        hits = before[np.minimum(cols - start, w)]
-        for owner, bit_row, at_least in ranked:
-            inside = owner == window
-            np.cumsum(inside, out=count[1:])  # window columns among the best i
-            size = count[-1] + 1
-            members[1:size] = bit_row[inside]
-            table = np.bitwise_or.accumulate(bit[members[:size]], axis=0)
-            hits &= np.take(table, count[at_least[cols]], axis=0)
-        dominated[cols] = hits.any(axis=1)
+        members, visitors = live[:w], live[1:]
+        size = len(members)
+        hits = before[np.minimum(np.arange(1, len(visitors) + 1), size)]
+        for place, at_least in ranked:
+            spots = place[members]
+            by_place = np.argsort(spots)
+            # count[i]: the members among the first i places, i = 0..k
+            gaps = np.diff(np.concatenate(([-1], spots[by_place], [k])))
+            count = np.repeat(np.arange(size + 1), gaps)
+            table = np.bitwise_or.accumulate(bit[np.append(0, by_place + 1)], axis=0)
+            hits &= np.take(table, count[at_least[visitors]], axis=0)
+        dominated[visitors] = hits.any(axis=1)
+        start = members[-1] + 1
     return dominated
 
 
@@ -624,7 +682,10 @@ def equilibrium_report(game: Game, eps: float = 0.0, tol: float = 1e-9) -> dict:
     For a harmonic game the strategic part ``u - u_N`` is read from the
     decomposition that :func:`is_harmonic` ran, or taken as zero when its
     norm is within ``tol`` of the game's, and handed to
-    :func:`harmonic_correlated_system` without a copy.
+    :func:`harmonic_correlated_system` without a copy.  The three profile
+    lists come straight from their masks, as lists of Python ints, in the
+    order of :func:`pure_nash`, :func:`epsilon_equilibria` and
+    :func:`pareto_optimal`.
     """
     correlated_dim = None
     if is_harmonic(game, tol):
@@ -635,10 +696,10 @@ def equilibrium_report(game: Game, eps: float = 0.0, tol: float = 1e-9) -> dict:
             strategic = game.utilities - _parts(game)[3]
         correlated_dim = harmonic_correlated_system(game._sharing(strategic), tol).dimension
     return {
-        "pure_nash": [list(p) for p in pure_nash(game)],
+        "pure_nash": _listed(_equilibrium_mask(game, 0.0)),
         "epsilon": float(eps),
-        "epsilon_equilibria": [list(p) for p in epsilon_equilibria(game, eps)],
-        "pareto_optimal": [list(p) for p in pareto_optimal(game)],
+        "epsilon_equilibria": _listed(_equilibrium_mask(game, eps)),
+        "pareto_optimal": _listed(_pareto_mask(game)),
         "uniform_mixed_is_ne": is_mixed_nash(game, uniformly_mixed(game), tol),
         "correlated_dim": correlated_dim,
     }

@@ -509,18 +509,18 @@ class TestExportFlowCommand:
         g = random_game(np.random.default_rng(35), counts)
         path = game_file(g, "g60.json")
         graph = build_graph(counts)
-        flow = pairwise_comparison(g, graph)
-        edges = []
-        for t, h, v in zip(graph.tails.tolist(), graph.heads.tolist(), flow.values.tolist()):
-            if v < 0:
-                t, h, v = h, t, -v
-            edges.append(
-                {
-                    "from": list(profile_of_index(t, counts)),
-                    "to": list(profile_of_index(h, counts)),
-                    "value": float(f"{v:.12g}"),
-                }
-            )
+        values = pairwise_comparison(g, graph).values
+        # each arrow points along its positive flow; a -0.0 value keeps its
+        # direction and its sign
+        back = values < 0
+        tails = np.where(back, graph.heads, graph.tails)
+        heads = np.where(back, graph.tails, graph.heads)
+        froms = np.column_stack(np.unravel_index(tails, counts)).tolist()
+        tos = np.column_stack(np.unravel_index(heads, counts)).tolist()
+        edges = [
+            {"from": f, "to": t, "value": float(f"{v:.12g}")}
+            for f, t, v in zip(froms, tos, np.where(back, -values, values).tolist())
+        ]
         assert len(edges) == 212_400
         assert main(["export-flow", path, "--format", "json"]) == 0
         assert capsys.readouterr().out == json.dumps({"edges": edges}, indent=2) + "\n"

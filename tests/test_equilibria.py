@@ -34,6 +34,8 @@ from gamehodge.catalog import (
     cyclic_three_player,
     generalized_rps,
     matching_pennies,
+    modified_battle_of_sexes,
+    road_sharing,
 )
 from gamehodge.equilibria import deviation_payoffs
 from gamehodge.subspaces import harmonic_basis_2p, nonstrategic_basis, numeric_rank
@@ -588,6 +590,42 @@ class TestHarmonicIndifference:
         assert report.violations
 
 
+def pareto_by_pairs(g):
+    """Pareto-optimal profiles, each payoff vector tested against every other."""
+    payoffs = g.utilities.T
+    return [
+        profile_of_index(i, g.strategy_counts)
+        for i in range(g.num_profiles)
+        if not np.any(np.all(payoffs >= payoffs[i], axis=1) & np.any(payoffs > payoffs[i], axis=1))
+    ]
+
+
+def _lex_order_inputs():
+    """(M, n) payoff arrays with and without ties, for the lexicographic order."""
+    rng = np.random.default_rng(64)
+    signed = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(6, 300))
+    tied_first = rng.uniform(-1.0, 1.0, size=(4, 200))
+    tied_first[0] = np.round(tied_first[0], 1)
+    constant_first = rng.uniform(-1.0, 1.0, size=(3, 200))
+    constant_first[0] = 0.25
+    return {
+        "1-untied": rng.uniform(-1.0, 1.0, size=(1, 150)),
+        "1-tied": np.round(rng.uniform(-1.0, 1.0, size=(1, 150)), 1),
+        "2-untied": rng.uniform(-1.0, 1.0, size=(2, 150)),
+        "2-tied": np.round(rng.uniform(-1.0, 1.0, size=(2, 150)), 1),
+        "3-tied": np.round(rng.uniform(-1.0, 1.0, size=(3, 700)), 1),
+        "4-tied-on-player-0": tied_first,
+        "3-player-0-constant": constant_first,
+        "3-all-equal": np.full((3, 120), 0.5),
+        "6-signed-zeros": signed,
+        "3-one-column": rng.uniform(-1.0, 1.0, size=(3, 1)),
+        "3-two-equal-columns": np.full((3, 2), -0.75),
+    }
+
+
+LEX_ORDER_INPUTS = _lex_order_inputs()
+
+
 class TestPareto:
     def test_battle_of_sexes(self):
         assert pareto_optimal(battle_of_sexes()) == [(0, 0), (1, 1)]
@@ -643,6 +681,78 @@ class TestPareto:
         games.append(Game(base[:, rng.integers(0, 300, size=4 * w)], (4 * w, 1, 1)))
         for g in games:
             assert pareto_optimal(g) == brute_force(g)
+
+    @pytest.mark.parametrize("players", [3, 6])
+    def test_windows_of_live_columns_span_several_ranges(self, players):
+        # a term shared by all players makes the lexicographically first
+        # window dominate most columns, so the next window's members are
+        # the few live columns spread over the ranges of w columns after it
+        # (11 over three ranges with 3 players, 117 with 6)
+        from gamehodge.equilibria import _PARETO_WINDOW
+
+        w = _PARETO_WINDOW
+        rng = np.random.default_rng(61)
+        n = 4 * w
+        u = rng.uniform(-1.0, 1.0, size=n) + 2.0 * rng.uniform(-1.0, 1.0, size=(players, n))
+        g = Game(u, (n,) + (1,) * (players - 1))
+        ranked = u[:, np.lexsort(u[::-1])[::-1]]
+        first, rest = ranked[:, :w, None], ranked[:, None, w:]
+        beaten = (np.all(first >= rest, axis=0) & np.any(first > rest, axis=0)).any(axis=0)
+        live = w + np.flatnonzero(~beaten)
+        assert len(np.unique(live[:w] // w)) >= 2
+        expected = pareto_by_pairs(g)
+        assert len(expected) < w
+        assert pareto_optimal(g) == expected
+
+    def test_dominance_chain_across_windows(self):
+        # an antichain on the plane u_0 + u_1 + u_2 = 0 fills three windows;
+        # a chain runs through them in lexicographic order, each link weakly
+        # dominated by the one before and equal to it in two players.  Links
+        # found dominated leave the windows, and the chain's top, live in
+        # the first window, still catches every later link
+        from gamehodge.equilibria import _PARETO_WINDOW
+
+        rng = np.random.default_rng(62)
+        a = rng.uniform(-1.0, 1.0, size=(2, 3 * _PARETO_WINDOW))
+        antichain = np.vstack([a, -(a[0] + a[1])])
+        i = np.arange(80)
+        chain = np.vstack([0.9 - 0.045 * (i // 2), 5.0 - 0.01 * ((i + 1) // 2), np.full(80, -5.0)])
+        u = np.hstack([antichain, chain])[:, rng.permutation(antichain.shape[1] + 80)]
+        g = Game(u, (u.shape[1], 1, 1))
+        expected = pareto_by_pairs(g)
+        optimal = {tuple(u[:, p[0]]) for p in expected}
+        assert (0.9, 5.0, -5.0) in optimal
+        assert not optimal & {tuple(c) for c in chain.T[1:]}
+        assert pareto_optimal(g) == expected
+
+    @pytest.mark.parametrize("players", [3, 6])
+    @pytest.mark.parametrize("first", ["some-ties", "all-tied", "signed-zeros"])
+    def test_ties_on_player_0(self, players, first):
+        from gamehodge.equilibria import _PARETO_DENSE, _PARETO_WINDOW
+
+        rng = np.random.default_rng(63)
+        n = 2 * _PARETO_WINDOW + 3
+        u = np.round(rng.uniform(-1.0, 1.0, size=(players, n)), 2)
+        if first == "some-ties":
+            u[0] = rng.integers(0, n // 4, size=n) / 7.0
+        elif first == "all-tied":
+            u[0] = -0.5
+        else:
+            u[0] = rng.choice([-0.0, 0.0, 0.5], size=n)
+        assert n >= _PARETO_DENSE
+        g = Game(u, (n,) + (1,) * (players - 1))
+        assert pareto_optimal(g) == pareto_by_pairs(g)
+
+    @pytest.mark.parametrize("name", list(LEX_ORDER_INPUTS))
+    def test_lex_order_sorts_as_lexsort(self, name):
+        from gamehodge.equilibria import _lex_descending
+
+        payoffs = LEX_ORDER_INPUTS[name]
+        order = _lex_descending(payoffs)
+        assert sorted(order.tolist()) == list(range(payoffs.shape[1]))
+        np.testing.assert_array_equal(
+            payoffs[:, order], payoffs[:, np.lexsort(payoffs[::-1])[::-1]]
+        )
 
     def test_work_cap_raises_before_allocating(self):
         from gamehodge.equilibria import PARETO_WORK_CAP
@@ -800,6 +910,40 @@ class TestReport:
         monkeypatch.setattr(np.linalg, "svd", recording)
         assert equilibrium_report(game)["correlated_dim"] is not None
         assert compute_uv and not any(compute_uv)
+
+
+REPORT_GAMES = {
+    "matching-pennies": matching_pennies,
+    "battle-of-sexes": battle_of_sexes,
+    "modified-battle-of-sexes": modified_battle_of_sexes,
+    "rps": lambda: generalized_rps(1 / 3, 1 / 3, 1 / 3),
+    "road-sharing": road_sharing,
+    "cyclic-three-player": cyclic_three_player,
+    "3x3x3": lambda: random_game(np.random.default_rng(65), (3, 3, 3)),
+    "8x8": lambda: random_game(np.random.default_rng(66), (8, 8)),
+    "2^10": lambda: random_game(np.random.default_rng(67), (2,) * 10),
+}
+
+
+class TestReportLists:
+    """The report's profile lists against the public enumerations."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("name", list(REPORT_GAMES))
+    def test_lists_match_the_public_functions(self, name, scale):
+        base = REPORT_GAMES[name]()
+        g = Game(scale * base.utilities, base.strategy_counts)
+        eps = 0.25 * scale
+        report = equilibrium_report(g, eps=eps)
+        assert report["pure_nash"] == [list(p) for p in pure_nash(g)]
+        assert report["epsilon_equilibria"] == [list(p) for p in epsilon_equilibria(g, eps)]
+        assert report["pareto_optimal"] == [list(p) for p in pareto_optimal(g)]
+        for key in ("pure_nash", "epsilon_equilibria", "pareto_optimal"):
+            assert all(type(p) is list and all(type(c) is int for c in p) for p in report[key])
+
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps"):
+            equilibrium_report(battle_of_sexes(), eps=-1.0)
 
 
 TIE_HEAVY_SHAPES = [(3,), (2, 2), (3, 1, 2), (2, 3, 4), (2,) * 5]
