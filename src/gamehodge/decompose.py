@@ -14,12 +14,13 @@ own-strategy means; the parts are then read off as
 ``u_N^m = (I - P_m) u^m``, all in node space, so no game graph and no
 edge-space array is ever built.  The maths is written once, in
 ``_decompose_batch``, over payoffs of shape (K, M, n): K games of one shape
-go through one projection, one batched solve by the real Helmert transform
-(:func:`gamehodge.flows.laplacian_pinv_solve`) and one projection back.
-Its K = 1 case, ``_parts``, is all that the membership tests and the
-projections read; :func:`decompose` adds the residuals and wraps the
-kernel's read-only arrays in ``Game`` objects without copying them, and
-:mod:`gamehodge.subspaces` calls the kernel directly.
+go through one projection, one batched solve by a per-axis transform that
+diagonalizes the Laplacian (:func:`gamehodge.flows.laplacian_pinv_solve`)
+and one projection back.  Its K = 1 case, ``_parts``, is all that the
+membership tests and the projections read; :func:`decompose` adds the
+residuals and wraps the kernel's read-only arrays in ``Game`` objects
+without copying them, and :mod:`gamehodge.subspaces` calls the kernel
+directly.
 
 ``_parts`` keeps the last game's parts in a one-slot cache keyed by the
 identity of the (immutable) ``Game`` alone, so every public call on the same

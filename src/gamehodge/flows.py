@@ -10,10 +10,11 @@ Laplacians.
 
 The node-space operators need only the shape, never a graph.  Among them,
 the Laplacian pseudoinverse solve is exact: the game-graph Laplacian is a
-Kronecker sum of clique Laplacians, so the tensor product of real
-orthonormal Helmert bases diagonalizes it and the solve is one forward and
-one inverse transform, one axis at a time, with no iterative method, no
-dense fallback and no complex array.  Node functions lie on the last axis
+Kronecker sum of clique Laplacians, so any per-axis map that sends the
+constants to row 0 and the mean-zero functions to the other rows
+diagonalizes it, and the solve is one forward and one inverse transform,
+one axis at a time, with no iterative method, no dense fallback and no
+complex array.  Node functions lie on the last axis
 of an array; :func:`laplacian_apply`, :func:`laplacian_pinv_solve` and the
 demeaning :func:`project_player` (defined in :mod:`gamehodge.game`,
 re-exported here) treat any leading axes as a batch, so many
@@ -42,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ShapeError, SizeError
-from .game import _CHUNK, Game, profile_index, project_player
+from .game import _CHUNK, Game, _checked_counts, _node_rows, profile_index, project_player
 
 __all__ = [
     "GameGraph",
@@ -69,7 +70,9 @@ __all__ = [
 # near 10: 3e7 admits 200x200, 2^20 and 60^3 and rejects 1000x1000
 DEFAULT_EDGE_CAP = 3 * 10**7
 _SOLVE_TOL = 1e-10  # residual bound of the Laplacian solve, relative to ||b||
-_HELMERT_CUT = 64  # longest axis by a cached matrix (<= 32 KiB); cumsum is 2x faster at h = 1000
+# longest axis by a cached matrix (<= 32 KiB); a round trip by the matrix and
+# one by the demeaning break even near h = 64 on (h, h) and near 128 on (h,)
+_HELMERT_CUT = 64
 
 
 class GameGraph:
@@ -82,9 +85,7 @@ class GameGraph:
     """
 
     def __init__(self, strategy_counts: Sequence[int]):
-        counts = tuple(int(h) for h in strategy_counts)
-        if len(counts) < 1 or any(h < 1 for h in counts):
-            raise ShapeError(f"invalid strategy counts {counts}")
+        counts = _checked_counts(map(int, strategy_counts))
         n = math.prod(counts)
         sizes = [math.comb(h, 2) * (n // h) for h in counts]
         if sum(sizes) > DEFAULT_EDGE_CAP:
@@ -370,20 +371,19 @@ def laplacian_player_apply(strategy_counts: Sequence[int], player: int, phi) -> 
     Equals ``h_m`` times :func:`project_player`, the per-player clique
     Laplacian acting blockwise.
     """
-    h = strategy_counts[player]
-    return h * project_player(strategy_counts, player, phi)
+    projected = project_player(strategy_counts, player, phi)  # checks the counts first
+    return strategy_counts[player] * projected
 
 
 def laplacian_apply(strategy_counts: Sequence[int], phi) -> np.ndarray:
     """Graph Laplacian of the full game graph, applied matrix-free."""
-    return sum(
-        laplacian_player_apply(strategy_counts, m, phi) for m in range(len(strategy_counts))
-    )
+    counts = _checked_counts(strategy_counts)
+    return sum(laplacian_player_apply(counts, m, phi) for m in range(len(counts)))
 
 
 @functools.lru_cache(maxsize=8)
 def _spectrum(counts: tuple[int, ...]) -> np.ndarray:
-    """Read-only Laplacian eigenvalues on the Helmert grid of ``counts``.
+    """Read-only Laplacian eigenvalues on the coefficient grid of :func:`_transform`.
 
     The zero eigenvalue of the constants is stored as ``inf``, so dividing
     by the spectrum maps them to zero.
@@ -412,14 +412,15 @@ def laplacian_pinv_solve(
     The game graph is connected, so the Laplacian kernel is exactly the
     constants; ``b`` must therefore be orthogonal to constants.  The
     Laplacian is the Kronecker sum of the clique Laplacians
-    ``h_m (I - J/h_m)``.  Any orthonormal basis of each axis whose first
-    vector is the constant diagonalizes them; the solve uses the real
-    Helmert basis (Lancaster 1965, *The Helmert matrices*), whose vector
-    ``k >= 1`` is ``(1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1))``.  The
-    spectrum is the DFT's: at multi-index ``k`` the eigenvalue is the sum of
-    ``h_m`` over the players with ``k_m != 0``.  The solve divides the
-    transform of ``b`` by it, with the zero eigenvalue (the constants)
-    mapped to zero.
+    ``h_m (I - J/h_m)``.  Any invertible map of each axis that sends the
+    constants to coefficient 0 and the mean-zero functions to coefficients
+    1..h_m-1 diagonalizes them, orthonormal or not; the solve uses the real
+    Helmert matrix (Lancaster 1965, *The Helmert matrices*) on short axes
+    and the demeaning itself, with the mean kept in coefficient 0, on long
+    ones.  The spectrum is the DFT's: at multi-index ``k`` the eigenvalue is
+    the sum of ``h_m`` over the players with ``k_m != 0``.  The solve
+    divides the transform of ``b`` by it, with the zero eigenvalue (the
+    constants) mapped to zero.
 
     The last axis of ``b`` holds the ``prod(strategy_counts)`` profiles;
     leading axes are a batch of right-hand sides, solved together by
@@ -440,11 +441,9 @@ def laplacian_pinv_solve(
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
-    counts = tuple(strategy_counts)
+    counts = _checked_counts(strategy_counts)
     n = math.prod(counts)
-    b = np.asarray(b, dtype=float)
-    if b.shape[-1:] != (n,):
-        raise ShapeError(f"right-hand side must have {n} entries on its last axis")
+    b = _node_rows(counts, b)
     bnorm = _row_norms(b)
     total = b.sum(axis=-1)
     if (np.abs(total) > tol * bnorm).any():
@@ -459,31 +458,34 @@ def laplacian_pinv_solve(
 
 
 def _pinv_transform(counts: tuple[int, ...], b: np.ndarray) -> np.ndarray:
-    """Mean-zero ``pinv(Laplacian) b`` by the Helmert transform, rows along the last axis.
+    """Mean-zero ``pinv(Laplacian) b`` by one transform each way, rows along the last axis.
 
     No check: ``b`` should already be orthogonal to constants.
     """
-    x = _helmert(counts, b, inverse=False) / _spectrum(counts).ravel()
-    x = _helmert_inverse(counts, x)
+    x = _transform(counts, b, inverse=False) / _spectrum(counts).ravel()
+    x = _transform_inverse(counts, x)
     return x - x.sum(axis=-1, keepdims=True) / b.shape[-1]
 
 
-def _helmert_inverse(counts: tuple[int, ...], y: np.ndarray) -> np.ndarray:
-    """Node functions on the last axis from their Helmert coefficients.
+def _transform_inverse(counts: tuple[int, ...], y: np.ndarray) -> np.ndarray:
+    """Node functions on the last axis from their coefficients under :func:`_transform`.
 
     The inverse step of every Laplacian solve, the kernel's included, kept
     apart so that tests can corrupt it.
     """
-    return _helmert(counts, y, inverse=True)
+    return _transform(counts, y, inverse=True)
 
 
-def _helmert(counts: tuple[int, ...], x: np.ndarray, inverse: bool) -> np.ndarray:
-    """Orthonormal Helmert coefficients of the node functions on the last axis of ``x``.
+def _transform(counts: tuple[int, ...], x: np.ndarray, inverse: bool) -> np.ndarray:
+    """Coefficients of the node functions on the last axis of ``x``, or their inverse.
 
-    Applies the Helmert matrix of every axis of ``counts``, or its transpose
-    (the inverse) if ``inverse``.  Axis m is the middle axis of a
-    ``(-1, h_m, rest)`` reshape; axes of size one are the identity and are
-    skipped.  A new array unless every axis is.
+    Each axis gets an invertible map that sends the constants to row 0 and
+    the functions of mean zero to rows 1..h-1, so it diagonalizes the clique
+    Laplacian ``h (I - J/h)`` with eigenvalues ``(0, h, ..., h)``.  Up to
+    ``_HELMERT_CUT`` that map is the cached orthonormal Helmert matrix; above
+    it, the demeaning itself, with the mean kept in row 0.  Axis m is the
+    middle axis of a ``(-1, h_m, rest)`` reshape; axes of size one are the
+    identity and are skipped.  A new array unless every axis is.
     """
     shape = x.shape
     pre, post = math.prod(shape[:-1]), shape[-1]
@@ -495,8 +497,13 @@ def _helmert(counts: tuple[int, ...], x: np.ndarray, inverse: bool) -> np.ndarra
                 matrix = _helmert_matrix(h).T if inverse else _helmert_matrix(h)
                 # the last axis as one product of rows, not a stack of products
                 x = np.matmul(matrix, fibres) if post > 1 else fibres[..., 0] @ matrix.T
+            elif inverse:
+                x = fibres + fibres[:, :1]
+                x[:, :1] = fibres[:, :1] - fibres[:, 1:].sum(axis=1, keepdims=True)
             else:
-                x = (_helmert_cumsum_inverse if inverse else _helmert_cumsum)(fibres)
+                mean = fibres.sum(axis=1, keepdims=True) / h
+                x = fibres - mean
+                x[:, :1] = mean
         pre *= h
     return x.reshape(shape)
 
@@ -511,44 +518,6 @@ def _helmert_matrix(h: int) -> np.ndarray:
     matrix /= np.sqrt(np.append(h, k * (k + 1.0)))[:, None]
     matrix.flags.writeable = False
     return matrix
-
-
-def _helmert_weights(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """``k`` and ``1 / sqrt(k (k + 1))`` for k = 1..h-1, as (h - 1, 1) columns."""
-    k = np.arange(1.0, h)[:, None]
-    return k, 1.0 / np.sqrt(k * (k + 1.0))
-
-
-def _helmert_cumsum(x: np.ndarray) -> np.ndarray:
-    """Helmert matrix along axis 1 of ``x`` in O(h): ``y_k = (x_0 + .. + x_{k-1} - k x_k) w_k``.
-
-    ``w_k = 1 / sqrt(k (k + 1))``, and ``y_0`` is the sum over ``sqrt(h)``.
-    """
-    h = x.shape[1]
-    k, w = _helmert_weights(h)
-    sums = np.cumsum(x, axis=1)
-    y = np.empty_like(sums)
-    y[:, :1] = sums[:, -1:] / math.sqrt(h)
-    np.multiply(x[:, 1:], k, out=y[:, 1:])
-    np.subtract(sums[:, :-1], y[:, 1:], out=y[:, 1:])
-    y[:, 1:] *= w
-    return y
-
-
-def _helmert_cumsum_inverse(y: np.ndarray) -> np.ndarray:
-    """Transpose of :func:`_helmert_cumsum`: ``x_j = y_0 / sqrt(h) - j z_j + sum_{k > j} z_k``.
-
-    ``z_k = y_k w_k``, with the weights of :func:`_helmert_cumsum`.
-    """
-    h = y.shape[1]
-    k, w = _helmert_weights(h)
-    z = y[:, 1:] * w
-    x = np.empty_like(y)
-    x[:] = y[:, :1] / math.sqrt(h)
-    x[:, :-1] += np.cumsum(z[:, ::-1], axis=1)[:, ::-1]  # sum_{k > j} z_k
-    z *= k
-    x[:, 1:] -= z
-    return x
 
 
 def _check_residual(residual: np.ndarray, target: np.ndarray) -> None:

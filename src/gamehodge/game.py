@@ -85,9 +85,7 @@ class Game:
         player_names: Sequence[str] | None = None,
         strategy_labels: Sequence[Sequence[str]] | None = None,
     ):
-        counts = tuple(int(h) for h in strategy_counts)
-        if len(counts) < 1 or any(h < 1 for h in counts):
-            raise ShapeError(f"invalid strategy counts {counts}")
+        counts = _checked_counts(map(int, strategy_counts))
         m = len(counts)
         u = _checked_payoffs(np.asarray(utilities, dtype=float), counts)
 
@@ -171,6 +169,23 @@ class Game:
         return f"Game(players={self.num_players}, strategies={self.strategy_counts})"
 
 
+def _checked_counts(strategy_counts: Iterable[int]) -> tuple[int, ...]:
+    """``strategy_counts`` as a tuple, or :class:`ShapeError` if it is empty or one is < 1."""
+    counts = tuple(strategy_counts)
+    if not counts or min(counts) < 1:
+        raise ShapeError(f"invalid strategy counts {counts}")
+    return counts
+
+
+def _node_rows(counts: tuple[int, ...], a) -> np.ndarray:
+    """``a`` as a float array, or :class:`ShapeError` unless its last axis holds ``prod(counts)``."""
+    a = np.asarray(a, dtype=float)
+    n = math.prod(counts)
+    if a.shape[-1:] != (n,):
+        raise ShapeError(f"node functions must have {n} entries on their last axis")
+    return a
+
+
 def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     """``u`` as an (M, n) array, or :class:`GameFormatError` if its shape or a payoff is off."""
     m, n = len(counts), math.prod(counts)
@@ -195,8 +210,8 @@ def project_player(strategy_counts: Sequence[int], player: int, u) -> np.ndarray
     ``u`` holds the ``prod(strategy_counts)`` profiles; leading axes are a
     batch, projected row by row.  It is the package's one demeaning routine.
     """
-    counts = tuple(strategy_counts)
-    u = np.asarray(u, dtype=float)
+    counts = _checked_counts(strategy_counts)
+    u = _node_rows(counts, u)
     t = u.reshape(u.shape[:-1] + counts)
     # sum / h is the mean, without the Python-level overhead of ndarray.mean
     mean = t.sum(axis=player - len(counts), keepdims=True) / counts[player]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .decompose import _decompose_batch
 from .errors import ShapeError, SizeError
-from .game import Game, game_to_dict, is_normalized
+from .game import Game, _checked_counts, game_to_dict, is_normalized
 
 __all__ = [
     "numeric_rank",
@@ -131,9 +131,7 @@ def subspace_dims(strategy_counts: Sequence[int]) -> SubspaceDims:
     ``M * prod(h)``; the potential/harmonic *game* classes are the direct
     sums of the matching component with the nonstrategic subspace.
     """
-    counts = tuple(int(h) for h in strategy_counts)
-    if len(counts) < 1 or any(h < 1 for h in counts):
-        raise ShapeError(f"invalid strategy counts {counts}")
+    counts = _checked_counts(map(int, strategy_counts))
     m_players = len(counts)
     n = math.prod(counts)
     dim_n = sum(n // h for h in counts)

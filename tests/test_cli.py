@@ -106,7 +106,7 @@ class TestDecomposeCommand:
         rng = np.random.default_rng(65)
         path = game_file(random_game(rng, (3, 3)), "g.json")
         monkeypatch.setattr(
-            gamehodge.flows, "_helmert_inverse", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
+            gamehodge.flows, "_transform_inverse", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
         )
         assert main(["decompose", path]) == 3
         captured = capsys.readouterr()

@@ -451,7 +451,7 @@ class TestKernelCache:
         monkeypatch.setattr(decompose_module, "_slot", None)
         with monkeypatch.context() as patch:
             patch.setattr(
-                flows, "_helmert_inverse", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
+                flows, "_transform_inverse", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
             )
             for _ in range(2):
                 with pytest.raises(NumericError):

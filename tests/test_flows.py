@@ -452,6 +452,26 @@ class TestLaplacian:
         assert np.abs(total - laplacian_apply(counts, phi)).max() <= 1e-12
 
 
+class TestNodeOperatorShapes:
+    ENTRY_POINTS = {
+        "project_player": lambda counts, phi: project_player(counts, 0, phi),
+        "laplacian_player_apply": lambda counts, phi: laplacian_player_apply(counts, 0, phi),
+        "laplacian_apply": laplacian_apply,
+        "laplacian_pinv_solve": laplacian_pinv_solve,
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("counts", [(), (0,), (2, 0), (-2, 2)])
+    def test_invalid_strategy_counts_raise_shape_error(self, name, counts):
+        with pytest.raises(ShapeError, match="invalid strategy counts"):
+            self.ENTRY_POINTS[name](counts, np.zeros(1))
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_wrong_last_axis_raises_shape_error(self, name):
+        with pytest.raises(ShapeError, match="4 entries on their last axis"):
+            self.ENTRY_POINTS[name]((2, 2), np.zeros(5))
+
+
 class TestLaplacianSolve:
     def test_zero_rhs(self):
         assert np.all(laplacian_pinv_solve((2, 2), np.zeros(4)) == 0.0)
@@ -498,7 +518,8 @@ class TestLaplacianSolve:
     def test_zero_tol_is_accepted(self):
         assert np.all(laplacian_pinv_solve((2, 2), np.zeros(4), tol=0.0) == 0.0)
 
-    # the last two put axes above the Helmert matrix cut, one beside a size-1 axis
+    # the last two put axes above the matrix cut, solved by the demeaning
+    # form, one beside a size-1 axis
     @pytest.mark.parametrize("counts", [(1,), (1, 4), (2, 3, 4), (2,) * 6, (5, 5), (65, 2), (1, 70)])
     def test_matches_dense_least_squares(self, counts):
         # Laplacian from the definition: degree minus adjacency, where two
@@ -524,7 +545,7 @@ class TestLaplacianSolve:
         b = laplacian_apply((3, 3), psi - psi.mean())
         monkeypatch.setattr(
             gamehodge.flows,
-            "_helmert_inverse",
+            "_transform_inverse",
             lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a)),
         )
         with pytest.raises(NumericError) as info:
@@ -538,7 +559,7 @@ class TestLaplacianSolve:
 
     def test_batch_rows_solve_like_single_rows(self):
         # two leading batch axes; the transforms run over the profile axes,
-        # by the Helmert matrices and, for the axis of 70, the cumsum form
+        # by the Helmert matrices and, for the axis of 70, the demeaning form
         rng = np.random.default_rng(24)
         for counts in [(2, 3, 4), (70, 3)]:
             n = math.prod(counts)
@@ -547,6 +568,25 @@ class TestLaplacianSolve:
             assert sol.shape == b.shape
             for k in np.ndindex(2, 3):
                 assert np.abs(sol[k] - laplacian_pinv_solve(counts, b[k])).max() <= 1e-14
+
+    # both axes above the matrix cut, and one beside an axis below it
+    @pytest.mark.parametrize("counts", [(300, 300), (2, 5000)])
+    def test_long_axes_hold_few_temporaries(self, counts):
+        # the solve holds about three node-sized arrays at once; the first
+        # call builds the cached spectrum, which is not counted
+        rng = np.random.default_rng(27)
+        b = rng.uniform(-1.0, 1.0, size=math.prod(counts))
+        b -= b.mean()
+        gamehodge.flows._pinv_transform(counts, b)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            gamehodge.flows._pinv_transform(counts, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 3.5 * b.nbytes
 
     def test_batch_precondition_checks_every_row(self):
         rng = np.random.default_rng(25)
@@ -560,14 +600,14 @@ class TestLaplacianSolve:
     def test_batch_residual_check_raises_on_one_corrupted_row(self, monkeypatch, scale):
         rng = np.random.default_rng(26)
         b = scale * laplacian_apply((3, 3), rng.uniform(-1.0, 1.0, size=(4, 9)))
-        inverse = gamehodge.flows._helmert_inverse
+        inverse = gamehodge.flows._transform_inverse
 
         def corrupt_row_1(counts, a):
             out = inverse(counts, a)
             out[1] += scale * rng.uniform(-1.0, 1.0, out[1].shape)
             return out
 
-        monkeypatch.setattr(gamehodge.flows, "_helmert_inverse", corrupt_row_1)
+        monkeypatch.setattr(gamehodge.flows, "_transform_inverse", corrupt_row_1)
         with pytest.raises(NumericError) as info:
             laplacian_pinv_solve((3, 3), b)
         assert info.value.residual > 1e-10 * np.linalg.norm(b[1])
