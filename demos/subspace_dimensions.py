@@ -1,13 +1,15 @@
 """Dimension bookkeeping for the potential / harmonic / nonstrategic split.
 
-The closed-form dimension counts are confirmed two ways: by ranking the
-components of decomposed random games, and, for square bimatrix games, by
-intersecting with the zero-sum and identical-interest subspaces.
+The closed-form dimension counts are confirmed two ways: by the traces of
+the three component projectors (the decomposition of every unit game, read
+on its diagonal), and, for square bimatrix games, by intersecting with the
+zero-sum and identical-interest subspaces through ranks of the complementary
+projections.
 """
 
 from gamehodge import empirical_dims, subspace_dims, zs_ii_intersection_dims
 
-print("closed-form dimensions vs measured ranks")
+print("closed-form dimensions vs measured projector traces")
 print(f"{'shape':>12} {'P':>4} {'H':>4} {'N':>4}   measured")
 for counts in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 2)]:
     dims = subspace_dims(counts)

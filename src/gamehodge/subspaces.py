@@ -1,9 +1,15 @@
 """Explicit bases and dimension accounting for the game subspaces.
 
-Closed-form dimension formulas are checked against numeric ranks of spanning
-sets: the nonstrategic subspace and the two-player harmonic subspace have
-explicit bases, while potential spans are generated from the potential
-components of seeded random games (which spans the subspace almost surely).
+Closed-form dimension formulas are checked two ways.  The potential,
+harmonic and nonstrategic components are complementary orthogonal
+projectors on the space of games, and the trace of a projector is its rank,
+so :func:`empirical_dims` reads each dimension off the diagonal of the
+decomposition kernel applied to the unit games, with no rank threshold.
+The zero-sum / identical-interest table ranks explicit spans: the
+nonstrategic subspace and the two-player harmonic subspace have explicit
+bases, while the potential span is generated from the potential components
+of seeded random games (which spans the subspace almost surely); each
+intersection is a rank drop under the complementary projection.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .decompose import _decompose_batch
-from .errors import ShapeError, SizeError
+from .errors import NumericError, ShapeError, SizeError
 from .game import Game, _checked_counts, game_to_dict, is_normalized
 
 __all__ = [
@@ -33,6 +39,11 @@ __all__ = [
 ]
 
 RANK_AMBIENT_CAP = 4096
+# empirical_dims runs the kernel on all M*n unit games of M*n entries each, so
+# its work is capped in M * n^2 (32x32 is 2^21); the unit games go through
+# the kernel _TRACE_CHUNK entries of each part array at a time
+_TRACE_WORK_CAP = 1 << 24
+_TRACE_CHUNK = 1 << 16
 
 
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
@@ -71,25 +82,26 @@ def nonstrategic_basis(strategy_counts: Sequence[int]) -> SubspaceBasis:
     For every player m and opponent profile, the game whose only nonzero
     payoffs give player m the value 1 on that opponent block.
     """
-    counts = tuple(int(h) for h in strategy_counts)
-    m_players = len(counts)
+    counts = _checked_counts(map(int, strategy_counts))
     n = math.prod(counts)
-    games, tags = [], []
+    tags = [f"N[player={m},block={r}]" for m, h in enumerate(counts) for r in range(n // h)]
+    return SubspaceBasis([Game(u, counts) for u in _nonstrategic_rows(counts)], "N", counts, tags)
+
+
+def _nonstrategic_rows(counts: tuple[int, ...]) -> np.ndarray:
+    """The payoffs of :func:`nonstrategic_basis`, in its order, as one (k, M, n) array."""
+    n = math.prod(counts)
+    rows = np.zeros((sum(n // h for h in counts), len(counts), n))
+    start = 0
     for m, h in enumerate(counts):
         rest = n // h
-        for r in range(rest):
-            block = np.zeros((h, rest))
-            block[:, r] = 1.0
-            tensor = np.moveaxis(
-                block.reshape((h,) + tuple(c for k, c in enumerate(counts) if k != m)),
-                0,
-                m,
-            )
-            u = np.zeros((m_players, n))
-            u[m] = tensor.ravel()
-            games.append(Game(u, counts))
-            tags.append(f"N[player={m},block={r}]")
-    return SubspaceBasis(games, "N", counts, tags)
+        # block r is 1 on every own strategy at opponent profile r: (r, own, opponents)
+        blocks = np.broadcast_to(np.eye(rest)[:, None, :], (rest, h, rest))
+        others = tuple(c for k, c in enumerate(counts) if k != m)
+        tensors = np.moveaxis(blocks.reshape((rest, h) + others), 1, 1 + m)
+        rows[start:start + rest, m] = tensors.reshape(rest, n)
+        start += rest
+    return rows
 
 
 def harmonic_basis_2p(h1: int, h2: int) -> SubspaceBasis:
@@ -105,15 +117,23 @@ def harmonic_basis_2p(h1: int, h2: int) -> SubspaceBasis:
             stacklevel=2,
         )
         return SubspaceBasis([], "H2p", (h1, h2), [])
-    games, tags = [], []
-    for i in range(h1 - 1):
-        for j in range(h2 - 1):
-            a = np.zeros((h1, h2))
-            a[i, j] = a[i + 1, j + 1] = 1.0
-            a[i + 1, j] = a[i, j + 1] = -1.0
-            games.append(Game.from_payoff_matrices(h2 * a, -h1 * a))
-            tags.append(f"H[i={i},j={j}]")
+    tags = [f"H[i={i},j={j}]" for i in range(h1 - 1) for j in range(h2 - 1)]
+    games = [Game(u, (h1, h2)) for u in _harmonic_rows_2p(h1, h2)]
     return SubspaceBasis(games, "H2p", (h1, h2), tags)
+
+
+def _harmonic_rows_2p(h1: int, h2: int) -> np.ndarray:
+    """The payoffs of :func:`harmonic_basis_2p`, in its order, as one (k, 2, h1*h2) array.
+
+    k = 0 when a player has fewer than 2 strategies.
+    """
+    k = max(h1 - 1, 0) * max(h2 - 1, 0)
+    r = np.arange(k)
+    i, j = np.divmod(r, max(h2 - 1, 1))
+    a = np.zeros((k, h1, h2))
+    a[r, i, j] = a[r, i + 1, j + 1] = 1.0
+    a[r, i + 1, j] = a[r, i, j + 1] = -1.0
+    return np.stack([h2 * a, -h1 * a], axis=1).reshape(k, 2, h1 * h2)
 
 
 class SubspaceDims(NamedTuple):
@@ -141,25 +161,54 @@ def subspace_dims(strategy_counts: Sequence[int]) -> SubspaceDims:
 
 
 def empirical_dims(strategy_counts: Sequence[int], seed: int = 0) -> tuple[int, int, int]:
-    """Measure (potential, harmonic, nonstrategic) dimensions by numeric rank.
+    """Measure (potential, harmonic, nonstrategic) dimensions as projector traces.
 
-    Draws ``M * n + 8`` seeded random games as one (samples, M, n) array,
-    decomposes them in one batched pass and ranks the stacked component
-    coordinates; this reproduces :func:`subspace_dims` almost surely.
+    The three parts are complementary orthogonal projectors, and the trace
+    of a projector is its rank: ``dim = sum_k part(e_k)[k]`` over the
+    ``M * n`` unit games ``e_k``.  The unit games go through the
+    decomposition kernel a bounded batch at a time and only the diagonal
+    entries are kept, so this reproduces :func:`subspace_dims` with no SVD
+    and no rank threshold.  :class:`NumericError` is raised when a trace is
+    not an integer to within rounding, when the three traces do not sum to
+    ``M * n``, or when the potential part of one seeded random game is not
+    left fixed by a second kernel call.  :class:`SizeError` is raised,
+    before anything is allocated, when ``M * n^2`` exceeds 2^24.
     """
-    counts = tuple(int(h) for h in strategy_counts)
+    counts = _checked_counts(map(int, strategy_counts))
     m_players = len(counts)
     n = math.prod(counts)
     ambient = m_players * n
-    if ambient > RANK_AMBIENT_CAP:
-        raise SizeError(f"ambient dimension {ambient} exceeds {RANK_AMBIENT_CAP}")
-    samples = ambient + 8
+    if ambient * n > _TRACE_WORK_CAP:
+        raise SizeError(f"trace work M*n^2 = {ambient * n} exceeds {_TRACE_WORK_CAP}")
 
-    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, m_players, n))
-    _, pot, harm, non = _decompose_batch(counts, u)
-    return tuple(
-        numeric_rank(part.reshape(samples, ambient)) for part in (pot, harm, non)
-    )
+    probe = np.random.default_rng(seed).uniform(-1.0, 1.0, size=ambient)
+    step = max(1, _TRACE_CHUNK // ambient)
+    traces = np.zeros(3)
+    for start in range(0, ambient, step):
+        k = np.arange(start, min(start + step, ambient))
+        first = start == 0
+        u = np.zeros((len(k) + first, ambient))
+        u[k - start, k] = 1.0
+        if first:
+            u[-1] = probe
+        parts = _decompose_batch(counts, u.reshape(-1, m_players, n))[1:]
+        traces += [part.reshape(-1, ambient)[k - start, k].sum() for part in parts]
+        if first:
+            fixed = parts[0][-1]
+
+    dims = np.rint(traces)
+    gap = float(np.abs(traces - dims).max())
+    if gap > 64 * np.finfo(float).eps * ambient or dims.sum() != ambient:
+        raise NumericError(
+            f"projector traces {traces.tolist()} are not integers summing to {ambient}",
+            residual=gap,
+        )
+    drift = float(np.abs(_decompose_batch(counts, fixed[None])[1][0] - fixed).max())
+    if drift > 1e-9 * float(np.abs(fixed).max()):
+        raise NumericError(
+            f"potential part moved by {drift:.3e} under a second projection", residual=drift
+        )
+    return tuple(int(d) for d in dims)
 
 
 @dataclass(frozen=True)
@@ -175,10 +224,13 @@ class IntersectionTable:
 def zs_ii_intersection_dims(h: int, seed: int = 0) -> IntersectionTable:
     """Dimensions of the zero-sum / identical-interest subspaces met with each game class.
 
-    Both the closed-form table and the rank-computed one (via
-    ``dim(A & B) = dim A + dim B - dim(A + B)`` on explicit spans) are
-    returned; they must agree whenever the ambient dimension permits the
-    rank computation.  Each span and each stacked pair is ranked once.
+    Both the closed-form table and the rank-computed one are returned; they
+    must agree whenever the ambient dimension permits the rank computation.
+    The zero-sum games Z = {(x, -x)} and the identical-interest games
+    I = {(x, x)} are orthogonal complements, so for a class span A with rows
+    ``(u1 | u2)``: ``dim(A & Z) = rank A - rank(u1 + u2)``,
+    ``dim(A & I) = rank A - rank(u1 - u2)`` and ``dim(A & (Z + I)) = rank A``.
+    Each span and its two projections are ranked once.
     """
     if h < 1:
         raise ShapeError("h must be >= 1")
@@ -194,28 +246,22 @@ def zs_ii_intersection_dims(h: int, seed: int = 0) -> IntersectionTable:
     if ambient > RANK_AMBIENT_CAP:
         return IntersectionTable(h, closed, None, None)
 
-    eye = np.eye(n)
-    span_z = np.hstack([eye, -eye])
-    span_i = np.hstack([eye, eye])
-
-    non = nonstrategic_basis(counts).matrix()
-    harm = np.vstack([harmonic_basis_2p(h, h).matrix(), non]) if h >= 2 else non
-
-    dims = subspace_dims(counts)
-    samples = dims.potential + 6
+    non = _nonstrategic_rows(counts)
+    samples = subspace_dims(counts).potential + 6
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 2, n))
-    pot = np.vstack([non, _decompose_batch(counts, u)[1].reshape(samples, ambient)])
-
-    rows = {"potential_games": pot, "harmonic_games": harm, "all_games": np.eye(ambient)}
-    cols = {"zero_sum": span_z, "identical": span_i, "direct_sum": np.vstack([span_z, span_i])}
-    col_ranks = {col: numeric_rank(span) for col, span in cols.items()}
+    spans = {
+        "potential_games": np.concatenate([non, _decompose_batch(counts, u)[1]]),
+        "harmonic_games": np.concatenate([_harmonic_rows_2p(h, h), non]),
+        "all_games": np.eye(ambient).reshape(ambient, 2, n),
+    }
     computed = {}
-    for row, span in rows.items():
-        rank = numeric_rank(span)
-        # dim(A & B) = dim A + dim B - dim(A + B)
+    for row, span in spans.items():
+        rank = numeric_rank(span.reshape(-1, ambient))
+        u1, u2 = span[:, 0], span[:, 1]
         computed[row] = {
-            col: rank + col_ranks[col] - numeric_rank(np.vstack([span, other]))
-            for col, other in cols.items()
+            "zero_sum": rank - numeric_rank(u1 + u2),
+            "identical": rank - numeric_rank(u1 - u2),
+            "direct_sum": rank,
         }
     return IntersectionTable(h, closed, computed, computed == closed)
 

@@ -505,9 +505,11 @@ class TestExportFlowCommand:
         assert capsys.readouterr().out == "\n".join(dot + ["}"]) + "\n"
 
     def test_json_spanning_many_chunks_matches_per_edge_listing(self, game_file, capsys):
-        counts = (60, 60)
+        # 2x257: player 0's 257 edges fit in one partial chunk, player 1's
+        # 65 792 fill one chunk of 2^16 and start a partial second one
+        counts = (2, 257)
         g = random_game(np.random.default_rng(35), counts)
-        path = game_file(g, "g60.json")
+        path = game_file(g, "g2x257.json")
         graph = build_graph(counts)
         values = pairwise_comparison(g, graph).values
         # each arrow points along its positive flow; a -0.0 value keeps its
@@ -521,7 +523,8 @@ class TestExportFlowCommand:
             {"from": f, "to": t, "value": float(f"{v:.12g}")}
             for f, t, v in zip(froms, tos, np.where(back, -values, values).tolist())
         ]
-        assert len(edges) == 212_400
+        assert len(edges) == 66_049
+        assert graph.player_slice(1).stop - graph.player_slice(1).start == (1 << 16) + 256
         assert main(["export-flow", path, "--format", "json"]) == 0
         assert capsys.readouterr().out == json.dumps({"edges": edges}, indent=2) + "\n"
 

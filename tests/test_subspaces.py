@@ -3,6 +3,7 @@ import pytest
 
 from gamehodge import (
     Game,
+    NumericError,
     ShapeError,
     SizeError,
     basis_export,
@@ -42,6 +43,73 @@ class TestNonstrategicBasis:
         doc = basis_export(nonstrategic_basis((2, 2)))
         assert doc["subspace"] == "N"
         assert len(doc["manifest"]) == len(doc["games"]) == 4
+
+
+def _nonstrategic_games(counts):
+    """The nonstrategic basis games and tags built one block at a time."""
+    n = int(np.prod(counts))
+    games, tags = [], []
+    for m, h in enumerate(counts):
+        rest = n // h
+        for r in range(rest):
+            block = np.zeros((h, rest))
+            block[:, r] = 1.0
+            others = tuple(c for k, c in enumerate(counts) if k != m)
+            u = np.zeros((len(counts), n))
+            u[m] = np.moveaxis(block.reshape((h,) + others), 0, m).ravel()
+            games.append(Game(u, counts))
+            tags.append(f"N[player={m},block={r}]")
+    return games, tags
+
+
+def _harmonic_games_2p(h1, h2):
+    """The two-player harmonic basis games and tags built one checkerboard at a time."""
+    games, tags = [], []
+    for i in range(h1 - 1):
+        for j in range(h2 - 1):
+            a = np.zeros((h1, h2))
+            a[i, j] = a[i + 1, j + 1] = 1.0
+            a[i + 1, j] = a[i, j + 1] = -1.0
+            games.append(Game.from_payoff_matrices(h2 * a, -h1 * a))
+            tags.append(f"H[i={i},j={j}]")
+    return games, tags
+
+
+def _same_games(got, want):
+    return len(got) == len(want) and all(
+        g.strategy_counts == w.strategy_counts
+        and g.player_names == w.player_names
+        and g.strategy_labels == w.strategy_labels
+        and g.utilities.tobytes() == w.utilities.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+class TestBasisRows:
+    @pytest.mark.parametrize(
+        "counts", [(1,), (5,), (1, 1), (2, 2), (2, 3), (3, 1, 4), (2, 2, 2), (4, 3, 2)]
+    )
+    def test_nonstrategic_games_order_and_tags(self, counts):
+        basis = nonstrategic_basis(counts)
+        games, tags = _nonstrategic_games(counts)
+        assert _same_games(basis.games, games)
+        assert basis.element_tags == tags
+        assert (basis.tag, basis.strategy_counts) == ("N", counts)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 7)])
+    def test_harmonic_games_order_and_tags(self, shape):
+        basis = harmonic_basis_2p(*shape)
+        games, tags = _harmonic_games_2p(*shape)
+        assert _same_games(basis.games, games)
+        assert basis.element_tags == tags
+        assert (basis.tag, basis.strategy_counts) == ("H2p", shape)
+
+    def test_table_builds_no_game(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a Game was built")
+
+        monkeypatch.setattr(subspaces, "Game", fail)
+        assert zs_ii_intersection_dims(4).agrees
 
 
 class TestHarmonicBasis2p:
@@ -109,9 +177,57 @@ class TestEmpiricalDims:
         measured = empirical_dims(counts, seed=7)
         assert measured == (dims.potential, dims.harmonic, dims.nonstrategic)
 
+    @pytest.mark.parametrize(
+        "counts", [(4, 4, 4, 4), (32, 32), (2,) * 8, (65, 2), (3,), (1, 5), (1, 1)]
+    )
+    def test_traces_match_closed_forms(self, counts):
+        # (3,), (1, 5) and (1, 1) have no harmonic games; (65, 2) has an
+        # axis above the Helmert matrix cut
+        assert empirical_dims(counts) == subspace_dims(counts)[:3]
+
+    @pytest.mark.parametrize("factor", [1.01, 2.0])
+    def test_scaled_potential_part_raises(self, monkeypatch, factor):
+        # at 1.01 the potential trace is no integer; at 2.0 the three traces
+        # are integers that do not sum to M * n
+        kernel = subspaces._decompose_batch
+
+        def scaled(counts, u):
+            phi, pot, harm, non = kernel(counts, u)
+            return phi, factor * pot, harm, non
+
+        monkeypatch.setattr(subspaces, "_decompose_batch", scaled)
+        with pytest.raises(NumericError):
+            empirical_dims((2, 3))
+
+    def test_second_projection_that_moves_the_probe_raises(self, monkeypatch):
+        kernel = subspaces._decompose_batch
+
+        def moved_on_one_game(counts, u):
+            phi, pot, harm, non = kernel(counts, u)
+            return phi, pot * (1.0 + 1e-6 * (len(u) == 1)), harm, non
+
+        monkeypatch.setattr(subspaces, "_decompose_batch", moved_on_one_game)
+        with pytest.raises(NumericError, match="second projection"):
+            empirical_dims((3, 3))
+
     def test_ambient_cap(self):
         with pytest.raises(SizeError):
             empirical_dims((40, 40, 3))
+
+    def test_work_cap_before_the_kernel(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the kernel ran before the work cap")
+
+        monkeypatch.setattr(subspaces, "_decompose_batch", fail)
+        with pytest.raises(SizeError):
+            empirical_dims((40, 40, 3))
+
+
+@pytest.mark.parametrize("counts", [(), (0,), (-2, 2), (2, 0, 2)])
+@pytest.mark.parametrize("build", [empirical_dims, nonstrategic_basis])
+def test_invalid_counts_raise_shape_error(build, counts):
+    with pytest.raises(ShapeError, match="invalid strategy counts"):
+        build(counts)
 
 
 class TestZsIiIntersections:
@@ -136,20 +252,26 @@ class TestZsIiIntersections:
         assert result.agrees
         assert result.computed == result.closed_form
 
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_complement_ranks_match_closed_form(self, h):
+        for seed in range(5):
+            table = zs_ii_intersection_dims(h, seed=seed)
+            assert table.computed == table.closed_form
+            assert table.agrees is True
+
     @pytest.mark.parametrize("h", range(1, 7))
     def test_each_span_ranked_once(self, monkeypatch, h):
-        # three class spans, three zero-sum / identical-interest spans and
-        # the nine stacked pairs
+        # three class spans, each with its projections u1 + u2 and u1 - u2
         rank = subspaces.numeric_rank
         calls = []
 
         def counting(matrix, *args):
-            calls.append(matrix.shape)
+            calls.append(matrix.shape[1])
             return rank(matrix, *args)
 
         monkeypatch.setattr(subspaces, "numeric_rank", counting)
         table = zs_ii_intersection_dims(h)
-        assert len(calls) == 15
+        assert calls == [2 * h * h, h * h, h * h] * 3
         assert table.computed == table.closed_form
 
     def test_direct_sum_columns(self):
