@@ -199,10 +199,14 @@ def cmd_verify(args) -> int:
 
     # decomposition structure
     d = decompose(game)
-    check("reconstruction", d.residuals["reconstruction"], 1, scale)
-    gradient_gap = _spread(counts, d.potential_part.utilities - d.potential_fn)
+    u_pot, u_harm, u_non = (
+        p.utilities for p in (d.potential_part, d.harmonic_part, d.nonstrategic_part)
+    )
+    check("reconstruction", float(np.abs(u - (u_pot + u_harm + u_non)).max()), 1, scale)
+    gradient_gap = _spread(counts, u_pot - d.potential_fn)
     check("potential-flow-is-gradient", gradient_gap, 1, scale)
-    check("harmonic-flow-divergence-free", d.residuals["harmonic_divergence"], h_sum, scale)
+    divergence = np.asarray(counts, dtype=float) @ u_harm
+    check("harmonic-flow-divergence-free", float(np.abs(divergence).max()), h_sum, scale)
     check("nonstrategic-flow-zero", _spread(counts, d.nonstrategic_part.utilities), 1, scale)
     check("components-normalized", block_sums(d.potential_part, d.harmonic_part), h_max, scale)
     total = game_norm(game) ** 2

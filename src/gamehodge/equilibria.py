@@ -37,7 +37,7 @@ from .decompose import (
     is_harmonic,
 )
 from .errors import PreconditionError, SizeError
-from .game import Game, is_normalized, project_player
+from .game import Game, _check_tol, is_normalized, project_player
 from .subspaces import numeric_rank
 
 __all__ = [
@@ -74,7 +74,7 @@ def _equilibrium_mask(game: Game, eps: float) -> np.ndarray:
 
 def _listed(mask: np.ndarray) -> list[list[int]]:
     """Profiles where ``mask`` holds, in index order, as lists of Python ints."""
-    return np.argwhere(mask).tolist()
+    return np.array(mask.nonzero()).T.tolist()  # np.argwhere's rows, without its overhead
 
 
 def _profiles(mask: np.ndarray) -> list[tuple[int, ...]]:
@@ -132,12 +132,15 @@ def uniformly_mixed(game: Game) -> list[np.ndarray]:
 
 
 def deviation_payoffs(game: Game, player: int, x) -> np.ndarray:
-    """Payoffs of each pure strategy of ``player`` against the others' mix."""
-    t = game.tensor(player)
-    for k in range(game.num_players - 1, -1, -1):
-        if k == player:
-            continue
-        t = np.tensordot(t, np.asarray(x[k], dtype=float), axes=([k], [0]))
+    """Payoffs of each pure strategy of ``player`` against the others' mix.
+
+    The player's own axis is moved first; then one matrix-vector product
+    per opponent contracts the last axis, the last opponent first.
+    """
+    opponents = [k for k in range(game.num_players) if k != player]
+    t = game.tensor(player).transpose(player, *opponents)
+    for k in reversed(opponents):
+        t = t @ np.asarray(x[k], dtype=float)
     return t
 
 
@@ -152,7 +155,12 @@ def is_mixed_nash(game: Game, x, tol: float = 1e-9) -> bool:
     ``tol`` is an absolute epsilon in payoff units, not relative to the
     payoffs' scale: the profile is an ``tol``-Nash equilibrium.
     """
-    x = _validate_mixed(game, x)
+    _check_tol(tol)
+    return _is_mixed_nash(game, _validate_mixed(game, x), tol)
+
+
+def _is_mixed_nash(game: Game, x: list[np.ndarray], tol: float) -> bool:
+    """:func:`is_mixed_nash` of a profile already known to be valid."""
     for m in range(game.num_players):
         payoffs = deviation_payoffs(game, m, x)
         if float(payoffs @ x[m]) < payoffs.max() - tol:
@@ -168,6 +176,7 @@ def is_correlated_equilibrium(game: Game, x, tol: float = 1e-9) -> bool:
     ``tol``, an absolute epsilon in payoff units, not relative to the
     payoffs' scale.
     """
+    _check_tol(tol)
     x = _validate_simplex(np.asarray(x, dtype=float), game.num_profiles, "joint distribution")
     xt = x.reshape(game.strategy_counts)
     for m in range(game.num_players):
@@ -283,8 +292,13 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     A game whose strategic part is within ``tol`` of its own norm (a
     nonstrategic game, or rounding left by removing one) is taken as the
     zero game, as :func:`equilibrium_report` does, since every joint
-    distribution is a correlated equilibrium of it.
+    distribution is a correlated equilibrium of it.  Any other game must be
+    normalized and pass the harmonic bound below, or ``PreconditionError``
+    is raised; ``tol`` must be >= 0, or ``ValueError`` is.  The system
+    itself comes from the routine that :func:`equilibrium_report` calls on
+    the strategic part it has already certified.
     """
+    _check_tol(tol)
     if game.num_players > 2:
         _check_system_size(game)
     counts = game.strategy_counts
@@ -305,16 +319,25 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
         # decomposition.
         if float(np.linalg.norm(h @ strategic)) > math.sqrt(h.sum()) * tol * whole:
             raise PreconditionError("game must be harmonic (zero potential part)")
+    return _correlated_system(game, tol)
 
-    if game.num_players <= 2:
-        factors = _factors(game)
-        nullity = [a.shape[1] - r for a, r in zip(factors, _factor_ranks(game, factors, tol))]
-        return AffineSolutionSet(game, tol, math.prod(nullity) - 1)
-    equalities = _stacked_system(game, _scale(game))
-    system = AffineSolutionSet(game, tol, game.num_profiles - numeric_rank(equalities, tol))
-    equalities[-1] = 1.0
-    system.__dict__["equalities"] = equalities  # the cached_property's slot
-    return system
+
+def _correlated_system(game: Game, tol: float) -> AffineSolutionSet:
+    """:func:`harmonic_correlated_system` of a game known to be normalized and harmonic.
+
+    The cap on the stacked system is checked first; then at most two
+    players take the product form and more the stacked rank.
+    """
+    if game.num_players > 2:
+        _check_system_size(game)
+        equalities = _stacked_system(game, _scale(game))
+        system = AffineSolutionSet(game, tol, game.num_profiles - numeric_rank(equalities, tol))
+        equalities[-1] = 1.0
+        system.__dict__["equalities"] = equalities  # the cached_property's slot
+        return system
+    factors = _factors(game)
+    nullity = [a.shape[1] - r for a, r in zip(factors, _factor_ranks(game, factors, tol))]
+    return AffineSolutionSet(game, tol, math.prod(nullity) - 1)
 
 
 def _scale(game: Game) -> float:
@@ -422,6 +445,7 @@ def harmonic_indifference_checks(game: Game, tol: float = 1e-9) -> HarmonicIndif
     does not change when the payoffs are scaled; ``tol`` is relative, and the
     report carries it as given.  Violations are reported, never raised.
     """
+    _check_tol(tol)
     bound = tol * float(np.abs(game.utilities).max(initial=0.0))
     violations: list[str] = []
 
@@ -681,12 +705,17 @@ def equilibrium_report(game: Game, eps: float = 0.0, tol: float = 1e-9) -> dict:
 
     For a harmonic game the strategic part ``u - u_N`` is read from the
     decomposition that :func:`is_harmonic` ran, or taken as zero when its
-    norm is within ``tol`` of the game's, and handed to
-    :func:`harmonic_correlated_system` without a copy.  The three profile
-    lists come straight from their masks, as lists of Python ints, in the
-    order of :func:`pure_nash`, :func:`epsilon_equilibria` and
-    :func:`pareto_optimal`.
+    norm is within ``tol`` of the game's.  The kernel made that part
+    normalized and :func:`is_harmonic` has just certified it harmonic, so it
+    goes without a copy, and without the preconditions that
+    :func:`harmonic_correlated_system` checks, to the routine that ranks its
+    system; the dimension is the one that function returns.  The uniformly
+    mixed profile is built here, so :func:`is_mixed_nash` runs without
+    validating it.  The three profile lists come straight from their masks,
+    as lists of Python ints, in the order of :func:`pure_nash`,
+    :func:`epsilon_equilibria` and :func:`pareto_optimal`.
     """
+    _check_tol(tol)
     correlated_dim = None
     if is_harmonic(game, tol):
         pot, harm, whole = _norms(game)
@@ -694,12 +723,12 @@ def equilibrium_report(game: Game, eps: float = 0.0, tol: float = 1e-9) -> dict:
             strategic = np.zeros_like(game.utilities)
         else:
             strategic = game.utilities - _parts(game)[3]
-        correlated_dim = harmonic_correlated_system(game._sharing(strategic), tol).dimension
+        correlated_dim = _correlated_system(game._sharing(strategic), tol).dimension
     return {
         "pure_nash": _listed(_equilibrium_mask(game, 0.0)),
         "epsilon": float(eps),
         "epsilon_equilibria": _listed(_equilibrium_mask(game, eps)),
         "pareto_optimal": _listed(_pareto_mask(game)),
-        "uniform_mixed_is_ne": is_mixed_nash(game, uniformly_mixed(game), tol),
+        "uniform_mixed_is_ne": _is_mixed_nash(game, uniformly_mixed(game), tol),
         "correlated_dim": correlated_dim,
     }

@@ -196,7 +196,7 @@ def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
             f"utilities shape {u.shape} does not match {m} players "
             f"x {n} profiles for strategy counts {counts}"
         )
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise GameFormatError("payoffs must be finite")
     return u
 
@@ -231,10 +231,15 @@ def normalize(game: Game) -> Game:
     )
 
 
-def is_normalized(game: Game, tol: float = 1e-9) -> bool:
-    """True iff every per-player, per-opponent-block payoff sum is within ``tol`` of 0."""
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a number >= 0, NaN included."""
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
+
+
+def is_normalized(game: Game, tol: float = 1e-9) -> bool:
+    """True iff every per-player, per-opponent-block payoff sum is within ``tol`` of 0."""
+    _check_tol(tol)
     for m in range(game.num_players):
         sums = game.tensor(m).sum(axis=m)
         if np.abs(sums).max(initial=0.0) > tol:

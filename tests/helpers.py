@@ -104,6 +104,12 @@ def assert_flow_equals(flow, directed_values, tol=1e-9):
             assert abs(flow.values[e]) <= tol, (e, flow.values[e])
 
 
+def reconstruction_error(game, d):
+    """Largest entry of ``u - (u_P + u_H + u_N)`` over a decomposition's parts."""
+    parts = d.potential_part.utilities + d.harmonic_part.utilities + d.nonstrategic_part.utilities
+    return float(np.abs(game.utilities - parts).max())
+
+
 def assert_games_close(g1, g2, tol=1e-9):
     assert g1.strategy_counts == g2.strategy_counts
     assert np.abs(g1.utilities - g2.utilities).max(initial=0.0) <= tol

@@ -49,6 +49,7 @@ from helpers import (
     assert_flow_equals,
     assert_games_close,
     random_game,
+    reconstruction_error,
     rps_harmonic,
     rps_nonstrategic,
     rps_potential,
@@ -138,7 +139,7 @@ def test_criterion_5_orthogonality_direct_sum(capsys):
         for k in range(200):
             g = random_game(rng, shapes[k % len(shapes)], scale=3.0)
             d = decompose(g)
-            assert d.residuals["reconstruction"] < 1e-9
+            assert reconstruction_error(g, d) < 1e-9
             total = game_norm(g) ** 2
             parts = (
                 game_norm(d.potential_part) ** 2

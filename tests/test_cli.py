@@ -60,11 +60,13 @@ def read_json(capsys):
 
 class TestDecomposeCommand:
     def test_classic_rps_has_zero_potential_block(self, game_file, capsys):
-        path = game_file(generalized_rps(1 / 3, 1 / 3, 1 / 3), "rps.json")
+        g = generalized_rps(1 / 3, 1 / 3, 1 / 3)
+        path = game_file(g, "rps.json")
         assert main(["decompose", path]) == 0
         doc = read_json(capsys)
         assert np.abs(np.array(doc["potential"]["utilities"])).max() <= 1e-9
-        assert doc["residuals"]["reconstruction"] <= 1e-9
+        parts = sum(np.array(doc[k]["utilities"]) for k in ("potential", "harmonic", "nonstrategic"))
+        assert np.abs(g.utilities - parts).max() <= 1e-9
 
     def test_battle_of_sexes_is_potential(self, game_file, capsys):
         path = game_file(battle_of_sexes(), "bos.json")

@@ -52,6 +52,7 @@ from helpers import (
     assert_games_close,
     nonstrategic_payoffs,
     random_game,
+    reconstruction_error,
     rps_harmonic,
     rps_nonstrategic,
     rps_potential,
@@ -84,8 +85,9 @@ class TestGeneralizedRps:
         assert_games_close(d.harmonic_part, g, 1e-12)
 
     def test_residuals_are_tiny(self):
-        d = decompose(generalized_rps(2.0, 1.0, 3.0))
-        assert d.residuals["reconstruction"] <= 1e-12
+        g = generalized_rps(2.0, 1.0, 3.0)
+        d = decompose(g)
+        assert reconstruction_error(g, d) <= 1e-12
         assert d.residuals["harmonic_divergence"] <= 1e-9
         assert d.residuals["solver"] <= 1e-9
 
@@ -189,6 +191,12 @@ class TestMembership:
     def test_zero_game_is_both(self):
         g = Game(np.zeros((2, 4)), (2, 2))
         assert is_potential(g) and is_harmonic(g)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    @pytest.mark.parametrize("check", [is_potential, is_harmonic, potential_function])
+    def test_tol_must_be_a_number_at_least_zero(self, check, tol):
+        with pytest.raises(ValueError, match="tol"):
+            check(battle_of_sexes(), tol)
 
 
 def _scale_games():
@@ -444,6 +452,19 @@ class TestKernelCache:
         parts = decompose_module._parts(g1)
         assert decompose_module._parts(games[-1]) is not parts
 
+    def test_warm_decompose_runs_no_kernel_and_no_norm(self, monkeypatch):
+        g = random_game(np.random.default_rng(68), (2, 3, 4))
+        cold = decompose(g)
+
+        def refuse(*args):
+            raise AssertionError("a warm decompose ran the kernel or a norm")
+
+        monkeypatch.setattr(decompose_module, "_decompose_batch", refuse)
+        monkeypatch.setattr(decompose_module, "_norm", refuse)
+        warm = decompose(g)
+        assert _identical(warm, cold)
+        assert warm.potential_fn is not cold.potential_fn
+
     def test_failed_kernel_run_stores_nothing(self, kernel_calls, monkeypatch):
         # a corrupted inverse transform makes the kernel's solve check raise
         rng = np.random.default_rng(65)
@@ -683,7 +704,7 @@ class TestDecompositionStructure:
         # the one-strategy player's payoffs are entirely nonstrategic
         assert np.abs(d.potential_part.utilities[1]).max() <= 1e-12
         assert np.abs(d.harmonic_part.utilities[1]).max() <= 1e-12
-        assert d.residuals["reconstruction"] <= 1e-12
+        assert reconstruction_error(g, d) <= 1e-12
 
     def test_solver_residual_is_the_laplacian_residual(self, monkeypatch):
         # a perturbed transform makes the residual large enough to compare;
@@ -721,11 +742,27 @@ class TestDecompositionStructure:
             assert len(applies) == 0
             assert len(projections) == 2 * len(counts)
 
+    def test_residual_keys(self):
+        assert set(decompose(random_game(np.random.default_rng(47), (2, 3))).residuals) == {
+            "harmonic_divergence",
+            "solver",
+        }
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("counts", [(3, 3), (20, 20), (2, 3, 4), (200, 200), (8, 8, 8), (2,) * 12])
+    def test_harmonic_divergence_reads_the_divergence(self, counts, scale):
+        # the kernel's residual row against the divergence summed from the
+        # returned harmonic part, on uniform random payoffs
+        g = random_game(np.random.default_rng(0), counts, scale)
+        d = decompose(g)
+        direct = float(np.abs(np.asarray(counts, dtype=float) @ d.harmonic_part.utilities).max())
+        assert direct / 2 <= d.residuals["harmonic_divergence"] <= 2 * direct
+
     def test_json_export_shape(self):
         d = decompose(matching_pennies())
         doc = decomposition_to_dict(d)
         assert set(doc) == {"potential", "harmonic", "nonstrategic", "phi", "residuals"}
-        assert set(doc["residuals"]) == {"reconstruction", "harmonic_divergence"}
+        assert set(doc["residuals"]) == {"harmonic_divergence"}
         assert len(doc["phi"]) == 4
         floats = doc["phi"] + [v for k in ("potential", "harmonic", "nonstrategic")
                                for row in doc[k]["utilities"] for v in row]
@@ -744,7 +781,8 @@ class TestLargeGames:
 
     def test_random_100x100_residuals_are_tiny(self):
         # the same bounds as TestGeneralizedRps.test_residuals_are_tiny
-        d = decompose(random_game(np.random.default_rng(41), (100, 100)))
-        assert d.residuals["reconstruction"] <= 1e-12
+        g = random_game(np.random.default_rng(41), (100, 100))
+        d = decompose(g)
+        assert reconstruction_error(g, d) <= 1e-12
         assert d.residuals["harmonic_divergence"] <= 1e-9
         assert d.residuals["solver"] <= 1e-9

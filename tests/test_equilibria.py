@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import math
 import tracemalloc
 
@@ -18,6 +20,7 @@ from gamehodge import (
     harmonic_correlated_system,
     harmonic_indifference_checks,
     is_correlated_equilibrium,
+    is_harmonic,
     is_mixed_nash,
     mixed_utility,
     normalize,
@@ -40,6 +43,8 @@ from gamehodge.catalog import (
 from gamehodge.equilibria import deviation_payoffs
 from gamehodge.subspaces import harmonic_basis_2p, nonstrategic_basis, numeric_rank
 from helpers import nonstrategic_payoffs, random_game
+
+equilibria_module = importlib.import_module("gamehodge.equilibria")
 
 
 def random_harmonic_2p(rng, h1, h2, scale=1.0):
@@ -221,6 +226,21 @@ class TestMixedContraction:
             assert np.abs(brute - deviation_payoffs(g, m, x)).max() <= 1e-12
             total = float(brute @ x[m])
             assert abs(total - mixed_utility(g, m, x)) <= 1e-12
+
+    @pytest.mark.parametrize("counts", [(3,), (4, 1, 5), (2, 3, 4), (2,) * 5], ids=str)
+    def test_deviation_payoffs_match_the_definition(self, counts):
+        rng = np.random.default_rng(100)
+        g = random_game(rng, counts)
+        for _ in range(3):
+            x = [rng.dirichlet(np.ones(h)) for h in counts]
+            for m, h in enumerate(counts):
+                want = np.zeros(h)
+                for p in itertools.product(*map(range, counts)):
+                    weight = math.prod(x[k][p[k]] for k in range(len(counts)) if k != m)
+                    want[p[m]] += weight * g.tensor(m)[p]
+                got = deviation_payoffs(g, m, x)
+                assert got.shape == (h,)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(g.utilities).max()
 
 
 class TestCorrelatedEquilibrium:
@@ -910,6 +930,70 @@ class TestReport:
         monkeypatch.setattr(np.linalg, "svd", recording)
         assert equilibrium_report(game)["correlated_dim"] is not None
         assert compute_uv and not any(compute_uv)
+
+
+def _seeded_harmonic(counts):
+    """The harmonic part of a seeded random game, plus a nonstrategic part."""
+    rng = np.random.default_rng(sum(counts) * 10 + len(counts))
+    harmonic = decompose(random_game(rng, counts)).harmonic_part
+    return harmonic.with_utilities(harmonic.utilities + nonstrategic_payoffs(rng, counts))
+
+
+CERTIFIED_GAMES = {
+    "matching-pennies": matching_pennies,
+    "rps": lambda: generalized_rps(1 / 3, 1 / 3, 1 / 3),
+    "cyclic-three-player": cyclic_three_player,
+    **{"x".join(map(str, c)): lambda c=c: _seeded_harmonic(c)
+       for c in [(2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2,) * 5]},
+}
+
+
+class TestReportTrustsTheKernel:
+    @pytest.mark.parametrize("name", list(CERTIFIED_GAMES))
+    def test_report_reruns_no_certified_check(self, name, monkeypatch):
+        # the values of the public, validated functions, then the report with
+        # every check that the kernel or is_harmonic already settled refused
+        g, eps, tol = CERTIFIED_GAMES[name](), 0.25, 1e-9
+        correlated_dim = None
+        if is_harmonic(g, tol):
+            strategic = g.with_utilities(g.utilities - decompose(g).nonstrategic_part.utilities)
+            correlated_dim = harmonic_correlated_system(strategic, tol).dimension
+        want = {
+            "pure_nash": [list(p) for p in pure_nash(g)],
+            "epsilon": eps,
+            "epsilon_equilibria": [list(p) for p in epsilon_equilibria(g, eps)],
+            "pareto_optimal": [list(p) for p in pareto_optimal(g)],
+            "uniform_mixed_is_ne": is_mixed_nash(g, uniformly_mixed(g), tol),
+            "correlated_dim": correlated_dim,
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report re-checked what the kernel certified")
+
+        for checked in ("project_player", "is_normalized", "game_norm", "_validate_mixed"):
+            monkeypatch.setattr(equilibria_module, checked, refuse)
+        assert equilibrium_report(g, eps=eps, tol=tol) == want
+        assert equilibrium_report(g.with_utilities(g.utilities), eps=eps, tol=tol) == want
+        assert (correlated_dim is None) == (name == "cyclic-three-player")
+
+
+BOS_PURE = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+TOL_CHECKS = {
+    "is_mixed_nash": lambda tol: is_mixed_nash(battle_of_sexes(), BOS_PURE, tol),
+    "is_correlated_equilibrium": lambda tol: is_correlated_equilibrium(
+        battle_of_sexes(), np.array([0.0, 1.0, 0.0, 0.0]), tol
+    ),
+    "harmonic_indifference_checks": lambda tol: harmonic_indifference_checks(battle_of_sexes(), tol),
+    "equilibrium_report": lambda tol: equilibrium_report(battle_of_sexes(), tol=tol),
+    "harmonic_correlated_system": lambda tol: harmonic_correlated_system(matching_pennies(), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+@pytest.mark.parametrize("name", list(TOL_CHECKS))
+def test_tol_must_be_a_number_at_least_zero(name, tol):
+    with pytest.raises(ValueError, match="tol"):
+        TOL_CHECKS[name](tol)
 
 
 REPORT_GAMES = {
