@@ -53,7 +53,7 @@ from .flows import (
     pairwise_comparison,
     project_player,
 )
-from .game import _game_document, _json_pieces, load_game, normalize
+from .game import _game_document, _json_pieces, _payoff_scale, load_game, normalize
 from .subspaces import subspace_dims
 
 EXIT_OK = 0
@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
     counts = game.strategy_counts
     n = game.num_profiles
     u = game.utilities
-    scale = float(np.abs(u).max(initial=0.0))
+    scale = _payoff_scale(game)
     players = range(len(counts))
     h_max = max(counts)
     h_sum = sum(h for h in counts if h > 1)  # one-strategy players' terms are zero

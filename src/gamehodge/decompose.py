@@ -77,7 +77,7 @@ import numpy as np
 
 from .errors import PreconditionError, ShapeError
 from .flows import _SOLVE_TOL, _check_residual, _pinv_transform, _row_norms
-from .game import Game, _check_tol, _game_document, project_player
+from .game import Game, _check_tol, _game_document, is_normalized, project_player
 
 __all__ = [
     "Decomposition",
@@ -238,17 +238,17 @@ def decompose_bimatrix_normalized(A, B):
     ``G = (A 1 1^T - 1 1^T B) / (2h)`` the potential component is
     ``(S+G, S-G)`` and the harmonic component ``(Dm-G, -Dm+G)``.
 
-    Requires both payoff matrices square of the same size ``h`` with
-    ``1^T A = 0`` and ``B 1 = 0`` to within 1e-9 times the largest
-    payoff (run :func:`gamehodge.game.normalize` first otherwise).
+    Requires both payoff matrices square of the same size ``h``, finite
+    (else ``GameFormatError``) and normalized, ``1^T A = 0`` and ``B 1 = 0``,
+    by :func:`gamehodge.game.is_normalized` at ``tol = 1e-9`` (run
+    :func:`gamehodge.game.normalize` first otherwise).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise ShapeError("closed form needs square payoff matrices of equal size")
     h = A.shape[0]
-    bound = 1e-9 * max(np.abs(A).max(), np.abs(B).max())
-    if np.abs(A.sum(axis=0)).max() > bound or np.abs(B.sum(axis=1)).max() > bound:
+    if not is_normalized(Game.from_payoff_matrices(A, B), 1e-9):
         raise PreconditionError(
             "payoff matrices are not normalized; normalize the game first"
         )

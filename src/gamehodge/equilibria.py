@@ -37,7 +37,7 @@ from .decompose import (
     is_harmonic,
 )
 from .errors import PreconditionError, SizeError
-from .game import Game, _check_tol, is_normalized, project_player
+from .game import Game, _check_tol, _payoff_scale, is_normalized, project_player
 from .subspaces import numeric_rank
 
 __all__ = [
@@ -292,33 +292,26 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     A game whose strategic part is within ``tol`` of its own norm (a
     nonstrategic game, or rounding left by removing one) is taken as the
     zero game, as :func:`equilibrium_report` does, since every joint
-    distribution is a correlated equilibrium of it.  Any other game must be
-    normalized and pass the harmonic bound below, or ``PreconditionError``
-    is raised; ``tol`` must be >= 0, or ``ValueError`` is.  The system
-    itself comes from the routine that :func:`equilibrium_report` calls on
-    the strategic part it has already certified.
+    distribution is a correlated equilibrium of it.  Any other game must
+    pass ``is_normalized`` at ``max(tol, 1e-12)``, then ``is_harmonic`` at
+    ``tol``, the test :func:`equilibrium_report` applies, or
+    ``PreconditionError`` is raised; ``tol`` must be >= 0, or ``ValueError``
+    is.  The system itself comes from the routine that
+    :func:`equilibrium_report` calls on the strategic part it has already
+    certified.
     """
     _check_tol(tol)
     if game.num_players > 2:
         _check_system_size(game)
     counts = game.strategy_counts
-    h = np.asarray(counts, dtype=float)
     whole = game_norm(game)
     strategic = np.stack([project_player(counts, m, u) for m, u in enumerate(game.utilities)])
     if _strategic_negligible(_norm(counts, strategic), whole, tol):
         game = game._sharing(np.zeros_like(game.utilities))
-    else:
-        if not is_normalized(game, max(tol, 1e-12) * float(np.abs(game.utilities).max(initial=0.0))):
-            raise PreconditionError("game must be normalized; call normalize() first")
-        # A game is harmonic iff sum_m h_m P_m u^m = 0 (for a normalized game,
-        # sum_m h_m u^m = 0): that sum is L phi for the potential phi, and
-        # ||L phi||^2 <= (sum_m h_m) phi'L phi, where phi'L phi is the squared
-        # norm of the potential part.  is_harmonic(game, tol) bounds that norm
-        # by tol times the norm of the normalised game, here the game itself;
-        # so every normalized game that passes it passes this bound, with no
-        # decomposition.
-        if float(np.linalg.norm(h @ strategic)) > math.sqrt(h.sum()) * tol * whole:
-            raise PreconditionError("game must be harmonic (zero potential part)")
+    elif not is_normalized(game, max(tol, 1e-12)):
+        raise PreconditionError("game must be normalized; call normalize() first")
+    elif not is_harmonic(game, tol):
+        raise PreconditionError("game must be harmonic (zero potential part)")
     return _correlated_system(game, tol)
 
 
@@ -346,7 +339,7 @@ def _scale(game: Game) -> float:
     Scaling a row leaves the solution set alone; at the size of the payoffs
     the rank threshold sees rows of one size whatever the payoff scale.
     """
-    return float(np.abs(game.utilities).max(initial=0.0)) or 1.0
+    return _payoff_scale(game) or 1.0
 
 
 def _check_system_size(game: Game) -> None:
@@ -446,7 +439,7 @@ def harmonic_indifference_checks(game: Game, tol: float = 1e-9) -> HarmonicIndif
     report carries it as given.  Violations are reported, never raised.
     """
     _check_tol(tol)
-    bound = tol * float(np.abs(game.utilities).max(initial=0.0))
+    bound = tol * _payoff_scale(game)
     violations: list[str] = []
 
     flux = 0.0

@@ -43,7 +43,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ShapeError, SizeError
-from .game import _CHUNK, Game, _checked_counts, _node_rows, profile_index, project_player
+from .game import (
+    _CHUNK, Game, _check_tol, _checked_counts, _node_rows, profile_index, project_player,
+)
 
 __all__ = [
     "GameGraph",
@@ -439,8 +441,7 @@ def laplacian_pinv_solve(
     The decomposition kernel runs :func:`_pinv_transform` alone and checks
     the residual with the Laplacian it already holds.
     """
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
+    _check_tol(tol)
     counts = _checked_counts(strategy_counts)
     n = math.prod(counts)
     b = _node_rows(counts, b)
@@ -521,8 +522,8 @@ def _helmert_matrix(h: int) -> np.ndarray:
 
 
 def _check_residual(residual: np.ndarray, target: np.ndarray) -> None:
-    """Raise :class:`NumericError` on the first row whose residual exceeds its target."""
-    missed = residual > target
+    """Raise :class:`NumericError` on the first row whose residual exceeds its target or is NaN."""
+    missed = ~(residual <= target)
     if missed.any():
         k = int(np.argmax(missed))  # the first failing row, in C order
         raise NumericError(

@@ -237,14 +237,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be >= 0")
 
 
+def _payoff_scale(game: Game) -> float:
+    """``max|u|``, or 0 for the zero game: the scale of every relative payoff tolerance."""
+    return float(np.abs(game.utilities).max(initial=0.0))
+
+
 def is_normalized(game: Game, tol: float = 1e-9) -> bool:
-    """True iff every per-player, per-opponent-block payoff sum is within ``tol`` of 0."""
+    """True iff every per-player, per-opponent-block payoff sum is within ``tol * max|u|`` of 0."""
     _check_tol(tol)
-    for m in range(game.num_players):
-        sums = game.tensor(m).sum(axis=m)
-        if np.abs(sums).max(initial=0.0) > tol:
-            return False
-    return True
+    bound = tol * _payoff_scale(game)
+    return all(np.abs(game.tensor(m).sum(axis=m)).max() <= bound for m in range(game.num_players))
 
 
 def zero_sum_identical_split(game: Game) -> tuple[Game, Game]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .decompose import _decompose_batch
 from .errors import NumericError, ShapeError, SizeError
-from .game import Game, _checked_counts, game_to_dict, is_normalized
+from .game import Game, _check_tol, _checked_counts, _payoff_scale, game_to_dict, is_normalized
 
 __all__ = [
     "numeric_rank",
@@ -271,12 +271,12 @@ def verify_normalized_harmonic(game: Game, tol: float = 1e-9) -> bool:
 
     The strategy-count-weighted payoffs must cancel pointwise
     (``sum_m h_m u^m = 0``) and every player's payoffs must be blockwise
-    mean-free.
+    mean-free, both to within ``tol * max|u|`` as in
+    :func:`gamehodge.game.is_normalized`; ``tol`` must be >= 0.
     """
-    weighted = np.zeros(game.num_profiles)
-    for m, h in enumerate(game.strategy_counts):
-        weighted += h * game.utilities[m]
-    if np.abs(weighted).max(initial=0.0) > tol:
+    _check_tol(tol)
+    weighted = np.asarray(game.strategy_counts, dtype=float) @ game.utilities
+    if np.abs(weighted).max(initial=0.0) > tol * _payoff_scale(game):
         return False
     return is_normalized(game, tol)
 

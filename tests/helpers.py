@@ -57,6 +57,18 @@ def random_game(rng, counts, scale=1.0):
     return Game(rng.uniform(-scale, scale, size=(m, n)), counts)
 
 
+def overflowing_game():
+    """A 3x3 game of finite payoffs near the float maximum: the kernel's sums overflow."""
+    return Game(np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 9)) * 1.7e308, (3, 3))
+
+
+def relabelled(game, rng):
+    """The same game with each player's strategies in a random order."""
+    perms = [rng.permutation(h) for h in game.strategy_counts]
+    u = [game.tensor(m)[np.ix_(*perms)].ravel() for m in range(game.num_players)]
+    return Game(np.stack(u), game.strategy_counts)
+
+
 def awkward_game():
     """A 3x4 game whose payoffs and labels exercise the corners of the JSON text:
     floats that print in exponent form or with many digits, -0.0, the

@@ -41,7 +41,7 @@ from gamehodge.catalog import (
     road_sharing,
 )
 from gamehodge.cli import main
-from helpers import awkward_game, random_game, slowest_mode_potential
+from helpers import awkward_game, overflowing_game, random_game, slowest_mode_potential
 
 
 @pytest.fixture
@@ -102,6 +102,15 @@ class TestDecomposeCommand:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["decompose", "/nonexistent/game.json"]) == 2
+
+    def test_overflowing_solve_exits_3(self, game_file, capsys):
+        # finite payoffs whose kernel sums overflow: a numeric error, not a parse error
+        path = game_file(overflowing_game(), "overflow.json")
+        with np.errstate(all="ignore"):
+            assert main(["decompose", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: Laplacian solve missed its tolerance")
 
     def test_missed_solve_tolerance_exits_3(self, game_file, capsys, monkeypatch):
         # a corrupted inverse transform makes the solve miss its tolerance

@@ -12,6 +12,7 @@ import gamehodge.flows as flows
 from gamehodge import (
     Decomposition,
     Game,
+    GameFormatError,
     NumericError,
     PreconditionError,
     ShapeError,
@@ -51,6 +52,7 @@ from helpers import (
     assert_flow_equals,
     assert_games_close,
     nonstrategic_payoffs,
+    overflowing_game,
     random_game,
     reconstruction_error,
     rps_harmonic,
@@ -163,8 +165,22 @@ class TestBimatrixClosedForm:
         with pytest.raises(ShapeError):
             decompose_bimatrix_normalized(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    def test_rejects_non_finite(self):
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(GameFormatError, match="finite"):
+            decompose_bimatrix_normalized(nan, np.zeros((2, 2)))
+
 
 class TestMembership:
+    def test_overflowing_kernel_raises_numeric_error(self):
+        # the solve's residual is NaN, which must miss its target, not pass it
+        g = overflowing_game()
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="Laplacian solve missed"):
+                decompose(g)
+            with pytest.raises(NumericError, match="Laplacian solve missed"):
+                is_potential(g)
+
     def test_battle_of_sexes_is_potential(self):
         bos = battle_of_sexes()
         assert is_potential(bos)

@@ -31,6 +31,7 @@ from gamehodge import (
     profile_of_index,
     pure_nash,
     uniformly_mixed,
+    verify_normalized_harmonic,
 )
 from gamehodge.catalog import (
     battle_of_sexes,
@@ -42,7 +43,7 @@ from gamehodge.catalog import (
 )
 from gamehodge.equilibria import deviation_payoffs
 from gamehodge.subspaces import harmonic_basis_2p, nonstrategic_basis, numeric_rank
-from helpers import nonstrategic_payoffs, random_game
+from helpers import nonstrategic_payoffs, random_game, relabelled
 
 equilibria_module = importlib.import_module("gamehodge.equilibria")
 
@@ -352,6 +353,29 @@ class TestHarmonicCorrelatedSystem:
         with pytest.raises(PreconditionError, match="must be harmonic"):
             harmonic_correlated_system(normalize(battle_of_sexes()))
 
+    def test_accepts_every_game_is_harmonic_certifies(self):
+        # matching pennies plus 5e-10 times the normalized coordination game:
+        # its potential part is within tol of the game's norm, but the
+        # pointwise sum h @ u is 4 * 5e-10, twice tol * max|u|
+        d = 5e-10
+        coordination = np.array([1.0, -1.0, -1.0, 1.0])
+        g = Game(np.stack([(1 + d) * coordination, (d - 1) * coordination]), (2, 2))
+        assert is_harmonic(g, 1e-9)
+        dim = harmonic_correlated_system(g, 1e-9).dimension
+        assert equilibrium_report(g, tol=1e-9)["correlated_dim"] == dim == 0
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_rejections_read_the_same_at_every_scale(self, scale):
+        bos = battle_of_sexes()
+        rejected = {
+            "game must be normalized; call normalize() first": bos,
+            "game must be harmonic (zero potential part)": normalize(bos),
+        }
+        for message, g in rejected.items():
+            with pytest.raises(PreconditionError) as info:
+                harmonic_correlated_system(g.with_utilities(scale * g.utilities))
+            assert str(info.value) == message
+
     # correlated dimension of each game at payoff scale 1; scaling the
     # payoffs must not change it
     SCALE_FREE_DIMS = {
@@ -441,12 +465,6 @@ def scaled_equalities(system):
 
 def stacked_dimension(system):
     return system.game.num_profiles - numeric_rank(scaled_equalities(system))
-
-
-def relabelled(game, rng):
-    perms = [rng.permutation(h) for h in game.strategy_counts]
-    u = [game.tensor(m)[np.ix_(*perms)].ravel() for m in range(game.num_players)]
-    return Game(np.stack(u), game.strategy_counts)
 
 
 class TestProductForm:
@@ -986,6 +1004,7 @@ TOL_CHECKS = {
     "harmonic_indifference_checks": lambda tol: harmonic_indifference_checks(battle_of_sexes(), tol),
     "equilibrium_report": lambda tol: equilibrium_report(battle_of_sexes(), tol=tol),
     "harmonic_correlated_system": lambda tol: harmonic_correlated_system(matching_pennies(), tol),
+    "verify_normalized_harmonic": lambda tol: verify_normalized_harmonic(matching_pennies(), tol),
 }
 
 

@@ -12,7 +12,9 @@ from gamehodge import (
     empirical_dims,
     game_norm,
     harmonic_basis_2p,
+    is_normalized,
     nonstrategic_basis,
+    normalize,
     pairwise_comparison,
     subspace_dims,
     verify_normalized_harmonic,
@@ -21,7 +23,7 @@ from gamehodge import (
 from gamehodge import subspaces
 from gamehodge.catalog import battle_of_sexes, generalized_rps, matching_pennies
 from gamehodge.subspaces import numeric_rank
-from helpers import rps_harmonic
+from helpers import random_game, relabelled, rps_harmonic
 
 
 class TestNonstrategicBasis:
@@ -293,8 +295,6 @@ class TestVerifyNormalizedHarmonic:
         assert not verify_normalized_harmonic(battle_of_sexes())
 
     def test_normalized_potential_game_fails(self):
-        from gamehodge import normalize
-
         assert not verify_normalized_harmonic(normalize(battle_of_sexes()))
 
     def test_equal_counts_imply_plain_zero_sum(self):
@@ -306,6 +306,46 @@ class TestVerifyNormalizedHarmonic:
             g = decompose(Game(u, (2, 2, 2))).harmonic_part
             total = g.utilities.sum(axis=0)
             assert np.abs(total).max() <= 1e-9
+
+
+def _harmonic_part(counts):
+    """The normalized harmonic part of a seeded random game."""
+    return decompose(random_game(np.random.default_rng(71), counts)).harmonic_part
+
+
+def _random_3x3():
+    return random_game(np.random.default_rng(72), (3, 3))
+
+
+# name -> (game, is_normalized, verify_normalized_harmonic) at payoff scale 1
+IDENTITY_CASES = {
+    "harmonic-2x2": (lambda: _harmonic_part((2, 2)), True, True),
+    "harmonic-3x3": (lambda: _harmonic_part((3, 3)), True, True),
+    "harmonic-4x5": (lambda: _harmonic_part((4, 5)), True, True),
+    "harmonic-2x3x4": (lambda: _harmonic_part((2, 3, 4)), True, True),
+    "matching-pennies": (matching_pennies, True, True),
+    "rps": (lambda: generalized_rps(1 / 3, 1 / 3, 1 / 3), True, True),
+    "normalized-random-3x3": (lambda: normalize(_random_3x3()), True, False),
+    "battle-of-sexes": (battle_of_sexes, False, False),
+    "normalized-battle-of-sexes": (lambda: normalize(battle_of_sexes()), True, False),
+    "random-3x3": (_random_3x3, False, False),
+}
+
+
+class TestIdentitiesAtEveryScale:
+    """Both identity checks are relative to ``max|u|``: scaling or relabelling changes no flag."""
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["as-is", "relabelled"])
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("name", list(IDENTITY_CASES))
+    def test_flags(self, name, scale, relabel):
+        make, normalized, harmonic = IDENTITY_CASES[name]
+        base = make()
+        g = Game(scale * base.utilities, base.strategy_counts)
+        if relabel:
+            g = relabelled(g, np.random.default_rng(73))
+        assert is_normalized(g) is normalized
+        assert verify_normalized_harmonic(g) is harmonic
 
 
 class TestSpanConsistency:
