@@ -15,11 +15,12 @@ own-strategy means; the parts are then read off as
 edge-space array is ever built.  The maths is written once, in
 ``_decompose_batch``, over payoffs of shape (K, M, n): K games of one shape
 go through one projection, one batched solve by a per-axis transform that
-diagonalizes the Laplacian (:func:`gamehodge.flows.laplacian_pinv_solve`)
-and one projection back.  Its K = 1 case, ``_parts``, is all that the
-membership tests and the projections read; :func:`decompose` hands out
-the ``Game`` objects and residuals kept beside them, and
-:mod:`gamehodge.subspaces` calls the kernel directly.
+diagonalizes the Laplacian (the checked solve of
+:func:`gamehodge.flows.laplacian_pinv_solve`) and one projection back.
+Its K = 1 case, ``_parts``, is all that the membership tests and the
+projections read; :func:`decompose` hands out the ``Game`` objects and
+residuals kept beside them, and :mod:`gamehodge.subspaces` calls the kernel
+directly.
 
 ``_parts`` keeps the last game's parts in a one-slot cache keyed by the
 identity of the (immutable) ``Game`` alone, so every public call on the same
@@ -29,12 +30,13 @@ parts are read-only views of read-only arrays; the part games wrap ``u_P``,
 ``u_H`` and ``u_N`` without a copy, after one shape and finiteness check
 each, and are built by the first :func:`decompose` of the run, so the
 membership tests and projections never pay for them; the norms are those
-of ``u_P``, ``u_H`` and ``u``, so the membership tests compute no norm; and
-the divergence is the largest entry and the 2-norm of the kernel's residual
-row (below).  So a repeated :func:`decompose` copies ``phi`` and nothing
-else.  The slot holds one game at a time and is emptied when that game is
-collected, so it never keeps a game or its parts alive.  An equal game in
-another object is a miss.
+of ``u_P``, ``u_H`` and ``u`` (``NumericError`` if one overflows), so the
+membership tests compute no norm; and the divergence is the largest entry
+and the 2-norm of the kernel's residual row (below).  So a repeated
+:func:`decompose` copies ``phi`` and nothing else.  The slot holds one
+game at a time and is emptied when that game is collected, so it never
+keeps a game or its parts alive.  An equal game in another object is a
+miss.
 
 The membership tests (:func:`is_potential`, :func:`is_harmonic`,
 :func:`potential_function`) measure against the norm of the normalised game
@@ -42,9 +44,9 @@ The membership tests (:func:`is_potential`, :func:`is_harmonic`,
 nonstrategic part is added; a game with no strategic part is both potential
 and harmonic.  Each raises ``ValueError`` unless ``tol >= 0``.
 
-The residual diagnostics are read off one row that the kernel forms anyway
-for its solve check: ``r = b - Laplacian(phi)`` with the centred right-hand
-side ``b``, plus the rounding-level mean that centring dropped.  That row is
+The residual diagnostics are read off the row that the solve checks and
+returns: ``r = b - Laplacian(phi)`` with the centred right-hand side ``b``,
+plus the rounding-level mean that centring dropped.  That row is
 ``sum_m h_m P_m u^m - sum_m h_m u_P^m``, which in exact arithmetic is
 ``sum_m h_m u_H^m``, the divergence of the harmonic flow, because
 ``P_m u_H^m = u_H^m``:
@@ -75,8 +77,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError
-from .flows import _SOLVE_TOL, _check_residual, _pinv_transform, _row_norms
+from .errors import NumericError, PreconditionError, ShapeError
+from .flows import _solve
 from .game import Game, _check_tol, _game_document, is_normalized, project_player
 
 __all__ = [
@@ -158,12 +160,13 @@ def _cached(game: Game):
     if slot is not None and slot[0]() is game:
         return slot
     counts = game.strategy_counts
-    row = np.empty((1, game.num_profiles))
-    batch = _decompose_batch(counts, game.utilities[None], row)
+    *batch, row = _decompose_batch(counts, game.utilities[None])
     for a in batch:
         a.flags.writeable = False
     parts = tuple(a[0] for a in batch)
     norms = (_norm(counts, parts[1]), _norm(counts, parts[2]), _norm(counts, game.utilities))
+    if not all(map(math.isfinite, norms)):
+        raise NumericError("the game norm overflowed: the payoffs are too large to decompose")
     row = row[0]
     divergence = (float(max(row.max(), -row.min())), math.sqrt(row @ row))
     slot = _slot = (weakref.ref(game, _release), parts, [None], norms, divergence)
@@ -182,40 +185,23 @@ def _release(ref) -> None:
         _slot = None
 
 
-def _decompose_batch(counts: tuple[int, ...], u: np.ndarray, row: np.ndarray | None = None):
+def _decompose_batch(counts: tuple[int, ...], u: np.ndarray):
     """Decompose K games of one shape at once: the maths of :func:`decompose`.
 
     ``u`` has shape (K, M, n), one payoff row per player of each game.
-    Returns ``(phi, u_P, u_H, u_N)``: the potentials, shape (K, n), and the
-    three parts, each (K, M, n).  On a product of cliques ``Laplacian =
-    sum_m h_m P_m``, so ``Laplacian(phi) = sum_m h_m u_P^m`` and the solve is
-    checked with no second Laplacian: :class:`NumericError` when a game's
-    ``||b - Laplacian(phi)||`` exceeds ``_SOLVE_TOL * ||b||``.  When ``row``,
-    shape (K, n), is given, it receives that residual plus the mean dropped
-    from b: the divergence of each returned u_H but for the rounding of
+    Returns ``(phi, u_P, u_H, u_N, r)``: the potentials and residual rows,
+    shape (K, n), and the three parts, each (K, M, n).  The checked solve
+    (:class:`NumericError`) returns ``u_P^m = P_m phi`` with ``r = b -
+    Laplacian(phi)``, the divergence of each u_H but for the rounding of
     forming it (module docstring).
     """
-    h = np.asarray(counts, dtype=float)
-    players = range(len(counts))
     proj = np.empty_like(u)
-    for m in players:
+    for m in range(len(counts)):
         proj[:, m] = project_player(counts, m, u[:, m])
     u_non = u - proj
-    b = h @ proj
-    # b is orthogonal to constants by construction; its rounding-level mean
-    # is dropped, as the solve's transform expects
-    mean = b.sum(axis=-1, keepdims=True) / b.shape[-1]
-    b -= mean
-    phi = _pinv_transform(counts, b)
-    u_pot = np.empty_like(proj)
-    for m in players:
-        u_pot[:, m] = project_player(counts, m, phi)
-    residual = b - h @ u_pot
-    _check_residual(_row_norms(residual), _SOLVE_TOL * _row_norms(b))
-    if row is not None:
-        np.add(residual, mean, out=row)
+    phi, u_pot, r = _solve(counts, np.asarray(counts, dtype=float) @ proj)
     proj -= u_pot
-    return phi, u_pot, proj, u_non
+    return phi, u_pot, proj, u_non, r
 
 
 def _spread(counts: tuple[int, ...], rows) -> float:

@@ -27,17 +27,15 @@ from functools import cached_property
 import numpy as np
 
 from .decompose import (
-    _norm,
     _norms,
     _parts,
     _strategic_negligible,
     closest_potential,
     game_distance,
-    game_norm,
     is_harmonic,
 )
 from .errors import PreconditionError, SizeError
-from .game import Game, _check_tol, _payoff_scale, is_normalized, project_player
+from .game import Game, _check_tol, _payoff_scale, is_normalized
 from .subspaces import numeric_rank
 
 __all__ = [
@@ -303,10 +301,8 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     _check_tol(tol)
     if game.num_players > 2:
         _check_system_size(game)
-    counts = game.strategy_counts
-    whole = game_norm(game)
-    strategic = np.stack([project_player(counts, m, u) for m, u in enumerate(game.utilities)])
-    if _strategic_negligible(_norm(counts, strategic), whole, tol):
+    pot, harm, whole = _norms(game)
+    if _strategic_negligible(math.hypot(pot, harm), whole, tol):
         game = game._sharing(np.zeros_like(game.utilities))
     elif not is_normalized(game, max(tol, 1e-12)):
         raise PreconditionError("game must be normalized; call normalize() first")
@@ -687,7 +683,7 @@ def pareto_align_transform(game: Game) -> Game:
         keep = ne_mask | ne_mask.any(axis=m, keepdims=True)
         u_bar[m] = np.where(keep, t, t - alpha).ravel()
 
-    return game.with_utilities(u_bar)
+    return game._sharing(u_bar)
 
 
 # -- report ----------------------------------------------------------------------

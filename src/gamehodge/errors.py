@@ -29,7 +29,7 @@ class SizeError(GameHodgeError):
 
 
 class NumericError(GameHodgeError):
-    """A numeric result failed its residual check against the requested tolerance."""
+    """A numeric result failed its residual check against the requested tolerance, or overflowed."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

@@ -18,10 +18,10 @@ complex array.  Node functions lie on the last axis
 of an array; :func:`laplacian_apply`, :func:`laplacian_pinv_solve` and the
 demeaning :func:`project_player` (defined in :mod:`gamehodge.game`,
 re-exported here) treat any leading axes as a batch, so many
-games of one shape go through one vectorised pass.  The solve checks its
-precondition and its residual row by row, each relative to that row's norm,
-and raises if any row fails; the Laplacian spectrum is built once per shape
-and memoised read-only.
+games of one shape go through one vectorised pass.  One checked solve
+serves :func:`laplacian_pinv_solve` and the decomposition kernel: it raises
+if any row's residual misses its tolerance relative to that row's norm, or
+the norm overflows.  The spectrum is built once per shape and memoised.
 
 Edge operators read the clique layout, not index arrays: player m's flow is
 a (C(h_m, 2), n/h_m) block of own-strategy pairs by opponent profiles, so a
@@ -284,12 +284,15 @@ def _differences(counts: tuple[int, ...], functions) -> np.ndarray:
 
 
 def pairwise_comparison(game: Game, graph: GameGraph | None = None) -> EdgeFlow:
-    """Flow assigning ``u^m(q) - u^m(p)`` to every m-comparable pair (p, q)."""
+    """Flow ``u^m(q) - u^m(p)`` on every m-comparable pair (p, q); NumericError on overflow."""
     if graph is None:
         graph = build_graph(game.strategy_counts)
     elif graph.strategy_counts != game.strategy_counts:
         raise ShapeError("graph shape does not match game shape")
-    return EdgeFlow(graph, _differences(game.strategy_counts, enumerate(game.utilities)))
+    values = _differences(game.strategy_counts, enumerate(game.utilities))
+    if not np.isfinite(values).all():
+        raise NumericError("a payoff difference overflowed")
+    return EdgeFlow(graph, values)
 
 
 def gradient(graph: GameGraph, phi) -> EdgeFlow:
@@ -427,7 +430,8 @@ def laplacian_pinv_solve(
     The last axis of ``b`` holds the ``prod(strategy_counts)`` profiles;
     leading axes are a batch of right-hand sides, solved together by
     transforms over the trailing profile axes.  Both checks below hold row
-    by row, relative to that row's norm, and one failing row raises.
+    by row, and one failing row raises; ``b_c`` is ``b`` with its mean
+    dropped, as in the decomposition kernel, whose solve this is.
 
     Raises
     ------
@@ -436,26 +440,38 @@ def laplacian_pinv_solve(
     PreconditionError
         if a row of ``b`` has a mean component above ``tol * ||b||``.
     NumericError
-        if a row's solution misses residual ``tol * ||b||``.
-
-    The decomposition kernel runs :func:`_pinv_transform` alone and checks
-    the residual with the Laplacian it already holds.
+        if a row's solution misses residual ``tol * ||b_c||``, or that
+        norm overflows.
     """
     _check_tol(tol)
     counts = _checked_counts(strategy_counts)
-    n = math.prod(counts)
     b = _node_rows(counts, b)
-    bnorm = _row_norms(b)
-    total = b.sum(axis=-1)
-    if (np.abs(total) > tol * bnorm).any():
+    if (np.abs(b.sum(axis=-1)) > tol * _row_norms(b)).any():
         raise PreconditionError(
             "right-hand side is not orthogonal to constants; "
             "it cannot be in the image of the Laplacian"
         )
-    b = b - (total / n)[..., None]
-    x = _pinv_transform(counts, b)
-    _check_residual(_row_norms(laplacian_apply(counts, x) - b), tol * bnorm)
-    return x
+    return _solve(counts, b, tol)[0]
+
+
+def _solve(counts: tuple[int, ...], b: np.ndarray, tol: float = _SOLVE_TOL):
+    """``(phi, P phi, r)`` for rows ``b``, orthogonal to constants, on the last axis.
+
+    ``P phi`` is :func:`project_player` of ``phi`` by each player, shape
+    ``(..., M, n)``, so ``Laplacian(phi) = sum_m h_m P_m phi``.  Raises via
+    :func:`_check_residual` unless ``||b_c - Laplacian(phi)|| <= tol ||b_c||``,
+    ``b_c`` being ``b`` less its rounding-level mean; ``r = b - Laplacian(phi)``.
+    """
+    mean = b.sum(axis=-1, keepdims=True) / b.shape[-1]
+    b = b - mean
+    phi = _pinv_transform(counts, b)
+    p_phi = np.empty(phi.shape[:-1] + (len(counts), phi.shape[-1]))
+    for m in range(len(counts)):
+        p_phi[..., m, :] = project_player(counts, m, phi)
+    r = b - np.asarray(counts, dtype=float) @ p_phi
+    _check_residual(_row_norms(r), tol * _row_norms(b))
+    r += mean
+    return phi, p_phi, r
 
 
 def _pinv_transform(counts: tuple[int, ...], b: np.ndarray) -> np.ndarray:
@@ -464,17 +480,8 @@ def _pinv_transform(counts: tuple[int, ...], b: np.ndarray) -> np.ndarray:
     No check: ``b`` should already be orthogonal to constants.
     """
     x = _transform(counts, b, inverse=False) / _spectrum(counts).ravel()
-    x = _transform_inverse(counts, x)
+    x = _transform(counts, x, inverse=True)
     return x - x.sum(axis=-1, keepdims=True) / b.shape[-1]
-
-
-def _transform_inverse(counts: tuple[int, ...], y: np.ndarray) -> np.ndarray:
-    """Node functions on the last axis from their coefficients under :func:`_transform`.
-
-    The inverse step of every Laplacian solve, the kernel's included, kept
-    apart so that tests can corrupt it.
-    """
-    return _transform(counts, y, inverse=True)
 
 
 def _transform(counts: tuple[int, ...], x: np.ndarray, inverse: bool) -> np.ndarray:
@@ -522,13 +529,18 @@ def _helmert_matrix(h: int) -> np.ndarray:
 
 
 def _check_residual(residual: np.ndarray, target: np.ndarray) -> None:
-    """Raise :class:`NumericError` on the first row whose residual exceeds its target or is NaN."""
-    missed = ~(residual <= target)
+    """Raise :class:`NumericError` on the first row whose residual exceeds its target or
+    is NaN, or whose target overflowed (an infinite target would pass any residual)."""
+    missed = ~(residual <= target) | np.isinf(target)
     if missed.any():
         k = int(np.argmax(missed))  # the first failing row, in C order
+        reason = (
+            f"residual {residual.flat[k]:.3e} exceeds {target.flat[k]:.3e}"
+            if math.isfinite(target.flat[k]) else "the norm of its right-hand side overflowed"
+        )
         raise NumericError(
-            f"Laplacian solve missed its tolerance: residual {residual.flat[k]:.3e} "
-            f"exceeds {target.flat[k]:.3e}" + (f" in row {k}" if residual.ndim > 0 else ""),
+            f"Laplacian solve missed its tolerance: {reason}"
+            + (f" in row {k}" if residual.ndim > 0 else ""),
             residual=float(residual.flat[k]),
         )
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GameFormatError, ShapeError
+from .errors import GameFormatError, NumericError, ShapeError
 
 __all__ = [
     "Game",
@@ -87,7 +87,7 @@ class Game:
     ):
         counts = _checked_counts(map(int, strategy_counts))
         m = len(counts)
-        u = _checked_payoffs(np.asarray(utilities, dtype=float), counts)
+        u = _checked_payoffs(np.asarray(utilities, dtype=float), counts, GameFormatError)
 
         if player_names is None:
             player_names = [f"player{k + 1}" for k in range(m)]
@@ -142,16 +142,17 @@ class Game:
         return Game(utilities, self.strategy_counts, self.player_names, self.strategy_labels)
 
     def _sharing(self, utilities: np.ndarray) -> "Game":
-        """:meth:`with_utilities` without the copy, for a float array the caller owns.
+        """:meth:`with_utilities` without the copy, for a float array the library computed.
 
         The new game holds ``utilities`` itself and makes it read-only, so
         the caller must never write it through another reference; the shape
-        and finiteness checks still run.
+        and finiteness checks still run, a non-finite payoff (an overflow)
+        raising :class:`NumericError`.
         """
         utilities.flags.writeable = False
         game = object.__new__(Game)
         game.__dict__.update(vars(self))
-        game.utilities = _checked_payoffs(utilities, self.strategy_counts)
+        game.utilities = _checked_payoffs(utilities, self.strategy_counts, NumericError)
         return game
 
     def _check_player(self, player: int) -> None:
@@ -186,8 +187,8 @@ def _node_rows(counts: tuple[int, ...], a) -> np.ndarray:
     return a
 
 
-def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """``u`` as an (M, n) array, or :class:`GameFormatError` if its shape or a payoff is off."""
+def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...], nonfinite: type) -> np.ndarray:
+    """``u`` as an (M, n) array; GameFormatError if its shape is off, ``nonfinite`` if a payoff."""
     m, n = len(counts), math.prod(counts)
     if u.shape == (m,) + counts:
         u = u.reshape(m, n)
@@ -197,7 +198,7 @@ def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
             f"x {n} profiles for strategy counts {counts}"
         )
     if not np.isfinite(u).all():
-        raise GameFormatError("payoffs must be finite")
+        raise nonfinite("payoffs must be finite")
     return u
 
 
@@ -226,8 +227,8 @@ def normalize(game: Game) -> Game:
     differences are preserved exactly.
     """
     counts = game.strategy_counts
-    return game.with_utilities(
-        [project_player(counts, m, u) for m, u in enumerate(game.utilities)]
+    return game._sharing(
+        np.stack([project_player(counts, m, u) for m, u in enumerate(game.utilities)])
     )
 
 
@@ -258,8 +259,8 @@ def zero_sum_identical_split(game: Game) -> tuple[Game, Game]:
     if game.num_players != 2:
         raise ShapeError("zero-sum / identical-interest split requires exactly two players")
     u1, u2 = game.utilities
-    z = game.with_utilities(np.stack([(u1 - u2) / 2, (u2 - u1) / 2]))
-    i = game.with_utilities(np.stack([(u1 + u2) / 2, (u1 + u2) / 2]))
+    z = game._sharing(np.stack([(u1 - u2) / 2, (u2 - u1) / 2]))
+    i = game._sharing(np.stack([(u1 + u2) / 2, (u1 + u2) / 2]))
     return z, i
 
 

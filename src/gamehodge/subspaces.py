@@ -191,7 +191,7 @@ def empirical_dims(strategy_counts: Sequence[int], seed: int = 0) -> tuple[int, 
         u[k - start, k] = 1.0
         if first:
             u[-1] = probe
-        parts = _decompose_batch(counts, u.reshape(-1, m_players, n))[1:]
+        parts = _decompose_batch(counts, u.reshape(-1, m_players, n))[1:4]
         traces += [part.reshape(-1, ambient)[k - start, k].sum() for part in parts]
         if first:
             fixed = parts[0][-1]

@@ -57,9 +57,13 @@ def random_game(rng, counts, scale=1.0):
     return Game(rng.uniform(-scale, scale, size=(m, n)), counts)
 
 
-def overflowing_game():
-    """A 3x3 game of finite payoffs near the float maximum: the kernel's sums overflow."""
-    return Game(np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 9)) * 1.7e308, (3, 3))
+def overflowing_game(scale=1.7e308):
+    """A random 3x3 game with payoffs up to ``scale``.
+
+    At the default, near the float maximum, the kernel's sums overflow; from
+    about 1e154 up, the norms of its solve and of the game do.
+    """
+    return Game(np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 9)) * scale, (3, 3))
 
 
 def relabelled(game, rng):

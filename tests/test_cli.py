@@ -113,17 +113,40 @@ class TestDecomposeCommand:
         assert captured.err.startswith("numeric error: Laplacian solve missed its tolerance")
 
     def test_missed_solve_tolerance_exits_3(self, game_file, capsys, monkeypatch):
-        # a corrupted inverse transform makes the solve miss its tolerance
+        # a corrupted transform makes the solve miss its tolerance
         rng = np.random.default_rng(65)
         path = game_file(random_game(rng, (3, 3)), "g.json")
         monkeypatch.setattr(
-            gamehodge.flows, "_transform_inverse", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
+            gamehodge.flows, "_pinv_transform", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
         )
         assert main(["decompose", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numeric error: Laplacian solve missed its tolerance")
         assert "(residual " in captured.err
+
+
+class TestOverflowingPayoffs:
+    # finite payoffs whose derived arrays or norms overflow: a numeric error
+    # (exit 3), never exit 0 with a wrong answer or Infinity in the output,
+    # nor exit 2, the code for an unreadable file
+    @pytest.mark.parametrize(
+        "argv, scale",
+        [
+            (["equilibria"], 1e160),
+            (["verify"], 1.7e308),
+            (["pareto", "--transform"], 1.7e308),
+            (["export-flow", "--format", "json"], 1.7e308),
+        ],
+        ids=["equilibria-1e160", "verify", "pareto-transform", "export-flow-json"],
+    )
+    def test_exits_3(self, argv, scale, game_file, capsys):
+        path = game_file(overflowing_game(scale), "overflow.json")
+        with np.errstate(all="ignore"):
+            assert main([argv[0], path, *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric error: ")
+        assert "Infinity" not in captured.out + captured.err
 
 
 class TestProjectCommand:

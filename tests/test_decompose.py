@@ -171,6 +171,40 @@ class TestBimatrixClosedForm:
             decompose_bimatrix_normalized(nan, np.zeros((2, 2)))
 
 
+def _scaled(name, scale):
+    game = overflowing_game(1.0) if name == "random-3x3" else matching_pennies()
+    return game.with_utilities(game.utilities * scale)
+
+
+def _outcomes(game):
+    d = decompose(game)
+    parts = [p.utilities for p in (d.potential_part, d.harmonic_part, d.nonstrategic_part)]
+    return parts, is_potential(game), is_harmonic(game), equilibrium_report(game)
+
+
+class TestOverflowingNorms:
+    # from about 1e154 the squares inside the norms overflow: the solve's
+    # target or the game norm is inf, which would pass any residual and
+    # tolerance, so every call raises
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("name", ["random-3x3", "matching-pennies"])
+    def test_raises_numeric_error(self, name, scale):
+        g = _scaled(name, scale)
+        with np.errstate(all="ignore"):
+            for call in (decompose, is_potential, is_harmonic, equilibrium_report):
+                with pytest.raises(NumericError, match="overflowed"):
+                    call(g)
+
+    # the control: just below the overflow every answer is the one at scale 1
+    @pytest.mark.parametrize("name", ["random-3x3", "matching-pennies"])
+    def test_largest_finite_norms_answer_as_at_scale_1(self, name):
+        parts, *flags = _outcomes(_scaled(name, 1e150))
+        want_parts, *want_flags = _outcomes(_scaled(name, 1.0))
+        assert flags == want_flags
+        for got, want in zip(parts, want_parts):
+            assert np.abs(got / 1e150 - want).max() <= 1e-12
+
+
 class TestMembership:
     def test_overflowing_kernel_raises_numeric_error(self):
         # the solve's residual is NaN, which must miss its target, not pass it
@@ -271,7 +305,7 @@ class TestBatchKernel:
         rng = np.random.default_rng(49)
         u = rng.uniform(-1.0, 1.0, size=(k, len(counts), int(np.prod(counts))))
         u[4:] = 0.0  # with k = 5, the last row is all zero
-        phi, pot, harm, non = decompose_module._decompose_batch(counts, u)
+        phi, pot, harm, non, _ = decompose_module._decompose_batch(counts, u)
         for row in range(k):
             d = decompose(Game(u[row], counts))
             size = np.abs(u[row]).max()
@@ -482,13 +516,13 @@ class TestKernelCache:
         assert warm.potential_fn is not cold.potential_fn
 
     def test_failed_kernel_run_stores_nothing(self, kernel_calls, monkeypatch):
-        # a corrupted inverse transform makes the kernel's solve check raise
+        # a corrupted transform makes the kernel's solve check raise
         rng = np.random.default_rng(65)
         g = random_game(rng, (3, 3))
         monkeypatch.setattr(decompose_module, "_slot", None)
         with monkeypatch.context() as patch:
             patch.setattr(
-                flows, "_transform_inverse", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
+                flows, "_pinv_transform", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
             )
             for _ in range(2):
                 with pytest.raises(NumericError):
@@ -726,10 +760,10 @@ class TestDecompositionStructure:
         # a perturbed transform makes the residual large enough to compare;
         # the kernel's own check of it is switched off
         rng = np.random.default_rng(44)
-        transform = decompose_module._pinv_transform
+        transform = flows._pinv_transform
         noise = lambda counts, b: transform(counts, b) + rng.uniform(-0.1, 0.1, b.shape)
-        monkeypatch.setattr(decompose_module, "_pinv_transform", noise)
-        monkeypatch.setattr(decompose_module, "_check_residual", lambda residual, target: None)
+        monkeypatch.setattr(flows, "_pinv_transform", noise)
+        monkeypatch.setattr(flows, "_check_residual", lambda residual, target: None)
         for counts in [(3, 3), (4, 3, 2), (1, 5)]:
             g = random_game(rng, counts, scale=2.0)
             d = decompose(g)

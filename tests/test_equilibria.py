@@ -988,7 +988,7 @@ class TestReportTrustsTheKernel:
         def refuse(*args, **kwargs):
             raise AssertionError("the report re-checked what the kernel certified")
 
-        for checked in ("project_player", "is_normalized", "game_norm", "_validate_mixed"):
+        for checked in ("harmonic_correlated_system", "is_normalized", "_validate_mixed"):
             monkeypatch.setattr(equilibria_module, checked, refuse)
         assert equilibrium_report(g, eps=eps, tol=tol) == want
         assert equilibrium_report(g.with_utilities(g.utilities), eps=eps, tol=tol) == want

@@ -545,7 +545,7 @@ class TestLaplacianSolve:
         b = laplacian_apply((3, 3), psi - psi.mean())
         monkeypatch.setattr(
             gamehodge.flows,
-            "_transform_inverse",
+            "_pinv_transform",
             lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a)),
         )
         with pytest.raises(NumericError) as info:
@@ -600,14 +600,14 @@ class TestLaplacianSolve:
     def test_batch_residual_check_raises_on_one_corrupted_row(self, monkeypatch, scale):
         rng = np.random.default_rng(26)
         b = scale * laplacian_apply((3, 3), rng.uniform(-1.0, 1.0, size=(4, 9)))
-        inverse = gamehodge.flows._transform_inverse
+        transform = gamehodge.flows._pinv_transform
 
         def corrupt_row_1(counts, a):
-            out = inverse(counts, a)
+            out = transform(counts, a)
             out[1] += scale * rng.uniform(-1.0, 1.0, out[1].shape)
             return out
 
-        monkeypatch.setattr(gamehodge.flows, "_transform_inverse", corrupt_row_1)
+        monkeypatch.setattr(gamehodge.flows, "_pinv_transform", corrupt_row_1)
         with pytest.raises(NumericError) as info:
             laplacian_pinv_solve((3, 3), b)
         assert info.value.residual > 1e-10 * np.linalg.norm(b[1])

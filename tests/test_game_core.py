@@ -8,6 +8,7 @@ import gamehodge.game
 from gamehodge import (
     Game,
     GameFormatError,
+    NumericError,
     ShapeError,
     game_from_dict,
     game_to_dict,
@@ -15,6 +16,7 @@ from gamehodge import (
     load_game,
     normalize,
     pairwise_comparison,
+    pareto_align_transform,
     profile_index,
     profile_of_index,
     save_game,
@@ -27,7 +29,13 @@ from gamehodge.catalog import (
     modified_battle_of_sexes,
 )
 from gamehodge.game import _json_pieces
-from helpers import assert_games_close, awkward_game, random_game, rps_nonstrategic
+from helpers import (
+    assert_games_close,
+    awkward_game,
+    overflowing_game,
+    random_game,
+    rps_nonstrategic,
+)
 
 
 class TestProfileIndexing:
@@ -135,6 +143,18 @@ class TestNormalize:
         # every comparison with NaN is false, so a NaN tol would pass any game
         with pytest.raises(ValueError):
             is_normalized(battle_of_sexes(), tol=float("nan"))
+
+
+class TestOverflowingDerivedPayoffs:
+    # the input payoffs are finite; an overflow in what the library derives
+    # from them is a numeric error, not a malformed game
+    @pytest.mark.parametrize(
+        "derive", [normalize, pareto_align_transform, pairwise_comparison, zero_sum_identical_split]
+    )
+    def test_raises_numeric_error(self, derive):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError):
+                derive(overflowing_game())
 
 
 class TestZeroSumIdenticalSplit:

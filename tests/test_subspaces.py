@@ -194,8 +194,8 @@ class TestEmpiricalDims:
         kernel = subspaces._decompose_batch
 
         def scaled(counts, u):
-            phi, pot, harm, non = kernel(counts, u)
-            return phi, factor * pot, harm, non
+            phi, pot, harm, non, r = kernel(counts, u)
+            return phi, factor * pot, harm, non, r
 
         monkeypatch.setattr(subspaces, "_decompose_batch", scaled)
         with pytest.raises(NumericError):
@@ -205,8 +205,8 @@ class TestEmpiricalDims:
         kernel = subspaces._decompose_batch
 
         def moved_on_one_game(counts, u):
-            phi, pot, harm, non = kernel(counts, u)
-            return phi, pot * (1.0 + 1e-6 * (len(u) == 1)), harm, non
+            phi, pot, harm, non, r = kernel(counts, u)
+            return phi, pot * (1.0 + 1e-6 * (len(u) == 1)), harm, non, r
 
         monkeypatch.setattr(subspaces, "_decompose_batch", moved_on_one_game)
         with pytest.raises(NumericError, match="second projection"):
