@@ -331,7 +331,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows end in typed errors
+            return args.func(args)
     except GameFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

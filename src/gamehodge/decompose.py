@@ -277,44 +277,41 @@ def _norm(counts: tuple[int, ...], u: np.ndarray) -> float:
 # -- membership tests and projections ------------------------------------------
 
 
-def _strategic_negligible(strategic: float, whole: float, tol: float) -> bool:
-    """True iff a game's strategic part, of norm ``strategic``, counts as zero.
+def _strategic_negligible(game: Game, tol: float) -> bool:
+    """True iff the game's strategic part ``u_P + u_H`` counts as zero.
 
-    That is when it is within ``tol`` of the game's norm ``whole``: the game
-    is zero, or the part is rounding left by removing a nonstrategic part.
+    That is when its norm, the hypotenuse of the two parts' norms
+    (:func:`_norms`), is within ``tol`` of the game's norm: the game is
+    zero, or the part is rounding left by removing a nonstrategic part.
     Such a game passes every membership test, and its correlated system is
     that of the zero game (:mod:`gamehodge.equilibria`).
     """
-    return strategic <= tol * whole
+    pot, harm, whole = _norms(game)
+    return math.hypot(pot, harm) <= tol * whole
 
 
-def _negligible(value: float, norms: tuple[float, float, float], tol: float) -> bool:
+def _negligible(value: float, game: Game, tol: float) -> bool:
     """True iff ``value`` is within ``tol`` of the norm of the normalised game.
 
-    ``norms`` are those of ``u_P``, ``u_H`` and ``u`` (:func:`_norms`).  The
-    normalised game is ``u_P + u_H``, whose norm is the hypotenuse of the
-    two parts' norms.  Measuring against it makes the membership tests
-    independent of the payoff scale and of any nonstrategic part.  A game
-    with a negligible strategic part (:func:`_strategic_negligible`) passes
-    every test.
+    The normalised game is the strategic part ``u_P + u_H``.  Measuring
+    against it makes the membership tests independent of the payoff scale
+    and of any nonstrategic part.  A game with a negligible strategic part
+    (:func:`_strategic_negligible`) passes every test.
     """
-    pot, harm, whole = norms
-    strategic = math.hypot(pot, harm)
-    return value <= tol * strategic or _strategic_negligible(strategic, whole, tol)
+    pot, harm, _ = _norms(game)
+    return value <= tol * math.hypot(pot, harm) or _strategic_negligible(game, tol)
 
 
 def is_potential(game: Game, tol: float = 1e-9) -> bool:
     """True iff the harmonic part is negligible relative to the normalised game."""
     _check_tol(tol)
-    norms = _norms(game)
-    return _negligible(norms[1], norms, tol)
+    return _negligible(_norms(game)[1], game, tol)
 
 
 def is_harmonic(game: Game, tol: float = 1e-9) -> bool:
     """True iff the potential part is negligible relative to the normalised game."""
     _check_tol(tol)
-    norms = _norms(game)
-    return _negligible(norms[0], norms, tol)
+    return _negligible(_norms(game)[0], game, tol)
 
 
 def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
@@ -329,7 +326,7 @@ def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
     _check_tol(tol)
     phi = _parts(game)[0]
     mismatch = _spread(game.strategy_counts, (u - phi for u in game.utilities))
-    return phi.copy() if _negligible(mismatch, _norms(game), tol) else None
+    return phi.copy() if _negligible(mismatch, game, tol) else None
 
 
 def closest_potential(game: Game) -> Game:

@@ -26,14 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decompose import (
-    _norms,
-    _parts,
-    _strategic_negligible,
-    closest_potential,
-    game_distance,
-    is_harmonic,
-)
+from .decompose import _parts, _strategic_negligible, closest_potential, game_distance, is_harmonic
 from .errors import PreconditionError, SizeError
 from .game import Game, _check_tol, _payoff_scale, is_normalized
 from .subspaces import numeric_rank
@@ -110,7 +103,8 @@ def _validate_simplex(vec: np.ndarray, size: int, what: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float).ravel()
     if vec.shape != (size,):
         raise PreconditionError(f"{what} must have {size} entries")
-    if vec.min(initial=0.0) < -1e-12 or abs(vec.sum() - 1.0) > 1e-12:
+    # NaN-safe: a NaN or infinite entry fails a comparison and is refused
+    if not (vec.min(initial=0.0) >= -1e-12 and abs(vec.sum() - 1.0) <= 1e-12):
         raise PreconditionError(f"{what} is not a probability distribution")
     return vec
 
@@ -176,15 +170,19 @@ def is_correlated_equilibrium(game: Game, x, tol: float = 1e-9) -> bool:
     """
     _check_tol(tol)
     x = _validate_simplex(np.asarray(x, dtype=float), game.num_profiles, "joint distribution")
-    xt = x.reshape(game.strategy_counts)
-    for m in range(game.num_players):
-        u = np.moveaxis(game.tensor(m), m, 0).reshape(game.strategy_counts[m], -1)
-        w = np.moveaxis(xt, m, 0).reshape(game.strategy_counts[m], -1)
-        cross = w @ u.T  # cross[a, b] = sum_r x(a, r) u(b, r)
-        gain = cross - np.diag(cross)[:, None]
-        if gain.max() > tol:
-            return False
-    return True
+    return all((cross - np.diag(cross)[:, None]).max() <= tol for cross in _crosses(game, x))
+
+
+def _crosses(game: Game, x: np.ndarray):
+    """``X_m U_m^T`` for each player m, ``X_m`` and ``U_m`` the mode-m unfoldings of the flat
+    joint distribution ``x`` and of u^m: ``cross[a, b] = sum_r x(a, r) u^m(b, r)``, the
+    payoff of playing b where a is recommended, weighted by the probability of a."""
+    counts = game.strategy_counts
+    xt = x.reshape(counts)
+    for m, h in enumerate(counts):
+        w = np.moveaxis(xt, m, 0).reshape(h, -1)
+        u = np.moveaxis(game.tensor(m), m, 0).reshape(h, -1)
+        yield w @ u.T
 
 
 # -- correlated equilibria of harmonic games ------------------------------------
@@ -209,7 +207,7 @@ class AffineSolutionSet:
     homogeneous solutions are a Kronecker product of two null spaces (see
     :func:`harmonic_correlated_system`), so ``directions`` costs two h x h
     SVDs and nothing needs ``equalities``; for more players ``equalities``
-    comes with the dimension and ``directions`` costs an n x n SVD.
+    is built on first read and ``directions`` costs an n x n SVD.
     ``residual`` reads the payoffs, not ``equalities``.  Above
     ``CORRELATED_SYSTEM_CAP`` entries, reading ``equalities`` raises
     ``SizeError``.
@@ -250,18 +248,13 @@ class AffineSolutionSet:
     def residual(self, x) -> float:
         """Largest violation of the defining equalities at ``x``.
 
-        Player m's rows are ``X_m U_m^T`` for the mode-m unfoldings of ``x``
-        and of u^m, as in :func:`is_correlated_equilibrium`, so no row of
+        Player m's rows are the entries of ``X_m U_m^T`` (:func:`_crosses`,
+        as in :func:`is_correlated_equilibrium`), so no row of
         ``equalities`` is built.
         """
         x = np.asarray(x, dtype=float).ravel()
-        counts = self.game.strategy_counts
-        violation = abs(float(x.sum()) - 1.0)
-        for m, h in enumerate(counts):
-            w = np.moveaxis(x.reshape(counts), m, 0).reshape(h, -1)
-            u = np.moveaxis(self.game.tensor(m), m, 0).reshape(h, -1)
-            violation = max(violation, float(np.abs(w @ u.T).max()))
-        return violation
+        crosses = (float(np.abs(cross).max()) for cross in _crosses(self.game, x))
+        return max(abs(float(x.sum()) - 1.0), *crosses)
 
 
 def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionSet:
@@ -301,8 +294,7 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     _check_tol(tol)
     if game.num_players > 2:
         _check_system_size(game)
-    pot, harm, whole = _norms(game)
-    if _strategic_negligible(math.hypot(pot, harm), whole, tol):
+    if _strategic_negligible(game, tol):
         game = game._sharing(np.zeros_like(game.utilities))
     elif not is_normalized(game, max(tol, 1e-12)):
         raise PreconditionError("game must be normalized; call normalize() first")
@@ -319,11 +311,8 @@ def _correlated_system(game: Game, tol: float) -> AffineSolutionSet:
     """
     if game.num_players > 2:
         _check_system_size(game)
-        equalities = _stacked_system(game, _scale(game))
-        system = AffineSolutionSet(game, tol, game.num_profiles - numeric_rank(equalities, tol))
-        equalities[-1] = 1.0
-        system.__dict__["equalities"] = equalities  # the cached_property's slot
-        return system
+        rank = numeric_rank(_stacked_system(game, _scale(game)), tol)
+        return AffineSolutionSet(game, tol, game.num_profiles - rank)
     factors = _factors(game)
     nullity = [a.shape[1] - r for a, r in zip(factors, _factor_ranks(game, factors, tol))]
     return AffineSolutionSet(game, tol, math.prod(nullity) - 1)
@@ -707,8 +696,7 @@ def equilibrium_report(game: Game, eps: float = 0.0, tol: float = 1e-9) -> dict:
     _check_tol(tol)
     correlated_dim = None
     if is_harmonic(game, tol):
-        pot, harm, whole = _norms(game)
-        if _strategic_negligible(math.hypot(pot, harm), whole, tol):
+        if _strategic_negligible(game, tol):
             strategic = np.zeros_like(game.utilities)
         else:
             strategic = game.utilities - _parts(game)[3]

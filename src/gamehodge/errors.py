@@ -20,11 +20,11 @@ class PreconditionError(GameHodgeError):
 class SizeError(GameHodgeError):
     """Requested work exceeds a documented size cap.
 
-    Raised before anything is allocated: a game graph above the edge cap, a
-    projector-trace dimension count above its M * n^2 work cap, a Pareto
-    scan of three or more players above its n^2 (M - 1) work cap, or a
-    stacked correlated system (three or more players) above its cap of 2^24
-    entries.
+    Raised before anything is allocated: a game graph, or the triangle arrays
+    of ``curl`` and ``GameGraph.triangles()``, above the edge cap, a
+    projector-trace dimension count above its M * n^2 work cap, a Pareto scan
+    of three or more players above its n^2 (M - 1) work cap, or a stacked
+    correlated system (three or more players) above its cap of 2^24 entries.
     """
 
 

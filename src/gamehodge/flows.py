@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 # DOT export peaks near 19 bytes per edge (60^3, 19 116 000 edges), verify
-# near 10: 3e7 admits 200x200, 2^20 and 60^3 and rejects 1000x1000
+# near 10: 3e7 admits 200x200, 2^20 and 60^3 and rejects 1000x1000; it caps triangles too
 DEFAULT_EDGE_CAP = 3 * 10**7
 _SOLVE_TOL = 1e-10  # residual bound of the Laplacian solve, relative to ||b||
 # longest axis by a cached matrix (<= 32 KiB); a round trip by the matrix and
@@ -160,8 +160,15 @@ class GameGraph:
         return sum(math.comb(h, 3) * (n // h) for h in self.strategy_counts)
 
     def triangles(self) -> np.ndarray:
-        """All 3-cliques as an (T, 3) array of node ids, i < j < k per row."""
+        """All 3-cliques as an (T, 3) array of node ids, i < j < k per row, under the cap."""
+        self._capped_triangles()
         return self._cliques(3).T
+
+    def _capped_triangles(self) -> int:
+        """:attr:`num_triangles`, or ``SizeError`` above ``DEFAULT_EDGE_CAP``, before any array."""
+        if self.num_triangles > DEFAULT_EDGE_CAP:
+            raise SizeError(f"{self.num_triangles} triangles exceed the cap {DEFAULT_EDGE_CAP}")
+        return self.num_triangles
 
     def _cliques(self, k: int) -> np.ndarray:
         """All k-cliques as a (k, C) array of sorted node ids, in index order."""
@@ -353,9 +360,10 @@ def curl(flow: EdgeFlow) -> TriangleFlow:
     Player ``m``'s edges form a (pairs, n/h) array in which the rows (b, c)
     and the rows (a, c) after (a, b), all c > b, are contiguous; so each own
     pair (a, b) gives its triangles (a, b, c) as one row-slice block.
+    ``SizeError`` above ``DEFAULT_EDGE_CAP`` triangles, before any array.
     """
     graph, n = flow.graph, flow.graph.num_nodes
-    values = np.empty(graph.num_triangles)
+    values = np.empty(graph._capped_triangles())
     pos = 0
     for m, h in enumerate(graph.strategy_counts):
         x = flow.values[graph.player_slice(m)].reshape(-1, n // h)
@@ -530,18 +538,19 @@ def _helmert_matrix(h: int) -> np.ndarray:
 
 def _check_residual(residual: np.ndarray, target: np.ndarray) -> None:
     """Raise :class:`NumericError` on the first row whose residual exceeds its target or
-    is NaN, or whose target overflowed (an infinite target would pass any residual)."""
+    is NaN, or whose target overflowed (it would pass any residual; the error then has none)."""
     missed = ~(residual <= target) | np.isinf(target)
     if missed.any():
         k = int(np.argmax(missed))  # the first failing row, in C order
-        reason = (
-            f"residual {residual.flat[k]:.3e} exceeds {target.flat[k]:.3e}"
-            if math.isfinite(target.flat[k]) else "the norm of its right-hand side overflowed"
-        )
+        if math.isfinite(target.flat[k]):
+            reason = f"residual {residual.flat[k]:.3e} exceeds {target.flat[k]:.3e}"
+            value = float(residual.flat[k])
+        else:
+            reason, value = "the norm of its right-hand side overflowed", None
         raise NumericError(
             f"Laplacian solve missed its tolerance: {reason}"
             + (f" in row {k}" if residual.ndim > 0 else ""),
-            residual=float(residual.flat[k]),
+            residual=value,
         )
 
 

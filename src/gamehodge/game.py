@@ -87,7 +87,8 @@ class Game:
     ):
         counts = _checked_counts(map(int, strategy_counts))
         m = len(counts)
-        u = _checked_payoffs(np.asarray(utilities, dtype=float), counts, GameFormatError)
+        u = np.asarray(utilities, dtype=float)
+        u = _checked_payoffs(u, counts, GameFormatError("payoffs must be finite"))
 
         if player_names is None:
             player_names = [f"player{k + 1}" for k in range(m)]
@@ -152,7 +153,8 @@ class Game:
         utilities.flags.writeable = False
         game = object.__new__(Game)
         game.__dict__.update(vars(self))
-        game.utilities = _checked_payoffs(utilities, self.strategy_counts, NumericError)
+        overflow = NumericError("a computed payoff overflowed")
+        game.utilities = _checked_payoffs(utilities, self.strategy_counts, overflow)
         return game
 
     def _check_player(self, player: int) -> None:
@@ -187,7 +189,7 @@ def _node_rows(counts: tuple[int, ...], a) -> np.ndarray:
     return a
 
 
-def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...], nonfinite: type) -> np.ndarray:
+def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...], nonfinite: Exception) -> np.ndarray:
     """``u`` as an (M, n) array; GameFormatError if its shape is off, ``nonfinite`` if a payoff."""
     m, n = len(counts), math.prod(counts)
     if u.shape == (m,) + counts:
@@ -198,7 +200,7 @@ def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...], nonfinite: type) ->
             f"x {n} profiles for strategy counts {counts}"
         )
     if not np.isfinite(u).all():
-        raise nonfinite("payoffs must be finite")
+        raise nonfinite
     return u
 
 

@@ -104,13 +104,17 @@ class TestDecomposeCommand:
         assert main(["decompose", "/nonexistent/game.json"]) == 2
 
     def test_overflowing_solve_exits_3(self, game_file, capsys):
-        # finite payoffs whose kernel sums overflow: a numeric error, not a parse error
+        # finite payoffs whose kernel sums overflow: a numeric error, not a
+        # parse error, in one line with no numpy warning (pytest would raise
+        # one) and no residual, since none was checked against a finite target
         path = game_file(overflowing_game(), "overflow.json")
-        with np.errstate(all="ignore"):
-            assert main(["decompose", path]) == 3
+        assert main(["decompose", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numeric error: Laplacian solve missed its tolerance")
+        assert captured.err == (
+            "numeric error: Laplacian solve missed its tolerance: "
+            "the norm of its right-hand side overflowed in row 0\n"
+        )
 
     def test_missed_solve_tolerance_exits_3(self, game_file, capsys, monkeypatch):
         # a corrupted transform makes the solve miss its tolerance
@@ -129,7 +133,10 @@ class TestDecomposeCommand:
 class TestOverflowingPayoffs:
     # finite payoffs whose derived arrays or norms overflow: a numeric error
     # (exit 3), never exit 0 with a wrong answer or Infinity in the output,
-    # nor exit 2, the code for an unreadable file
+    # nor exit 2, the code for an unreadable file.  Stderr is the one
+    # numeric-error line: no numpy warning (pytest would raise it), no
+    # residual of an overflowed solve, and no claim that the file's finite
+    # payoffs are not finite
     @pytest.mark.parametrize(
         "argv, scale",
         [
@@ -137,15 +144,26 @@ class TestOverflowingPayoffs:
             (["verify"], 1.7e308),
             (["pareto", "--transform"], 1.7e308),
             (["export-flow", "--format", "json"], 1.7e308),
+            (["decompose"], 1e160),
+            (["equilibria"], 1.7e308),
+            (["distance", "--to", "potential"], 1.7e308),
+            (["distance", "--to", "harmonic"], 1e160),
+            (["project", "--onto", "harmonic"], 1.7e308),
+            (["project", "--onto", "potential"], 1e160),
+            (["verify"], 1e160),
         ],
-        ids=["equilibria-1e160", "verify", "pareto-transform", "export-flow-json"],
+        ids=["equilibria-1e160", "verify", "pareto-transform", "export-flow-json",
+             "decompose-1e160", "equilibria-1.7e308", "distance-1.7e308", "distance-1e160",
+             "project-1.7e308", "project-1e160", "verify-1e160"],
     )
     def test_exits_3(self, argv, scale, game_file, capsys):
         path = game_file(overflowing_game(scale), "overflow.json")
-        with np.errstate(all="ignore"):
-            assert main([argv[0], path, *argv[1:]]) == 3
+        assert main([argv[0], path, *argv[1:]]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("numeric error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "residual" not in captured.err
+        assert "payoffs must be finite" not in captured.err
         assert "Infinity" not in captured.out + captured.err
 
 

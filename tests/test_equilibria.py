@@ -182,6 +182,12 @@ class TestMixedNash:
         with pytest.raises(PreconditionError):
             is_mixed_nash(matching_pennies(), [np.array([1.5, -0.5]), np.array([0.5, 0.5])])
 
+    @pytest.mark.parametrize("entries", [[np.nan, np.nan], [np.inf, -np.inf]], ids=["nan", "inf"])
+    def test_non_finite_strategy_rejected(self, entries):
+        # every comparison with NaN is False, so the simplex check must fail on it
+        with pytest.raises(PreconditionError, match="not a probability distribution"):
+            is_mixed_nash(battle_of_sexes(), [np.array(entries), np.array(entries)])
+
 
 class TestUniformlyMixed:
     def test_halves_and_thirds(self):
@@ -297,6 +303,11 @@ class TestCorrelatedEquilibrium:
     def test_invalid_distribution_rejected(self):
         with pytest.raises(PreconditionError):
             is_correlated_equilibrium(matching_pennies(), np.full(4, 0.3))
+
+    @pytest.mark.parametrize("entries", [[np.nan] * 4, [np.inf, -np.inf, 0.0, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_distribution_rejected(self, entries):
+        with pytest.raises(PreconditionError, match="not a probability distribution"):
+            is_correlated_equilibrium(battle_of_sexes(), entries)
 
 
 class TestHarmonicCorrelatedSystem:
@@ -419,6 +430,28 @@ class TestHarmonicCorrelatedSystem:
         upper_mixed = 3 * 2
         assert lower > upper_mixed
         assert system.dimension >= lower
+
+    def test_three_player_equalities_built_on_first_read(self):
+        # the dimension ranks a stacked system that is not kept; the
+        # equalities and their null space are built when first read, equal
+        # to the system written out by definition
+        g = decompose(random_game(np.random.default_rng(58), (8, 8, 8))).harmonic_part
+        system = harmonic_correlated_system(g)
+        assert system.dimension >= 0
+        assert "equalities" not in vars(system)
+        counts = g.strategy_counts
+        rows = []
+        for m, h in enumerate(counts):
+            own = np.arange(h).reshape([h if k == m else 1 for k in range(3)])
+            for a in range(h):
+                for b in range(h):
+                    deviated = np.take(g.tensor(m), [b], axis=m)  # u^m(b, p_-m)
+                    rows.append(np.where(own == a, deviated, 0.0).ravel())
+        rows.append(np.ones(g.num_profiles))
+        expected = np.array(rows)
+        assert np.array_equal(system.equalities, expected)
+        vt = np.linalg.svd(expected)[2]
+        assert np.array_equal(system.directions, vt[len(vt) - system.dimension:])
 
     def test_equality_form_matches_inequality_form(self):
         # correlated points of a (possibly unnormalized) harmonic game satisfy

@@ -118,6 +118,31 @@ class TestGameGraph:
         with pytest.raises(SizeError, match="edge cap"):
             build_graph((3, 3))
 
+    def test_triangle_cap(self, monkeypatch):
+        # (3, 3) has 6 triangles: curl and triangles() run at the cap, and
+        # one triangle over it they raise before any triangle array is
+        # allocated; the count and TriangleFlow's shape check never raise
+        graph = build_graph((3, 3))
+        flow = EdgeFlow(graph, np.zeros(graph.num_edges))
+        monkeypatch.setattr(gamehodge.flows, "DEFAULT_EDGE_CAP", 6)
+        assert curl(flow).values.shape == (6,)
+        assert graph.triangles().shape == (6, 3)
+
+        class NoArrays:  # every numpy call in gamehodge.flows fails
+            def __getattr__(self, name):
+                def fail(*args, **kwargs):
+                    raise AssertionError(f"np.{name} called")
+                return fail
+
+        monkeypatch.setattr(gamehodge.flows, "DEFAULT_EDGE_CAP", 5)
+        assert graph.num_triangles == 6
+        assert TriangleFlow(graph, np.zeros(6)).max_abs() == 0.0
+        monkeypatch.setattr(gamehodge.flows, "np", NoArrays())
+        with pytest.raises(SizeError, match="6 triangles exceed the cap 5"):
+            curl(flow)
+        with pytest.raises(SizeError, match="6 triangles exceed the cap 5"):
+            graph.triangles()
+
 
 class TestCliqueIndex:
     @pytest.mark.parametrize("counts", [(4,), (1, 5), (2, 3), (3, 2, 2), (2, 3, 4)])
