@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .decompose import _parts, _strategic_negligible, closest_potential, game_distance, is_harmonic
-from .errors import PreconditionError, SizeError
+from .errors import PreconditionError, _check_size
 from .game import Game, _check_tol, _payoff_scale, is_normalized
 from .subspaces import numeric_rank
 
@@ -103,8 +103,9 @@ def _validate_simplex(vec: np.ndarray, size: int, what: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float).ravel()
     if vec.shape != (size,):
         raise PreconditionError(f"{what} must have {size} entries")
-    # NaN-safe: a NaN or infinite entry fails a comparison and is refused
-    if not (vec.min(initial=0.0) >= -1e-12 and abs(vec.sum() - 1.0) <= 1e-12):
+    # NaN-safe (NaN fails every comparison), and bounded before the sum can overflow
+    bounded = vec.min(initial=0.0) >= -1e-12 and vec.max(initial=0.0) <= 1.0 + 1e-12
+    if not (bounded and abs(vec.sum() - 1.0) <= 1e-12):
         raise PreconditionError(f"{what} is not a probability distribution")
     return vec
 
@@ -210,7 +211,7 @@ class AffineSolutionSet:
     is built on first read and ``directions`` costs an n x n SVD.
     ``residual`` reads the payoffs, not ``equalities``.  Above
     ``CORRELATED_SYSTEM_CAP`` entries, reading ``equalities`` raises
-    ``SizeError``.
+    :class:`SizeError`, whose docstring lists every cap.
     """
 
     game: Game
@@ -219,7 +220,6 @@ class AffineSolutionSet:
 
     @cached_property
     def equalities(self) -> np.ndarray:
-        _check_system_size(self.game)
         return _stacked_system(self.game, 1.0)
 
     @cached_property
@@ -274,7 +274,7 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     system.  One player is the case h2 = 1 with U2 = 0.  More players rank
     the stacked system itself, each player's h_m^2 rows written in one
     assignment through its mode-m unfolding; it is refused with
-    ``SizeError`` above ``CORRELATED_SYSTEM_CAP`` entries, from the shape
+    :class:`SizeError` above ``CORRELATED_SYSTEM_CAP`` entries, from the shape
     alone before any other work.  Every rank counts the singular values
     above ``tol`` times the stacked system's largest, its
     total-probability row scaled to ``max|u|``, so it does not change when
@@ -293,7 +293,7 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     """
     _check_tol(tol)
     if game.num_players > 2:
-        _check_system_size(game)
+        _stacked_rows(game)
     if _strategic_negligible(game, tol):
         game = game._sharing(np.zeros_like(game.utilities))
     elif not is_normalized(game, max(tol, 1e-12)):
@@ -306,11 +306,10 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
 def _correlated_system(game: Game, tol: float) -> AffineSolutionSet:
     """:func:`harmonic_correlated_system` of a game known to be normalized and harmonic.
 
-    The cap on the stacked system is checked first; then at most two
-    players take the product form and more the stacked rank.
+    At most two players take the product form and more the stacked rank,
+    under the cap that :func:`_stacked_system` checks before it allocates.
     """
     if game.num_players > 2:
-        _check_system_size(game)
         rank = numeric_rank(_stacked_system(game, _scale(game)), tol)
         return AffineSolutionSet(game, tol, game.num_profiles - rank)
     factors = _factors(game)
@@ -327,19 +326,17 @@ def _scale(game: Game) -> float:
     return _payoff_scale(game) or 1.0
 
 
-def _check_system_size(game: Game) -> None:
-    rows = sum(h * h for h in game.strategy_counts) + 1
-    if rows * game.num_profiles > CORRELATED_SYSTEM_CAP:
-        raise SizeError(
-            f"correlated system of {rows} x {game.num_profiles} exceeds the cap of "
-            f"{CORRELATED_SYSTEM_CAP} entries"
-        )
+def _stacked_rows(game: Game) -> int:
+    """The stacked system's sum_m h_m^2 + 1 rows, or ``SizeError`` above its cap on entries."""
+    rows, n = sum(h * h for h in game.strategy_counts) + 1, game.num_profiles
+    _check_size(rows * n, "correlated system entries", CORRELATED_SYSTEM_CAP, "system cap")
+    return rows
 
 
 def _stacked_system(game: Game, ones: float) -> np.ndarray:
     """The stacked equalities, with ``ones`` in the total-probability row."""
     counts = game.strategy_counts
-    equalities = np.zeros((sum(h * h for h in counts) + 1, game.num_profiles))
+    equalities = np.zeros((_stacked_rows(game), game.num_profiles))
     equalities[-1] = ones
     start = 0
     for m, h in enumerate(counts):
@@ -485,7 +482,7 @@ def pareto_optimal(game: Game) -> list[tuple[int, ...]]:
       dominance is transitive, so a vector found dominated never needs to
       serve as a comparator.  At most O(n^2 (M - 1) / 64) word operations in
       O(n (M + window / 8)) bytes; above ``PARETO_WORK_CAP`` on n^2 (M - 1)
-      it raises ``SizeError`` before allocating anything.
+      it raises :class:`SizeError` before allocating anything.
 
     Below ``_PARETO_DENSE`` profiles a dense (n, n) comparison per player is
     faster and is used instead.  Every test is an exact float comparison, so
@@ -499,11 +496,8 @@ def _pareto_mask(game: Game) -> np.ndarray:
     """Mask of the Pareto-optimal profiles, shaped like the game's tensors."""
     payoffs = game.utilities  # (M, n)
     players, n = payoffs.shape
-    if players >= 3 and n * n * (players - 1) > PARETO_WORK_CAP:
-        raise SizeError(
-            f"Pareto scan of {n} profiles and {players} players exceeds the work cap "
-            f"n^2 (M - 1) <= {PARETO_WORK_CAP}"
-        )
+    if players >= 3:
+        _check_size(n * n * (players - 1), "Pareto pair tests", PARETO_WORK_CAP, "work cap")
     if n < _PARETO_DENSE:
         dominated = _dominated_dense(payoffs)
     else:

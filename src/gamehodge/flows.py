@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, PreconditionError, ShapeError, SizeError
+from .errors import NumericError, PreconditionError, ShapeError, _check_size
 from .game import (
     _CHUNK, Game, _check_tol, _checked_counts, _node_rows, profile_index, project_player,
 )
@@ -90,13 +90,10 @@ class GameGraph:
         counts = _checked_counts(map(int, strategy_counts))
         n = math.prod(counts)
         sizes = [math.comb(h, 2) * (n // h) for h in counts]
-        if sum(sizes) > DEFAULT_EDGE_CAP:
-            raise SizeError(f"{sum(sizes)} edges exceed the edge cap {DEFAULT_EDGE_CAP}")
-
+        self.num_edges = _check_size(sum(sizes), "edges", DEFAULT_EDGE_CAP, "edge cap")
         self.strategy_counts = counts
         self.num_players = len(counts)
         self.num_nodes = n
-        self.num_edges = sum(sizes)
         stops = list(accumulate(sizes, initial=0))
         self._player_slices = [slice(a, b) for a, b in zip(stops, stops[1:])]
 
@@ -160,15 +157,9 @@ class GameGraph:
         return sum(math.comb(h, 3) * (n // h) for h in self.strategy_counts)
 
     def triangles(self) -> np.ndarray:
-        """All 3-cliques as an (T, 3) array of node ids, i < j < k per row, under the cap."""
-        self._capped_triangles()
+        """All 3-cliques as an (T, 3) array of node ids, i < j < k per row, under the edge cap."""
+        _check_size(self.num_triangles, "triangles", DEFAULT_EDGE_CAP, "edge cap")
         return self._cliques(3).T
-
-    def _capped_triangles(self) -> int:
-        """:attr:`num_triangles`, or ``SizeError`` above ``DEFAULT_EDGE_CAP``, before any array."""
-        if self.num_triangles > DEFAULT_EDGE_CAP:
-            raise SizeError(f"{self.num_triangles} triangles exceed the cap {DEFAULT_EDGE_CAP}")
-        return self.num_triangles
 
     def _cliques(self, k: int) -> np.ndarray:
         """All k-cliques as a (k, C) array of sorted node ids, in index order."""
@@ -360,10 +351,10 @@ def curl(flow: EdgeFlow) -> TriangleFlow:
     Player ``m``'s edges form a (pairs, n/h) array in which the rows (b, c)
     and the rows (a, c) after (a, b), all c > b, are contiguous; so each own
     pair (a, b) gives its triangles (a, b, c) as one row-slice block.
-    ``SizeError`` above ``DEFAULT_EDGE_CAP`` triangles, before any array.
+    :class:`SizeError` above ``DEFAULT_EDGE_CAP`` triangles, before any array.
     """
     graph, n = flow.graph, flow.graph.num_nodes
-    values = np.empty(graph._capped_triangles())
+    values = np.empty(_check_size(graph.num_triangles, "triangles", DEFAULT_EDGE_CAP, "edge cap"))
     pos = 0
     for m, h in enumerate(graph.strategy_counts):
         x = flow.values[graph.player_slice(m)].reshape(-1, n // h)

@@ -332,7 +332,7 @@ def load_game(path) -> Game:
             data = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise GameFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise GameFormatError(f"invalid JSON in {path}: {exc}") from exc
     return game_from_dict(data)
 

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .decompose import _decompose_batch
-from .errors import NumericError, ShapeError, SizeError
+from .errors import NumericError, ShapeError, _check_size
 from .game import Game, _check_tol, _checked_counts, _payoff_scale, game_to_dict, is_normalized
 
 __all__ = [
@@ -172,14 +172,13 @@ def empirical_dims(strategy_counts: Sequence[int], seed: int = 0) -> tuple[int, 
     not an integer to within rounding, when the three traces do not sum to
     ``M * n``, or when the potential part of one seeded random game is not
     left fixed by a second kernel call.  :class:`SizeError` is raised,
-    before anything is allocated, when ``M * n^2`` exceeds 2^24.
+    before anything is allocated, above 2^24 unit-game entries, M * n^2.
     """
     counts = _checked_counts(map(int, strategy_counts))
     m_players = len(counts)
     n = math.prod(counts)
     ambient = m_players * n
-    if ambient * n > _TRACE_WORK_CAP:
-        raise SizeError(f"trace work M*n^2 = {ambient * n} exceeds {_TRACE_WORK_CAP}")
+    _check_size(ambient * n, "unit-game entries", _TRACE_WORK_CAP, "work cap")
 
     probe = np.random.default_rng(seed).uniform(-1.0, 1.0, size=ambient)
     step = max(1, _TRACE_CHUNK // ambient)

@@ -94,10 +94,18 @@ class TestDecomposeCommand:
         doc = json.loads(out.read_text())
         assert set(doc) == {"potential", "harmonic", "nonstrategic", "phi", "residuals"}
 
-    def test_malformed_json_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"{oops", b'\xff\xfe{"players": 1}', b"[" * 200_000 + b"]" * 200_000],
+        ids=["syntax", "not-utf8", "deep"],
+    )
+    def test_malformed_json_exits_2(self, tmp_path, capsys, command, content):
+        # undecodable bytes and nesting past the recursion limit are bad
+        # JSON too, not a traceback that exits 1 like a failed check
         bad = tmp_path / "bad.json"
-        bad.write_text("{oops")
-        assert main(["decompose", str(bad)]) == 2
+        bad.write_bytes(content)
+        assert main([command, str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):

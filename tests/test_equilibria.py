@@ -182,7 +182,9 @@ class TestMixedNash:
         with pytest.raises(PreconditionError):
             is_mixed_nash(matching_pennies(), [np.array([1.5, -0.5]), np.array([0.5, 0.5])])
 
-    @pytest.mark.parametrize("entries", [[np.nan, np.nan], [np.inf, -np.inf]], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "entries", [[np.nan, np.nan], [np.inf, -np.inf], [1e308, 1e308]], ids=["nan", "inf", "huge"]
+    )
     def test_non_finite_strategy_rejected(self, entries):
         # every comparison with NaN is False, so the simplex check must fail on it
         with pytest.raises(PreconditionError, match="not a probability distribution"):
@@ -304,7 +306,11 @@ class TestCorrelatedEquilibrium:
         with pytest.raises(PreconditionError):
             is_correlated_equilibrium(matching_pennies(), np.full(4, 0.3))
 
-    @pytest.mark.parametrize("entries", [[np.nan] * 4, [np.inf, -np.inf, 0.0, 0.0]], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "entries",
+        [[np.nan] * 4, [np.inf, -np.inf, 0.0, 0.0], [1e308, 1e308, 0.0, 0.0]],
+        ids=["nan", "inf", "huge"],
+    )
     def test_non_finite_distribution_rejected(self, entries):
         with pytest.raises(PreconditionError, match="not a probability distribution"):
             is_correlated_equilibrium(battle_of_sexes(), entries)

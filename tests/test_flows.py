@@ -138,9 +138,9 @@ class TestGameGraph:
         assert graph.num_triangles == 6
         assert TriangleFlow(graph, np.zeros(6)).max_abs() == 0.0
         monkeypatch.setattr(gamehodge.flows, "np", NoArrays())
-        with pytest.raises(SizeError, match="6 triangles exceed the cap 5"):
+        with pytest.raises(SizeError, match="triangles: 6 exceed the edge cap 5"):
             curl(flow)
-        with pytest.raises(SizeError, match="6 triangles exceed the cap 5"):
+        with pytest.raises(SizeError, match="triangles: 6 exceed the edge cap 5"):
             graph.triangles()
 
 
