@@ -209,11 +209,11 @@ def cmd_verify(args) -> int:
     check("harmonic-flow-divergence-free", float(np.abs(divergence).max()), h_sum, scale)
     check("nonstrategic-flow-zero", _spread(counts, d.nonstrategic_part.utilities), 1, scale)
     check("components-normalized", block_sums(d.potential_part, d.harmonic_part), h_max, scale)
-    total = game_norm(game) ** 2
-    parts = sum(
-        game_norm(p) ** 2 for p in (d.potential_part, d.harmonic_part, d.nonstrategic_part)
-    )
-    check("orthogonality-pythagoras", abs(total - parts), h_sum, total)
+    # the parts' norms over the game's, whose squares sum to 1: no norm is squared
+    whole = game_norm(game)
+    parts = (d.potential_part, d.harmonic_part, d.nonstrategic_part)
+    pythagoras = abs(1.0 - sum((game_norm(p) / whole) ** 2 for p in parts)) if whole else 0.0
+    check("orthogonality-pythagoras", pythagoras, h_sum, 1.0)
 
     # operator identities on one seeded random draw, since both are linear
     # in (phi, x): <grad_m phi, x_m> = <phi, grad_m* x_m> summed over the

@@ -32,8 +32,12 @@ each, and are built by the first :func:`decompose` of the run, so the
 membership tests and projections never pay for them; the norms are those
 of ``u_P``, ``u_H`` and ``u`` (``NumericError`` if one overflows), so the
 membership tests compute no norm; and the divergence is the largest entry
-and the 2-norm of the kernel's residual row (below).  So a repeated
-:func:`decompose` copies ``phi`` and nothing else.  The slot holds one
+and the 2-norm of the kernel's residual row (below).  Every norm here, and
+in the solve's check, is taken by ``gamehodge.game._root_squares``, which
+sums a row's squares again scaled by a power of two when they under- or
+overflow: the answers scale with the payoffs over the whole exponent
+range, and a norm overflows only when it exceeds the float maximum.  So a
+repeated :func:`decompose` copies ``phi`` and nothing else.  The slot holds one
 game at a time and is emptied when that game is collected, so it never
 keeps a game or its parts alive.  An equal game in another object is a
 miss.
@@ -74,12 +78,15 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ShapeError
 from .flows import _solve
-from .game import Game, _check_tol, _game_document, is_normalized, project_player
+from .game import (
+    Game, _check_tol, _game_document, _root_squares, is_normalized, project_player,
+)
 
 __all__ = [
     "Decomposition",
@@ -164,11 +171,12 @@ def _cached(game: Game):
     for a in batch:
         a.flags.writeable = False
     parts = tuple(a[0] for a in batch)
-    norms = (_norm(counts, parts[1]), _norm(counts, parts[2]), _norm(counts, game.utilities))
+    h = np.asarray(counts, dtype=float)  # once for the three norms
+    norms = (_norm(h, parts[1]), _norm(h, parts[2]), _norm(h, game.utilities))
     if not all(map(math.isfinite, norms)):
         raise NumericError("the game norm overflowed: the payoffs are too large to decompose")
     row = row[0]
-    divergence = (float(max(row.max(), -row.min())), math.sqrt(row @ row))
+    divergence = (float(max(row.max(), -row.min())), float(_root_squares(row)))
     slot = _slot = (weakref.ref(game, _release), parts, [None], norms, divergence)
     return slot
 
@@ -252,7 +260,8 @@ def game_inner(game: Game, other: Game) -> float:
     """Inner product weighting each player's payoffs by its strategy count."""
     if game.strategy_counts != other.strategy_counts:
         raise ShapeError("games must share a shape")
-    return _inner(game.strategy_counts, game.utilities, other.utilities)
+    h = np.asarray(game.strategy_counts, dtype=float)
+    return float(np.einsum("m,mi,mi->", h, game.utilities, other.utilities))
 
 
 def game_norm(game: Game) -> float:
@@ -265,13 +274,9 @@ def game_distance(game: Game, other: Game) -> float:
     return _norm(game.strategy_counts, game.utilities - other.utilities)
 
 
-def _inner(counts: tuple[int, ...], u: np.ndarray, v: np.ndarray) -> float:
-    h = np.asarray(counts, dtype=float)
-    return float(np.einsum("m,mi,mi->", h, u, v))
-
-
-def _norm(counts: tuple[int, ...], u: np.ndarray) -> float:
-    return math.sqrt(max(_inner(counts, u, u), 0.0))
+def _norm(counts: Sequence[float], u: np.ndarray) -> float:
+    """The game norm of payoff rows ``u``: each player's weighted by its strategy count."""
+    return _root_squares(u, counts)
 
 
 # -- membership tests and projections ------------------------------------------

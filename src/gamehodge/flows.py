@@ -21,7 +21,7 @@ re-exported here) treat any leading axes as a batch, so many
 games of one shape go through one vectorised pass.  One checked solve
 serves :func:`laplacian_pinv_solve` and the decomposition kernel: it raises
 if any row's residual misses its tolerance relative to that row's norm, or
-the norm overflows.  The spectrum is built once per shape and memoised.
+that norm itself overflows.  The spectrum is built once per shape and memoised.
 
 Edge operators read the clique layout, not index arrays: player m's flow is
 a (C(h_m, 2), n/h_m) block of own-strategy pairs by opponent profiles, so a
@@ -44,7 +44,8 @@ import numpy as np
 
 from .errors import NumericError, PreconditionError, ShapeError, _check_size
 from .game import (
-    _CHUNK, Game, _check_tol, _checked_counts, _node_rows, profile_index, project_player,
+    _CHUNK, Game, _check_tol, _checked_counts, _node_rows, _root_squares, profile_index,
+    project_player,
 )
 
 __all__ = [
@@ -272,13 +273,22 @@ def _as_node_array(graph: GameGraph, phi) -> np.ndarray:
 
 
 def _differences(counts: tuple[int, ...], functions) -> np.ndarray:
-    """``f(head) - f(tail)`` over player m's edges for each ``(m, f)``, in edge order."""
-    blocks = []
+    """``f(head) - f(tail)`` over player m's edges for each ``(m, f)``, in edge order.
+
+    Each player's block is written into its slice of the one flow array.
+    """
+    functions = list(functions)
+    n = math.prod(counts)
+    flow = np.empty(sum(math.comb(counts[m], 2) * (n // counts[m]) for m, _ in functions))
+    start = 0
     for m, f in functions:
         rows = np.moveaxis(f.reshape(counts), m, 0).reshape(counts[m], -1)
         a, b = np.nonzero(~np.tri(counts[m], dtype=bool))  # own pairs, ``combinations`` order
-        blocks.append((rows[b] - rows[a]).ravel())
-    return np.concatenate(blocks)
+        block = flow[start:start + a.size * rows.shape[1]].reshape(a.size, rows.shape[1])
+        np.take(rows, b, axis=0, out=block, mode="clip")  # "raise" would buffer ``out``
+        block -= rows[a]
+        start += block.size
+    return flow
 
 
 def pairwise_comparison(game: Game, graph: GameGraph | None = None) -> EdgeFlow:
@@ -403,11 +413,6 @@ def _spectrum(counts: tuple[int, ...]) -> np.ndarray:
     return spectrum
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row along the last axis."""
-    return np.sqrt(np.einsum("...i,...i->...", a, a))
-
-
 def laplacian_pinv_solve(
     strategy_counts: Sequence[int], b, tol: float = _SOLVE_TOL
 ) -> np.ndarray:
@@ -430,7 +435,10 @@ def laplacian_pinv_solve(
     leading axes are a batch of right-hand sides, solved together by
     transforms over the trailing profile axes.  Both checks below hold row
     by row, and one failing row raises; ``b_c`` is ``b`` with its mean
-    dropped, as in the decomposition kernel, whose solve this is.
+    dropped, as in the decomposition kernel, whose solve this is.  Their
+    norms are those of ``gamehodge.game._root_squares``, which neither
+    under- nor overflows unless the norm itself does, so the solve of
+    ``2^k b`` is ``2^k`` times that of ``b`` over the whole exponent range.
 
     Raises
     ------
@@ -440,12 +448,12 @@ def laplacian_pinv_solve(
         if a row of ``b`` has a mean component above ``tol * ||b||``.
     NumericError
         if a row's solution misses residual ``tol * ||b_c||``, or that
-        norm overflows.
+        norm itself overflows.
     """
     _check_tol(tol)
     counts = _checked_counts(strategy_counts)
     b = _node_rows(counts, b)
-    if (np.abs(b.sum(axis=-1)) > tol * _row_norms(b)).any():
+    if (np.abs(b.sum(axis=-1)) > tol * _root_squares(b)).any():
         raise PreconditionError(
             "right-hand side is not orthogonal to constants; "
             "it cannot be in the image of the Laplacian"
@@ -468,7 +476,7 @@ def _solve(counts: tuple[int, ...], b: np.ndarray, tol: float = _SOLVE_TOL):
     for m in range(len(counts)):
         p_phi[..., m, :] = project_player(counts, m, phi)
     r = b - np.asarray(counts, dtype=float) @ p_phi
-    _check_residual(_row_norms(r), tol * _row_norms(b))
+    _check_residual(_root_squares(r), tol * _root_squares(b))
     r += mean
     return phi, p_phi, r
 
@@ -529,7 +537,12 @@ def _helmert_matrix(h: int) -> np.ndarray:
 
 def _check_residual(residual: np.ndarray, target: np.ndarray) -> None:
     """Raise :class:`NumericError` on the first row whose residual exceeds its target or
-    is NaN, or whose target overflowed (it would pass any residual; the error then has none)."""
+    is NaN, or whose target overflowed (it would pass any residual; the error then has none).
+
+    Both are norms of :func:`gamehodge.game._root_squares`, so a tiny row's
+    residual and target do not both vanish, and a target is inf only when
+    the norm of its right-hand side exceeds the float maximum.
+    """
     missed = ~(residual <= target) | np.isinf(target)
     if missed.any():
         k = int(np.argmax(missed))  # the first failing row, in C order

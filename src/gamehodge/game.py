@@ -245,6 +245,39 @@ def _payoff_scale(game: Game) -> float:
     return float(np.abs(game.utilities).max(initial=0.0))
 
 
+_TINY = 2.0**-900  # a smaller sum of squares may have lost digits to underflow
+
+
+def _root_squares(a: np.ndarray, weights: Sequence[float] | None = None):
+    """Euclidean norm of each row of ``a`` along its last axis; the package's one norm.
+
+    With ``weights``, one per row of a 2-d ``a`` (a game's strategy counts),
+    it is instead the one float ``sqrt(sum_m weights[m] ||a[m]||^2)``.  The
+    squares are summed as they are; a sum that may have underflowed (below
+    ``_TINY``) or overflowed is summed again over its rows scaled by the
+    power of two of their largest entry, which is exact (Blue 1978, ACM
+    TOMS 4), and the root scaled back.  So a norm is 0 only for a zero row
+    and inf only when the norm itself overflows.
+    """
+    total = _sum_squares(a, weights)
+    sums = total.ravel().tolist() if total.ndim else [float(total)]  # cheaper than numpy here
+    if (_TINY <= min(sums) and max(sums) < math.inf) or not a.any():  # zero rows: norms 0
+        return np.sqrt(total) if weights is None else math.sqrt(total)
+    e = np.frexp(np.abs(a).max(axis=-1 if weights is None else None, keepdims=True))[1]
+    rescued = np.ldexp(np.sqrt(_sum_squares(np.ldexp(a, -e), weights)), e.reshape(total.shape))
+    root = np.where(~(total >= _TINY) | (total == math.inf), rescued, np.sqrt(total))
+    return root if weights is None else float(root)
+
+
+def _sum_squares(a: np.ndarray, weights: Sequence[float] | None) -> np.ndarray:
+    """The sums of squares under :func:`_root_squares`, one per row or one weighted in all."""
+    if weights is not None:
+        return np.einsum("m,mi,mi->", np.asarray(weights, dtype=float), a, a)
+    # one row by the BLAS dot, as the decomposition's residual norm always was: vdot,
+    # for unlike ``a @ a`` it does not warn of the overflow that the caller rescues
+    return np.vdot(a, a) if a.ndim == 1 else np.einsum("...i,...i->...", a, a)
+
+
 def is_normalized(game: Game, tol: float = 1e-9) -> bool:
     """True iff every per-player, per-opponent-block payoff sum is within ``tol * max|u|`` of 0."""
     _check_tol(tol)

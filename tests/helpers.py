@@ -60,8 +60,9 @@ def random_game(rng, counts, scale=1.0):
 def overflowing_game(scale=1.7e308):
     """A random 3x3 game with payoffs up to ``scale``.
 
-    At the default, near the float maximum, the kernel's sums overflow; from
-    about 1e154 up, the norms of its solve and of the game do.
+    At the default, near the float maximum, the kernel's sums overflow and
+    so does the norm of its solve's right-hand side.  At smaller scales the
+    squares inside the norms may overflow, but the norms do not.
     """
     return Game(np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 9)) * scale, (3, 3))
 

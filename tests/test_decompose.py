@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib
 import math
@@ -183,19 +184,21 @@ def _outcomes(game):
 
 
 class TestOverflowingNorms:
-    # from about 1e154 the squares inside the norms overflow: the solve's
-    # target or the game norm is inf, which would pass any residual and
-    # tolerance, so every call raises
+    # from about 1e154 the squares inside the norms overflow, and the norm
+    # routine sums them again over the payoffs scaled by a power of two: the
+    # solve's target and the game norm stay finite, and every answer is the
+    # one at scale 1
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
     @pytest.mark.parametrize("name", ["random-3x3", "matching-pennies"])
-    def test_raises_numeric_error(self, name, scale):
-        g = _scaled(name, scale)
-        with np.errstate(all="ignore"):
-            for call in (decompose, is_potential, is_harmonic, equilibrium_report):
-                with pytest.raises(NumericError, match="overflowed"):
-                    call(g)
+    def test_answers_as_at_scale_1(self, name, scale):
+        parts, *flags = _outcomes(_scaled(name, scale))
+        want_parts, *want_flags = _outcomes(_scaled(name, 1.0))
+        assert flags == want_flags
+        for got, want in zip(parts, want_parts):
+            assert np.abs(got / scale - want).max() <= 1e-12
 
-    # the control: just below the overflow every answer is the one at scale 1
+    # the control: where the squares do not overflow every answer is the one
+    # at scale 1 too
     @pytest.mark.parametrize("name", ["random-3x3", "matching-pennies"])
     def test_largest_finite_norms_answer_as_at_scale_1(self, name):
         parts, *flags = _outcomes(_scaled(name, 1e150))
@@ -293,6 +296,79 @@ class TestScaleFree:
                 h = g.with_utilities(u)
                 got = (is_potential(h), is_harmonic(h), potential_function(h) is not None)
                 assert got == want, (c, extra)
+
+
+# the shapes of test_harmonic_divergence_reads_the_divergence, and powers of
+# two from near the bottom of the normal range to near the top
+WIDE_SHAPES = [(3, 3), (20, 20), (2, 3, 4), (200, 200), (8, 8, 8), (2,) * 12]
+WIDE_EXPONENTS = [-1000, -600, -540, 0, 511, 600, 1000]
+
+
+def _shape_id(counts):
+    return "x".join(map(str, counts))
+
+
+def _answers(game):
+    """Parts and phi, the game norm, the three membership answers and the report.
+
+    The report is left out above 2^12 profiles, and its ``uniform_mixed_is_ne``
+    always: that test still reads an absolute tolerance.
+    """
+    d = decompose(game)
+    parts = [p.utilities for p in (d.potential_part, d.harmonic_part, d.nonstrategic_part)]
+    flags = (is_potential(game), is_harmonic(game), potential_function(game) is None)
+    report = None
+    if game.num_profiles <= 2**12:
+        report = equilibrium_report(game)
+        del report["uniform_mixed_is_ne"]
+    return parts + [d.potential_fn], game_norm(game), flags, report
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_game(counts, kind):
+    """A seeded random game of shape ``counts``, or its potential or harmonic part, and
+    its answers."""
+    game = random_game(np.random.default_rng(0), counts)
+    if kind != "random":
+        game = getattr(decompose(game), kind + "_part")
+    return game, _answers(game)
+
+
+class TestWholeExponentRange:
+    # scaling by 2^k is exact and the decomposition is linear, so from 2^-1000
+    # to 2^1000 every answer at 2^k u is its value at u, times 2^k for the
+    # parts, phi and the norm, bit for bit: no norm under- or overflows
+    @pytest.mark.parametrize("k", WIDE_EXPONENTS)
+    @pytest.mark.parametrize("kind", ["random", "potential", "harmonic"])
+    @pytest.mark.parametrize("counts", WIDE_SHAPES, ids=_shape_id)
+    def test_answers_scale_with_the_payoffs(self, counts, kind, k):
+        base, (parts, norm, flags, report) = _wide_game(counts, kind)
+        game = Game(np.ldexp(base.utilities, k), counts)
+        if kind == "harmonic" and k == -1000:
+            # the harmonic part's right-hand side is rounding, here below
+            # 2^-1022: the solve may refuse it, but never answer otherwise
+            try:
+                got = _answers(game)
+            except NumericError:
+                return
+        else:
+            got = _answers(game)
+        for a, b in zip(got[0], parts):
+            assert np.array_equal(a, np.ldexp(b, k))
+        assert got[1] == np.ldexp(norm, k)
+        assert got[2:] == (flags, report)
+
+    # a solve scaled wrong by 1.5 misses its tolerance at every scale: the
+    # residual's norm and the target's never both vanish
+    @pytest.mark.parametrize("k", WIDE_EXPONENTS)
+    @pytest.mark.parametrize("kind", ["random", "potential", "harmonic"])
+    @pytest.mark.parametrize("counts", WIDE_SHAPES, ids=_shape_id)
+    def test_corrupted_solve_raises(self, counts, kind, k, monkeypatch):
+        base, _ = _wide_game(counts, kind)
+        solve = flows._pinv_transform
+        monkeypatch.setattr(flows, "_pinv_transform", lambda c, b: 1.5 * solve(c, b))
+        with pytest.raises(NumericError, match="Laplacian solve missed"):
+            decompose(Game(np.ldexp(base.utilities, k), counts))
 
 
 BATCH_SHAPES = [(1,), (1, 1), (1, 4), (2, 3), (2, 3, 4), (2,) * 6, (5, 5)]

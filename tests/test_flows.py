@@ -217,6 +217,19 @@ class TestPairwiseComparison:
             total = total + player_gradient(graph, m, g.utilities[m])
         assert (pairwise_comparison(g, graph) - total).max_abs() <= 1e-12
 
+    def test_holds_the_flow_once(self):
+        # each player's differences are written into the flow's own slice,
+        # so the peak is the flow and one player's temporary, not two flows
+        g = random_game(np.random.default_rng(8), (20, 20, 20))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            flow = pairwise_comparison(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * flow.values.nbytes
+
 
 EDGE_LOOP_SHAPES = [(3,), (2, 2), (4, 1, 5), (2, 3, 4), (2,) * 5, (6, 6)]
 
@@ -542,6 +555,17 @@ class TestLaplacianSolve:
 
     def test_zero_tol_is_accepted(self):
         assert np.all(laplacian_pinv_solve((2, 2), np.zeros(4), tol=0.0) == 0.0)
+
+    # scaling by 2^k is exact, and no norm of the solve's two checks under-
+    # or overflows: over the whole exponent range the solve of 2^k b is 2^k
+    # times that of b, bit for bit
+    @pytest.mark.parametrize("k", [-1000, -600, -540, 0, 511, 600, 1000])
+    @pytest.mark.parametrize("counts", [(3, 3), (2, 3, 4), (20, 20)])
+    def test_solves_at_every_scale(self, counts, k):
+        phi = np.random.default_rng(23).uniform(-1.0, 1.0, size=(4, math.prod(counts)))
+        b = laplacian_apply(counts, phi)
+        got = laplacian_pinv_solve(counts, np.ldexp(b, k))
+        assert np.array_equal(got, np.ldexp(laplacian_pinv_solve(counts, b), k))
 
     # the last two put axes above the matrix cut, solved by the demeaning
     # form, one beside a size-1 axis
