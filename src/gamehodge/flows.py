@@ -88,7 +88,7 @@ class GameGraph:
     """
 
     def __init__(self, strategy_counts: Sequence[int]):
-        counts = _checked_counts(map(int, strategy_counts))
+        counts = _checked_counts(strategy_counts)
         n = math.prod(counts)
         sizes = [math.comb(h, 2) * (n // h) for h in counts]
         self.num_edges = _check_size(sum(sizes), "edges", DEFAULT_EDGE_CAP, "edge cap")

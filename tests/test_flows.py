@@ -63,6 +63,11 @@ class TestGameGraph:
         assert g.num_edges == edges
         assert g.num_triangles == triangles
 
+    @pytest.mark.parametrize("counts", [(), (0, 3), (2.7, 3), (3, 2.5), (float("inf"), 2)])
+    def test_invalid_counts_raise_shape_error(self, counts):
+        with pytest.raises(ShapeError, match="invalid strategy counts"):
+            build_graph(counts)
+
     def test_canonical_orientation_and_single_deviation(self):
         g = build_graph((2, 3, 2))
         assert np.all(g.tails < g.heads)
@@ -499,7 +504,7 @@ class TestNodeOperatorShapes:
     }
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
-    @pytest.mark.parametrize("counts", [(), (0,), (2, 0), (-2, 2)])
+    @pytest.mark.parametrize("counts", [(), (0,), (2, 0), (-2, 2), (2.5, 2)])
     def test_invalid_strategy_counts_raise_shape_error(self, name, counts):
         with pytest.raises(ShapeError, match="invalid strategy counts"):
             self.ENTRY_POINTS[name](counts, np.zeros(1))

@@ -312,6 +312,17 @@ class TestGameConstruction:
         with pytest.raises(ShapeError):
             Game(np.zeros((1, 1)), ())
 
+    @pytest.mark.parametrize("counts", [(2.5, 2), (2, 2.5), (2, float("nan")), ("2", 2)])
+    def test_non_whole_counts_raise_shape_error(self, counts):
+        with pytest.raises(ShapeError, match="invalid strategy counts"):
+            Game(np.zeros((2, 4)), counts)
+
+    @pytest.mark.parametrize("counts", [(2.0, 3.0), (np.int64(2), np.int32(3)), np.array([2, 3])])
+    def test_whole_counts_of_any_numeric_type(self, counts):
+        g = Game(np.arange(12.0).reshape(2, 6), counts)
+        assert g.strategy_counts == (2, 3)
+        assert all(type(h) is int for h in g.strategy_counts)
+
     def test_rejects_non_finite_payoffs(self):
         u = np.zeros((2, 4))
         u[0, 0] = np.nan

@@ -166,7 +166,7 @@ class TestSubspaceDims:
         assert dims.potential_games == dims.potential + dims.nonstrategic
         assert dims.harmonic_games == dims.harmonic + dims.nonstrategic
 
-    @pytest.mark.parametrize("counts", [(), (0,), (3, -1), (2, 0, 2)])
+    @pytest.mark.parametrize("counts", [(), (0,), (3, -1), (2, 0, 2), (2.5, 2)])
     def test_invalid_counts_rejected(self, counts):
         with pytest.raises(ShapeError, match="invalid strategy counts"):
             subspace_dims(counts)
@@ -225,7 +225,9 @@ class TestEmpiricalDims:
             empirical_dims((40, 40, 3))
 
 
-@pytest.mark.parametrize("counts", [(), (0,), (-2, 2), (2, 0, 2)])
+@pytest.mark.parametrize(
+    "counts", [(), (0,), (-2, 2), (2, 0, 2), (2.5, 2), (2, 3.01), (float("inf"), 2), ("2", 2)]
+)
 @pytest.mark.parametrize("build", [empirical_dims, nonstrategic_basis])
 def test_invalid_counts_raise_shape_error(build, counts):
     with pytest.raises(ShapeError, match="invalid strategy counts"):
@@ -263,18 +265,56 @@ class TestZsIiIntersections:
 
     @pytest.mark.parametrize("h", range(1, 7))
     def test_each_span_ranked_once(self, monkeypatch, h):
-        # three class spans, each with its projections u1 + u2 and u1 - u2
+        # the potential and harmonic class spans, each with its projections
+        # u1 + u2 and u1 - u2; the all-games row is exact and ranks nothing
         rank = subspaces.numeric_rank
-        calls = []
+        shapes = []
 
         def counting(matrix, *args):
-            calls.append(matrix.shape[1])
+            shapes.append(matrix.shape)
             return rank(matrix, *args)
 
         monkeypatch.setattr(subspaces, "numeric_rank", counting)
         table = zs_ii_intersection_dims(h)
-        assert calls == [2 * h * h, h * h, h * h] * 3
+        n = h * h
+        assert [cols for _, cols in shapes] == [2 * n, n, n] * 2
+        # potential: 2h nonstrategic rows and n + 5 samples; harmonic:
+        # (h - 1)^2 basis rows and the same 2h nonstrategic rows
+        assert [rows for rows, _ in shapes] == [n + 2 * h + 5] * 3 + [n + 1] * 3
+        if h > 1:
+            # at h = 1 the harmonic games are the whole 2-dimensional space
+            assert (2 * n, 2 * n) not in shapes
         assert table.computed == table.closed_form
+
+    def test_rank_cap_returns_the_closed_form_alone(self, monkeypatch):
+        # 2h^2 is 18 at h = 3 and 32 at h = 4
+        monkeypatch.setattr(subspaces, "RANK_AMBIENT_CAP", 18)
+        assert zs_ii_intersection_dims(3).agrees is True
+
+        def fail(*args):
+            raise AssertionError("ranked or decomposed above the cap")
+
+        monkeypatch.setattr(subspaces, "numeric_rank", fail)
+        monkeypatch.setattr(subspaces, "_decompose_batch", fail)
+        table = zs_ii_intersection_dims(4)
+        assert table.computed is None
+        assert table.agrees is None
+        assert table.closed_form == {
+            "potential_games": {"zero_sum": 7, "identical": 16, "direct_sum": 23},
+            "harmonic_games": {"zero_sum": 10, "identical": 1, "direct_sum": 17},
+            "all_games": {"zero_sum": 16, "identical": 16, "direct_sum": 32},
+        }
+
+    @pytest.mark.parametrize("h", [0, -1, 2.5, float("nan"), "3", None])
+    def test_invalid_h_raises_shape_error(self, h):
+        with pytest.raises(ShapeError, match="invalid strategy counts"):
+            zs_ii_intersection_dims(h)
+
+    @pytest.mark.parametrize("h", [3.0, np.int64(3), np.float32(3)])
+    def test_whole_h_of_any_type(self, h):
+        table = zs_ii_intersection_dims(h)
+        assert table.h == 3 and type(table.h) is int
+        assert table == zs_ii_intersection_dims(3)
 
     def test_direct_sum_columns(self):
         table = zs_ii_intersection_dims(3).closed_form
