@@ -22,25 +22,28 @@ projections read; :func:`decompose` hands out the ``Game`` objects and
 residuals kept beside them, and :mod:`gamehodge.subspaces` calls the kernel
 directly.
 
-``_parts`` keeps the last game's parts in a one-slot cache keyed by the
-identity of the (immutable) ``Game`` alone, so every public call on the same
-game object after the first reuses one kernel run.  The slot is the tuple
-``(weak reference to the game, parts, part games, norms, divergence)``: the
-parts are read-only views of read-only arrays; the part games wrap ``u_P``,
-``u_H`` and ``u_N`` without a copy, after one shape and finiteness check
-each, and are built by the first :func:`decompose` of the run, so the
-membership tests and projections never pay for them; the norms are those
-of ``u_P``, ``u_H`` and ``u`` (``NumericError`` if one overflows), so the
-membership tests compute no norm; and the divergence is the largest entry
-and the 2-norm of the kernel's residual row (below).  Every norm here, and
-in the solve's check, is taken by ``gamehodge.game._root_squares``, which
-sums a row's squares again scaled by a power of two when they under- or
-overflow: the answers scale with the payoffs over the whole exponent
-range, and a norm overflows only when it exceeds the float maximum.  So a
-repeated :func:`decompose` copies ``phi`` and nothing else.  The slot holds one
-game at a time and is emptied when that game is collected, so it never
-keeps a game or its parts alive.  An equal game in another object is a
-miss.
+Each (immutable) ``Game`` keeps its own kernel run: the first public call
+on a game object stores a memo on it (``Game._decomposition``), and every
+later call on that object, whatever games were analysed in between, reads
+the memo.  The memo is the tuple ``(parts, part games, norms,
+divergence)``: the parts are read-only views of read-only arrays; the part
+games wrap ``u_P``, ``u_H`` and ``u_N`` without a copy, after one shape and
+finiteness check each, and are built by the first :func:`decompose` of the
+game, so the membership tests and projections never pay for them; the
+norms are those of ``u_P``, ``u_H`` and ``u`` (``NumericError`` if one
+overflows), so the membership tests compute no norm; and the divergence is
+the largest entry and the 2-norm of the kernel's residual row (below).
+Every norm here, and in the solve's check, is taken by
+``gamehodge.game._root_squares``, which sums a row's squares again scaled
+by a power of two when they under- or overflow: the answers scale with the
+payoffs over the whole exponent range, and a norm overflows only when it
+exceeds the float maximum.  So a repeated :func:`decompose` copies ``phi``
+and nothing else.  The memo lives exactly as long as its game: a game
+keeps about ``3 M n + n`` floats of parts while it lives, and frees them
+with itself.  The memo refers to no game but its own part games, which
+start with none of their own (``Game._sharing``), so it forms no reference
+cycle.  A copy or a pickle of a game carries no memo, and an equal game in
+another object is a miss.
 
 The membership tests (:func:`is_potential`, :func:`is_harmonic`,
 :func:`potential_function`) measure against the norm of the normalised game
@@ -76,7 +79,6 @@ reported.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,7 +129,7 @@ class Decomposition:
 
 def decompose(game: Game) -> Decomposition:
     """Split a game into its potential, harmonic and nonstrategic parts."""
-    _, (phi, *arrays), wrapped, _, (divergence, solver) = _cached(game)
+    (phi, *arrays), wrapped, _, (divergence, solver) = _cached(game)
     if wrapped[0] is None:
         # one assignment: threads that race here store equal games
         wrapped[0] = tuple(game._sharing(a) for a in arrays)
@@ -136,36 +138,31 @@ def decompose(game: Game) -> Decomposition:
     )
 
 
-# (weakref to the game, parts, [part games or None], norms, divergence) of
-# the last kernel run, or None
-_slot = None
-
-
 def _parts(game: Game):
     """``(phi, u_P, u_H, u_N)`` of one game: the K = 1 call of the kernel.
 
     The arrays are read-only views of read-only arrays, so no caller can
     make one writeable; callers that hand out ``phi`` copy it.
     """
-    return _cached(game)[1]
+    return _cached(game)[0]
 
 
 def _norms(game: Game) -> tuple[float, float, float]:
     """The game norms of ``u_P``, ``u_H`` and ``u``, kept with the parts."""
-    return _cached(game)[3]
+    return _cached(game)[2]
 
 
 def _cached(game: Game):
-    """The slot for ``game``, after one kernel run if it holds another game.
+    """The memo of ``game``: ``(parts, [part games or None], norms, divergence)``.
 
-    The slot holds one game, through a weak reference whose callback
-    empties it when that game is collected.  A kernel call that raises
-    stores nothing.
+    The first call on a game runs the kernel and stores the memo on the game
+    (``Game._decomposition``), so it lives exactly as long as the game.  A
+    kernel call that raises stores nothing.  Threads that race on a game's
+    first call each run the kernel and store equal memos.
     """
-    global _slot
-    slot = _slot
-    if slot is not None and slot[0]() is game:
-        return slot
+    memo = game._decomposition
+    if memo is not None:
+        return memo
     counts = game.strategy_counts
     *batch, row = _decompose_batch(counts, game.utilities[None])
     for a in batch:
@@ -177,20 +174,8 @@ def _cached(game: Game):
         raise NumericError("the game norm overflowed: the payoffs are too large to decompose")
     row = row[0]
     divergence = (float(max(row.max(), -row.min())), float(_root_squares(row)))
-    slot = _slot = (weakref.ref(game, _release), parts, [None], norms, divergence)
-    return slot
-
-
-def _release(ref) -> None:
-    """Empty the slot when its game is collected, unless it moved on.
-
-    A store by another thread between the check and the clear is lost; that
-    only makes a later call on that game miss.
-    """
-    global _slot
-    slot = _slot
-    if slot is not None and slot[0] is ref:
-        _slot = None
+    memo = game._decomposition = (parts, [None], norms, divergence)
+    return memo
 
 
 def _decompose_batch(counts: tuple[int, ...], u: np.ndarray):

@@ -110,6 +110,21 @@ class Game:
         self.player_names = tuple(player_names)
         self.strategy_labels = tuple(tuple(ls) for ls in labels)
 
+    # the game's decomposition, stored on it by its first analysis
+    # (gamehodge.decompose); no copy of the game, nor any game made from it, holds it
+    _decomposition = None
+
+    def __getstate__(self) -> dict:
+        """The game's attributes without its decomposition, for pickle and :mod:`copy`."""
+        state = vars(self).copy()
+        state.pop("_decomposition", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled or copied game; its payoffs are read-only again."""
+        self.__dict__.update(state)
+        self.utilities.flags.writeable = False
+
     @classmethod
     def from_payoff_matrices(
         cls,
@@ -149,11 +164,12 @@ class Game:
         The new game holds ``utilities`` itself and makes it read-only, so
         the caller must never write it through another reference; the shape
         and finiteness checks still run, a non-finite payoff (an overflow)
-        raising :class:`NumericError`.
+        raising :class:`NumericError`.  The new game starts with no
+        decomposition: it does not share this game's.
         """
         utilities.flags.writeable = False
         game = object.__new__(Game)
-        game.__dict__.update(vars(self))
+        game.__dict__.update(self.__getstate__())
         overflow = NumericError("a computed payoff overflowed")
         game.utilities = _checked_payoffs(utilities, self.strategy_counts, overflow)
         return game

@@ -1,7 +1,9 @@
+import copy
 import functools
 import gc
 import importlib
 import math
+import pickle
 import sys
 import threading
 import weakref
@@ -495,7 +497,7 @@ class TestPredicatesReadTheKernel:
 
 
 def _fresh(g):
-    """An equal game in a new object, so a call on it starts with a cold slot."""
+    """An equal game in a new object, so a call on it starts with no memo."""
     return g.with_utilities(g.utilities)
 
 
@@ -591,11 +593,34 @@ class TestKernelCache:
         assert _identical(warm, cold)
         assert warm.potential_fn is not cold.potential_fn
 
+    def test_alternating_games_run_the_kernel_once_each(self, kernel_calls):
+        rng = np.random.default_rng(62)
+        games = [random_game(rng, counts) for counts in [(3, 3), (2, 3, 4), (3, 3), (2, 2)]]
+        first = [_analyse(g) for g in games]
+        for _ in range(2):
+            for g, want in zip(games, first):
+                assert _identical(_analyse(g), want)
+        assert len(kernel_calls) == len(games)
+
+    def test_del_frees_every_kernel_array_without_the_collector(self):
+        g = random_game(np.random.default_rng(63), (3, 4))
+        d = decompose(g)
+        # the part game gets its own memo, which must not refer back to g's
+        _analyse(d.harmonic_part)
+        arrays = decompose_module._parts(g) + decompose_module._parts(d.harmonic_part)
+        refs = [weakref.ref(g)] + [weakref.ref(a) for a in arrays]
+        del d, arrays
+        gc.disable()
+        try:
+            del g
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
     def test_failed_kernel_run_stores_nothing(self, kernel_calls, monkeypatch):
         # a corrupted transform makes the kernel's solve check raise
         rng = np.random.default_rng(65)
         g = random_game(rng, (3, 3))
-        monkeypatch.setattr(decompose_module, "_slot", None)
         with monkeypatch.context() as patch:
             patch.setattr(
                 flows, "_pinv_transform", lambda counts, a: rng.uniform(-1.0, 1.0, np.shape(a))
@@ -603,7 +628,7 @@ class TestKernelCache:
             for _ in range(2):
                 with pytest.raises(NumericError):
                     decompose(g)
-                assert decompose_module._slot is None
+                assert "_decomposition" not in vars(g)
         assert len(kernel_calls) == 2
         assert _identical(decompose(g), decompose(_fresh(g)))
 
@@ -628,6 +653,19 @@ class TestKernelCache:
         phi[:] = -99.0
         assert np.array_equal(potential_function(g), want)
         assert np.array_equal(decompose(g).potential_fn, want)
+
+    @pytest.mark.parametrize("copy_game", [
+        lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_have_read_only_payoffs_and_no_memo(self, copy_game):
+        g = matching_pennies()
+        want = _analyse_cold(g)
+        assert is_harmonic(g)  # g holds its memo when copied
+        h = copy_game(g)
+        assert "_decomposition" not in vars(h)
+        with pytest.raises(ValueError):
+            h.utilities[:] = [[1, 0, 0, 1], [1, 0, 0, 1]]
+        assert _identical(_analyse(h), want)
 
     def test_threads_alternating_over_two_games_match_serial(self):
         # more threads than cores, each alternating over the two games from
