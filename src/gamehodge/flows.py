@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import NumericError, PreconditionError, ShapeError, _check_size
 from .game import (
-    _CHUNK, Game, _check_tol, _checked_counts, _node_rows, _root_squares, profile_index,
-    project_player,
+    _CHUNK, Game, _check_player, _check_tol, _checked_counts, _node_rows, _root_squares,
+    profile_index, project_player,
 )
 
 __all__ = [
@@ -102,6 +102,7 @@ class GameGraph:
 
     def player_slice(self, player: int) -> slice:
         """Range of edge ids belonging to one player's clique edges."""
+        _check_player(player, self.num_players)
         return self._player_slices[player]
 
     @property
@@ -311,9 +312,9 @@ def gradient(graph: GameGraph, phi) -> EdgeFlow:
 
 def player_gradient(graph: GameGraph, player: int, phi) -> EdgeFlow:
     """Gradient restricted to one player's edges, zero elsewhere."""
-    phi = _as_node_array(graph, phi)
+    edges = graph.player_slice(player)  # checks the player first
     values = np.zeros(graph.num_edges)
-    values[graph.player_slice(player)] = _differences(graph.strategy_counts, [(player, phi)])
+    values[edges] = _differences(graph.strategy_counts, [(player, _as_node_array(graph, phi))])
     return EdgeFlow(graph, values)
 
 
@@ -620,8 +621,12 @@ def flow_to_dot(
 
     Each edge with ``|value| > zero_tol`` becomes, in edge order, one arrow
     along the positive (payoff-improving) flow, labeled with its magnitude.
+    ``node_labels`` needs one label per node, or :class:`ShapeError`.
     """
+    n = flow.graph.num_nodes
     if node_labels is None:
         profiles = np.ndindex(flow.graph.strategy_counts)
         node_labels = ["(" + ",".join(map(str, p)) + ")" for p in profiles]
+    elif len(node_labels) != n:
+        raise ShapeError(f"{len(node_labels)} node labels given for {n} nodes")
     return "".join(_dot_chunks(flow, node_labels, zero_tol))

@@ -142,12 +142,12 @@ class Game:
 
     def tensor(self, player: int) -> np.ndarray:
         """Payoff tensor of one player, shape ``(h_1, ..., h_M)`` (read-only view)."""
-        self._check_player(player)
+        _check_player(player, self.num_players)
         return self.utilities[player].reshape(self.strategy_counts)
 
     def utility(self, player: int, profile: Sequence[int]) -> float:
         """Payoff of ``player`` at a pure strategy profile."""
-        self._check_player(player)
+        _check_player(player, self.num_players)
         return float(self.utilities[player, profile_index(profile, self.strategy_counts)])
 
     def profiles(self) -> Iterable[tuple[int, ...]]:
@@ -174,10 +174,6 @@ class Game:
         game.utilities = _checked_payoffs(utilities, self.strategy_counts, overflow)
         return game
 
-    def _check_player(self, player: int) -> None:
-        if not 0 <= player < self.num_players:
-            raise IndexError(f"player index {player} out of range [0, {self.num_players})")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Game)
@@ -187,6 +183,12 @@ class Game:
 
     def __repr__(self) -> str:
         return f"Game(players={self.num_players}, strategies={self.strategy_counts})"
+
+
+def _check_player(player: int, num_players: int) -> None:
+    """Refuse a player index outside ``[0, num_players)``; -1 does not mean the last player."""
+    if not 0 <= player < num_players:
+        raise IndexError(f"player index {player} out of range [0, {num_players})")
 
 
 def _checked_counts(strategy_counts: Iterable[int]) -> tuple[int, ...]:
@@ -239,6 +241,7 @@ def project_player(strategy_counts: Sequence[int], player: int, u) -> np.ndarray
     batch, projected row by row.  It is the package's one demeaning routine.
     """
     counts = _checked_counts(strategy_counts)
+    _check_player(player, len(counts))
     u = _node_rows(counts, u)
     t = u.reshape(u.shape[:-1] + counts)
     # sum / h is the mean, without the Python-level overhead of ndarray.mean
@@ -365,18 +368,18 @@ def game_from_dict(data: dict) -> Game:
         counts.append(len(strategies))
 
     n = math.prod(counts)
-    rows = []
     for m, row in enumerate(utilities):
         if not isinstance(row, list) or len(row) != n:
             raise GameFormatError(
                 f"utilities[{m}] must have length {n} for strategy counts {tuple(counts)}"
             )
-        try:
-            rows.append([float(v) for v in row])
-        except (TypeError, ValueError) as exc:
-            raise GameFormatError(f"utilities[{m}] contains a non-numeric entry") from exc
-
-    return Game(np.array(rows), counts, names, labels)
+        if not set(map(type, row)) <= {int, float}:  # JSON numbers only: no bool, no str
+            raise GameFormatError(f"utilities[{m}] contains a non-numeric entry")
+    try:
+        u = np.array(utilities, dtype=float)
+    except OverflowError as exc:  # an int beyond the float range, as 1e400 is
+        raise GameFormatError("payoffs must be finite") from exc
+    return Game(u, counts, names, labels)
 
 
 def _reject_constant(token: str):
@@ -390,7 +393,7 @@ def load_game(path) -> Game:
             data = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise GameFormatError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, digit limit
         raise GameFormatError(f"invalid JSON in {path}: {exc}") from exc
     return game_from_dict(data)
 
@@ -407,22 +410,28 @@ _CHUNK = 1 << 16  # numbers or arrows per piece of exported text: bounds the str
 def _json_pieces(obj, number, indent: str = "\n"):
     """The text of ``json.dumps(obj, indent=2)`` in pieces, each finite float as ``number(x)``.
 
-    ``obj`` nests dicts, lists, tuples, iterators, numpy arrays and JSON scalars.  Iterators
-    are read an item at a time and array rows ``_CHUNK`` numbers at a time; any other value
-    is one piece.
+    ``obj`` nests dicts, lists, tuples, iterators, numpy arrays and JSON scalars, and each
+    value in it is formatted once.  A scalar is one piece, and so is a flat, non-empty list
+    of Python ints (a profile); a 1-d array is written ``_CHUNK`` numbers at a time; any
+    other value is its brackets, separators and keys around the pieces of its items, read
+    an item at a time, so an iterator is never held as a list.
     """
-    text = _json_text(obj, number, indent)
-    if text is not None:
-        yield text
+    if isinstance(obj, float) and math.isfinite(obj):
+        yield number(float(obj))  # numpy.float64 too, as json.dumps reads it
+    elif isinstance(obj, (float, int, str)) or obj is None:
+        yield json.dumps(obj)
+    elif type(obj) is list and obj and all(type(v) is int for v in obj):
+        inner = indent + "  "
+        yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]"
     elif isinstance(obj, np.ndarray) and obj.ndim == 1:
         sep = "," + indent + "  "
         for start in range(0, obj.size, _CHUNK):
             part = obj[start:start + _CHUNK]
             plain = part.dtype.kind == "f" and np.isfinite(part).all()
-            texts = map(number if plain else lambda x: _json_text(x, number, ""), part.tolist())
-            yield ("[" + indent + "  " if start == 0 else sep) + sep.join(texts)
+            text = number if plain else lambda x: next(_json_pieces(x, number))
+            yield ("[" + indent + "  " if start == 0 else sep) + sep.join(map(text, part.tolist()))
         yield indent + "]" if obj.size else "[]"
-    else:
+    elif isinstance(obj, (dict, list, tuple, np.ndarray, Iterator)):
         brackets = "{}" if isinstance(obj, dict) else "[]"
         inner = indent + "  "
         sep = brackets[0] + inner
@@ -431,27 +440,5 @@ def _json_pieces(obj, number, indent: str = "\n"):
             yield from _json_pieces(value, number, inner)
             sep = "," + inner
         yield indent + brackets[1] if sep[0] == "," else brackets
-
-
-def _json_text(obj, number, indent: str) -> str | None:
-    """The text of a value of :func:`_json_pieces`, or None if it holds an array or iterator."""
-    if isinstance(obj, (dict, list, tuple)):
-        is_dict, inner = isinstance(obj, dict), indent + "  "
-        values = obj.values() if is_dict else obj
-        # ints inline: profiles are lists of them
-        texts = [int.__repr__(v) if type(v) is int else _json_text(v, number, inner)
-                 for v in values]
-        if None in texts:
-            return None
-        if is_dict:
-            texts = [_quote(k) + ": " + t for k, t in zip(obj, texts)]
-        brackets = "{}" if is_dict else "[]"
-        body = ("," + inner).join(texts)
-        return brackets[0] + inner + body + indent + brackets[1] if texts else brackets
-    if isinstance(obj, float) and math.isfinite(obj):
-        return number(float(obj))  # numpy.float64 too, as json.dumps reads it
-    if isinstance(obj, (float, int, str)) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (np.ndarray, Iterator)):
-        return None
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

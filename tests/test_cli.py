@@ -58,6 +58,13 @@ def read_json(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+# every command that reads a game file, with the options it needs
+COMMANDS_ON_FILES = [
+    "decompose", "verify", "equilibria", "pareto", "export-flow", "project --onto potential",
+    "distance --to harmonic",
+]
+
+
 class TestDecomposeCommand:
     def test_classic_rps_has_zero_potential_block(self, game_file, capsys):
         g = generalized_rps(1 / 3, 1 / 3, 1 / 3)
@@ -97,16 +104,39 @@ class TestDecomposeCommand:
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     @pytest.mark.parametrize(
         "content",
-        [b"{oops", b'\xff\xfe{"players": 1}', b"[" * 200_000 + b"]" * 200_000],
-        ids=["syntax", "not-utf8", "deep"],
+        [
+            b"{oops",
+            b'\xff\xfe{"players": 1}',
+            b"[" * 200_000 + b"]" * 200_000,
+            b'{"players": [{"strategies": ["a"]}], "utilities": [[' + b"9" * 400 + b"]]}",
+            b'{"players": [{"strategies": ["a"]}], "utilities": [[' + b"9" * 5000 + b"]]}",
+        ],
+        ids=["syntax", "not-utf8", "deep", "400-digits", "5000-digits"],
     )
     def test_malformed_json_exits_2(self, tmp_path, capsys, command, content):
-        # undecodable bytes and nesting past the recursion limit are bad
-        # JSON too, not a traceback that exits 1 like a failed check
+        # undecodable bytes, nesting past the recursion limit and integers
+        # beyond the float range or past Python's digit limit are bad game
+        # files too, not a traceback that exits 1 like a failed check
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         assert main([command, str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS_ON_FILES)
+    @pytest.mark.parametrize(
+        "payoff",
+        ["9" * 400, "9" * 5000, '"2"', "true"],
+        ids=["400-digits", "5000-digits", "string", "bool"],
+    )
+    def test_malformed_number_exits_2_from_every_command(self, tmp_path, capsys, command, payoff):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"players": [{"strategies": ["a", "b"]}], "utilities": [[0, %s]]}'
+                       % payoff)
+        argv = command.split()
+        assert main([argv[0], str(bad), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["decompose", "/nonexistent/game.json"]) == 2
@@ -724,6 +754,16 @@ class TestJsonDocuments:
         argv = ["dims", str(len(counts)), ",".join(map(str, counts)), "--format", "json"]
         assert main(argv) == 0
         assert capsys.readouterr().out == json.dumps(subspace_dims(counts)._asdict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("command", list(FORMAT_COMMANDS))
+    def test_each_float_is_formatted_once(self, game_file, capsys, monkeypatch, command):
+        # the writer formats each value once: 81 calls for road sharing's 81
+        # decompose floats, where formatting a value's text twice made 82
+        calls, number = [], gamehodge.cli._number
+        monkeypatch.setattr(gamehodge.cli, "_number", lambda x: calls.append(x) or number(x))
+        argv = command.split()
+        assert main([argv[0], game_file(road_sharing(), "g.json"), *argv[1:]]) == 0
+        assert len(calls) == len(_numbers(json.loads(capsys.readouterr().out)))
 
     def test_out_file_matches_stdout(self, game_file, tmp_path, capsys):
         path = game_file(awkward_game(), "g.json")

@@ -40,6 +40,7 @@ from gamehodge import (
     normalize,
     pairwise_comparison,
     potential_function,
+    save_game,
 )
 from gamehodge.catalog import (
     battle_of_sexes,
@@ -49,6 +50,7 @@ from gamehodge.catalog import (
     modified_battle_of_sexes,
     road_sharing,
 )
+from gamehodge.cli import main
 from helpers import (
     ROAD_HARMONIC_FLOWS,
     ROAD_POTENTIAL_FLOWS,
@@ -198,6 +200,19 @@ class TestOverflowingNorms:
         assert flags == want_flags
         for got, want in zip(parts, want_parts):
             assert np.abs(got / scale - want).max() <= 1e-12
+
+    # one-strategy players: every payoff is nonstrategic, so the kernel's sums
+    # stay finite and only the game norm overflows; the CLI exits 3
+    @pytest.mark.parametrize("counts", [(1, 1), (1, 1, 1)])
+    def test_overflowing_game_norm_is_a_numeric_error(self, tmp_path, capsys, counts):
+        g = Game(np.full((len(counts), 1), 1.7e308), counts)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="the game norm overflowed"):
+                decompose(g)
+        path = tmp_path / "g.json"
+        save_game(g, path)
+        assert main(["decompose", str(path)]) == 3
+        assert "the game norm overflowed" in capsys.readouterr().err
 
     # the control: where the squares do not overflow every answer is the one
     # at scale 1 too

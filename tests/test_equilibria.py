@@ -191,6 +191,24 @@ class TestMixedNash:
             is_mixed_nash(battle_of_sexes(), [np.array(entries), np.array(entries)])
 
 
+class TestProfileSizes:
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: is_mixed_nash(matching_pennies(), [np.array([1.0, 0.0])]),
+             "one mixed strategy per player"),
+            (lambda: is_mixed_nash(matching_pennies(), [np.array([1.0]), np.array([0.5, 0.5])]),
+             "mixed strategy of player 0 must have 2 entries"),
+            (lambda: is_correlated_equilibrium(matching_pennies(), np.full(3, 1 / 3)),
+             "joint distribution must have 4 entries"),
+        ],
+        ids=["strategy-count", "strategy-size", "joint-size"],
+    )
+    def test_wrong_size_raises_precondition_error(self, call, message):
+        with pytest.raises(PreconditionError, match=message):
+            call()
+
+
 class TestUniformlyMixed:
     def test_halves_and_thirds(self):
         assert np.allclose(uniformly_mixed(matching_pennies())[0], [0.5, 0.5])

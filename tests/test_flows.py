@@ -428,6 +428,41 @@ class TestPlayerOperators:
             assert np.abs(via_ops - project_player(counts, m, u)).max() <= 1e-12
 
 
+class TestPlayerIndex:
+    # one rule for every per-player call: a player index outside [0, M) is an
+    # IndexError, and -1 is not the last player
+    CALLS = {
+        "player_gradient": lambda m: player_gradient(build_graph((2, 3)), m, np.arange(6.0)),
+        "restrict_player": lambda m: restrict_player(EdgeFlow(build_graph((2, 3)), np.ones(9)), m),
+        "player_divergence": lambda m: player_divergence(EdgeFlow(build_graph((2, 3)), np.ones(9)), m),
+        "project_player": lambda m: project_player((2, 3), m, np.arange(6.0)),
+        "laplacian_player_apply": lambda m: laplacian_player_apply((2, 3), m, np.arange(6.0)),
+        "player_slice": lambda m: build_graph((2, 3)).player_slice(m),
+    }
+
+    @pytest.mark.parametrize("player", [-1, 2])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_out_of_range_player_raises_index_error(self, name, player):
+        with pytest.raises(IndexError, match=rf"player index {player} out of range \[0, 2\)"):
+            self.CALLS[name](player)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: EdgeFlow(build_graph((2, 2)), np.zeros(5)), "graph has 4 edges"),
+            (lambda: gradient(build_graph((2, 2)), np.zeros(5)), "must have 4 entries"),
+            (lambda: pairwise_comparison(battle_of_sexes(), build_graph((2, 3))),
+             "graph shape does not match"),
+        ],
+        ids=["edge-flow-values", "node-function-size", "graph-of-another-shape"],
+    )
+    def test_raises_shape_error(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call()
+
+
 class TestProjectPlayer:
     def test_battle_of_sexes_row_projection(self):
         bos = battle_of_sexes()
@@ -723,6 +758,12 @@ class TestDotExport:
         g = Game(np.zeros((2, 4)), (2, 2))
         dot = flow_to_dot(pairwise_comparison(g))
         assert "->" not in dot
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c", "d", "e"]], ids=["one", "five"])
+    def test_one_label_per_node(self, labels):
+        # matching pennies has four nodes: one label declares too few, five a node that is not
+        with pytest.raises(ShapeError, match=f"{len(labels)} node labels given for 4 nodes"):
+            flow_to_dot(pairwise_comparison(matching_pennies()), node_labels=labels)
 
     @pytest.mark.parametrize("zero_tol", [0.0, 0.5, 1.5])
     def test_matches_per_edge_listing(self, zero_tol):

@@ -28,6 +28,7 @@ from gamehodge.catalog import (
     matching_pennies,
     modified_battle_of_sexes,
 )
+from gamehodge.cli import main
 from gamehodge.game import _json_pieces
 from helpers import (
     assert_games_close,
@@ -249,10 +250,33 @@ class TestJsonFormat:
             game_from_dict({"utilities": [[0.0]]})
 
     def test_rejects_non_numeric_payoff(self):
-        doc = game_to_dict(matching_pennies())
-        doc["utilities"][1][2] = "three"
-        with pytest.raises(GameFormatError):
+        # payoffs are JSON numbers: no string, not even of a number, no bool, no null
+        for value in ["three", "3", "nan", True, None]:
+            doc = game_to_dict(matching_pennies())
+            doc["utilities"][1][2] = value
+            with pytest.raises(GameFormatError, match="non-numeric entry"):
+                game_from_dict(doc)
+
+    # the documents game_from_dict refuses before it reads a payoff; the CLI
+    # reads each from a file and exits 2
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([1, 2], "must be a JSON object"),
+            ({"players": [{"strategies": ["a"]}], "utilities": [[0], [0]]},
+             "one payoff array per player"),
+            ({"players": [{"name": "a"}], "utilities": [[0]]}, "needs a strategies list"),
+            ({"players": [{"strategies": []}], "utilities": [[]]}, "at least one strategy"),
+        ],
+        ids=["not-an-object", "utilities-count", "no-strategies", "empty-strategies"],
+    )
+    def test_malformed_document(self, tmp_path, capsys, doc, message):
+        with pytest.raises(GameFormatError, match=message):
             game_from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestJsonWriter:
@@ -303,6 +327,25 @@ class TestJsonWriter:
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError):
             "".join(_json_pieces({"x": np.int64(3)}, repr))
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: profile_index((0,), (2, 2)), ShapeError, "profile has 1 coordinates"),
+            (lambda: Game(np.zeros((2, 4)), (2, 2), player_names=["a"]), GameFormatError,
+             "player_names length"),
+            (lambda: Game(np.zeros((2, 4)), (2, 2), strategy_labels=[["a", "b"], ["c"]]),
+             GameFormatError, "strategy_labels lengths"),
+            (lambda: Game.from_payoff_matrices(np.zeros((2, 2)), np.zeros((2, 3))), ShapeError,
+             "must share a 2-d shape"),
+        ],
+        ids=["profile-coordinates", "player-names", "strategy-labels", "unequal-matrices"],
+    )
+    def test_raises_its_typed_error(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestGameConstruction:

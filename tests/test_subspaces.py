@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,26 @@ class TestHarmonicBasis2p:
         with pytest.warns(UserWarning):
             basis = harmonic_basis_2p(1, 4)
         assert len(basis) == 0
+
+
+class TestRankZero:
+    # an empty matrix and a zero one have rank 0, without a division by the
+    # largest singular value; an empty basis is a (0, M*n) matrix of rank 0
+    @pytest.mark.parametrize(
+        "matrix,shape",
+        [
+            (lambda: np.zeros((0, 4)), (0, 4)),
+            (lambda: np.zeros((3, 4)), (3, 4)),
+            (lambda: harmonic_basis_2p(1, 3).matrix(), (0, 6)),
+        ],
+        ids=["empty", "zero", "empty-basis"],
+    )
+    def test_rank_zero(self, matrix, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the trivial-subspace warning
+            a = matrix()
+        assert a.shape == shape
+        assert numeric_rank(a) == 0
 
 
 class TestSubspaceDims:
