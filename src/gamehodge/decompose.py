@@ -164,12 +164,15 @@ def _cached(game: Game):
     if memo is not None:
         return memo
     counts = game.strategy_counts
-    *batch, row = _decompose_batch(counts, game.utilities[None])
-    for a in batch:
-        a.flags.writeable = False
-    parts = tuple(a[0] for a in batch)
-    h = np.asarray(counts, dtype=float)  # once for the three norms
-    norms = (_norm(h, parts[1]), _norm(h, parts[2]), _norm(h, game.utilities))
+    # an overflow surfaces as the solve's or the norms' NumericError, not as
+    # a RuntimeWarning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        *batch, row = _decompose_batch(counts, game.utilities[None])
+        for a in batch:
+            a.flags.writeable = False
+        parts = tuple(a[0] for a in batch)
+        h = np.asarray(counts, dtype=float)  # once for the three norms
+        norms = (_norm(h, parts[1]), _norm(h, parts[2]), _norm(h, game.utilities))
     if not all(map(math.isfinite, norms)):
         raise NumericError("the game norm overflowed: the payoffs are too large to decompose")
     row = row[0]
@@ -197,17 +200,18 @@ def _decompose_batch(counts: tuple[int, ...], u: np.ndarray):
     return phi, u_pot, proj, u_non, r
 
 
-def _spread(counts: tuple[int, ...], rows) -> float:
+def _spread(counts: tuple[int, ...], rows: np.ndarray) -> float:
     """Largest entry of the comparison flow of ``rows``, one node function per player.
 
     Row m's flow on player m's edges is ``r(b) - r(a)`` over own strategies
     with the opponents fixed; rounded subtraction is monotone, so its
     largest magnitude is exactly the spread ``max - min`` along axis m.
     """
-    return max(
-        (float(np.ptp(r.reshape(counts), axis=m).max()) for m, r in enumerate(rows)),
-        default=0.0,
-    )
+    spreads = []
+    for m, r in enumerate(rows):
+        t = r.reshape(counts)
+        spreads.append(float((t.max(axis=m) - t.min(axis=m)).max()))
+    return max(spreads, default=0.0)
 
 
 def decompose_bimatrix_normalized(A, B):
@@ -315,7 +319,7 @@ def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
     """
     _check_tol(tol)
     phi = _parts(game)[0]
-    mismatch = _spread(game.strategy_counts, (u - phi for u in game.utilities))
+    mismatch = _spread(game.strategy_counts, game.utilities - phi)
     return phi.copy() if _negligible(mismatch, game, tol) else None
 
 

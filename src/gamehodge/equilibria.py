@@ -1,21 +1,26 @@
 """Equilibrium and efficiency analysis.
 
-Pure and epsilon equilibria are found by exhaustive enumeration; mixed and
+Pure and epsilon equilibria are found by exhaustive enumeration, one max
+per player along its own axis serving every epsilon at once; mixed and
 correlated equilibrium *candidates* are verified rather than searched for.
 For harmonic games (zero potential part) the correlated equilibria form an
 affine slice of the probability simplex, cut out by linear equalities.  With
 two players those equalities factor: the slice's directions are a tensor
-product of two null spaces, so its dimension takes two h x h ranks and no
-system is stacked.  More players rank the stacked system, under a cap on its
-entries.  The module also covers Pareto optimality and the nonstrategic
-retuning that makes the pure Nash set coincide with the Pareto set.  The
-Pareto set is read off the payoff vectors sorted lexicographically, an order
-made by one argsort of player 0's payoffs with only its tied runs sorted
-further.  Then a running maximum serves two players; more take a bitset scan
-under a work cap, whose windows of comparators hold only vectors not yet
-found dominated (weak dominance is transitive), in O(n (M + window / 8))
-bytes; and games of few profiles take one dense comparison per player.
-``equilibrium_report`` lists its profiles straight from the masks.
+product of two null spaces, so its dimension takes two h x h ranks (one
+batched SVD when the factors are square) and no system is stacked.  More
+players rank the stacked system, under a cap on its entries.  The dimension
+is computed from the payoff arrays alone, so ``equilibrium_report`` builds no
+``Game`` or :class:`AffineSolutionSet` for it.  The module also covers
+Pareto optimality and the nonstrategic retuning that makes the pure Nash set
+coincide with the Pareto set.  The Pareto set is read off the payoff vectors
+sorted lexicographically, an order made by one argsort of player 0's payoffs
+with only its tied runs sorted further.  Then a running maximum serves two
+players; more take a bitset scan under a work cap, whose windows of
+comparators hold only vectors not yet found dominated (weak dominance is
+transitive), in O(n (M + window / 8)) bytes, and a scan whose one window
+holds every vector reads it straight off each player's rank order; games of
+few profiles take one dense comparison per player.  ``equilibrium_report``
+lists its profiles straight from the masks.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from .decompose import _parts, _strategic_negligible, closest_potential, game_distance, is_harmonic
 from .errors import PreconditionError, _check_size
-from .game import Game, _check_tol, _payoff_scale, is_normalized
+from .game import Game, _check_player, _check_tol, _payoff_scale, is_normalized
 from .subspaces import numeric_rank
 
 __all__ = [
@@ -53,14 +58,31 @@ __all__ = [
 # -- pure equilibria -----------------------------------------------------------
 
 
-def _equilibrium_mask(game: Game, eps: float) -> np.ndarray:
-    if not eps >= 0:
+def _equilibrium_masks(game: Game, *eps: float) -> list[np.ndarray]:
+    """One mask of the ``eps``-equilibria per ``eps``, shaped like the game's tensors.
+
+    Each player's best reply payoffs, one max along its own axis, serve every
+    ``eps``; each mask starts as the first player's comparison.
+    """
+    if not all(e >= 0 for e in eps):
         raise ValueError("eps must be >= 0")
-    ok = np.ones(game.strategy_counts, dtype=bool)
-    for m in range(game.num_players):
-        t = game.tensor(m)
-        ok &= t >= t.max(axis=m, keepdims=True) - eps
-    return ok
+    counts = game.strategy_counts
+    masks: list[np.ndarray] = []
+    for m, u in enumerate(game.utilities):
+        t = u.reshape(counts)
+        best = t.max(axis=m, keepdims=True)
+        for i, e in enumerate(eps):
+            ok = t >= (best - e if e else best)  # best - 0.0 is best
+            if m:
+                masks[i] &= ok
+            else:
+                masks.append(ok)
+    return masks
+
+
+def _equilibrium_mask(game: Game, eps: float) -> np.ndarray:
+    """Mask of the ``eps``-equilibria, shaped like the game's tensors."""
+    return _equilibrium_masks(game, eps)[0]
 
 
 def _listed(mask: np.ndarray) -> list[list[int]]:
@@ -130,10 +152,17 @@ def deviation_payoffs(game: Game, player: int, x) -> np.ndarray:
     The player's own axis is moved first; then one matrix-vector product
     per opponent contracts the last axis, the last opponent first.
     """
+    _check_player(player, game.num_players)
+    opponents = {k: np.asarray(x[k], dtype=float) for k in range(game.num_players) if k != player}
+    return _deviation(game, player, opponents)
+
+
+def _deviation(game: Game, player: int, x) -> np.ndarray:
+    """:func:`deviation_payoffs` of a valid player against float vectors ``x[k]``."""
     opponents = [k for k in range(game.num_players) if k != player]
-    t = game.tensor(player).transpose(player, *opponents)
+    t = game.utilities[player].reshape(game.strategy_counts).transpose(player, *opponents)
     for k in reversed(opponents):
-        t = t @ np.asarray(x[k], dtype=float)
+        t = t @ x[k]
     return t
 
 
@@ -155,7 +184,7 @@ def is_mixed_nash(game: Game, x, tol: float = 1e-9) -> bool:
 def _is_mixed_nash(game: Game, x: list[np.ndarray], tol: float) -> bool:
     """:func:`is_mixed_nash` of a profile already known to be valid."""
     for m in range(game.num_players):
-        payoffs = deviation_payoffs(game, m, x)
+        payoffs = _deviation(game, m, x)
         if float(payoffs @ x[m]) < payoffs.max() - tol:
             return False
     return True
@@ -220,7 +249,7 @@ class AffineSolutionSet:
 
     @cached_property
     def equalities(self) -> np.ndarray:
-        return _stacked_system(self.game, 1.0)
+        return _stacked_system(self.game.strategy_counts, self.game.utilities, 1.0)
 
     @cached_property
     def rhs(self) -> np.ndarray:
@@ -237,8 +266,9 @@ class AffineSolutionSet:
         if self.game.num_players > 2:
             vt = np.linalg.svd(self.equalities)[2]
             return vt[len(vt) - self.dimension:]
-        factors = _factors(self.game)
-        ranks = _factor_ranks(self.game, factors, self.tol)
+        counts, u = self.game.strategy_counts, self.game.utilities
+        factors = _factors(counts, u)
+        ranks = _factor_ranks(counts, u, factors, self.tol)
         cols, rows = (_null_basis(a, r) for a, r in zip(factors, ranks))
         # every product of a row basis vector and a column basis vector but
         # the first, the uniform distribution
@@ -287,82 +317,81 @@ def harmonic_correlated_system(game: Game, tol: float = 1e-9) -> AffineSolutionS
     pass ``is_normalized`` at ``max(tol, 1e-12)``, then ``is_harmonic`` at
     ``tol``, the test :func:`equilibrium_report` applies, or
     ``PreconditionError`` is raised; ``tol`` must be >= 0, or ``ValueError``
-    is.  The system itself comes from the routine that
-    :func:`equilibrium_report` calls on the strategic part it has already
-    certified.
+    is.  The dimension comes from the routine that
+    :func:`equilibrium_report` calls on the payoffs of the strategic part it
+    has already certified.
     """
     _check_tol(tol)
     if game.num_players > 2:
-        _stacked_rows(game)
+        _stacked_rows(game.strategy_counts)
     if _strategic_negligible(game, tol):
         game = game._sharing(np.zeros_like(game.utilities))
     elif not is_normalized(game, max(tol, 1e-12)):
         raise PreconditionError("game must be normalized; call normalize() first")
     elif not is_harmonic(game, tol):
         raise PreconditionError("game must be harmonic (zero potential part)")
-    return _correlated_system(game, tol)
+    return AffineSolutionSet(game, tol, _correlated_dimension(game.strategy_counts, game.utilities, tol))
 
 
-def _correlated_system(game: Game, tol: float) -> AffineSolutionSet:
-    """:func:`harmonic_correlated_system` of a game known to be normalized and harmonic.
+def _correlated_dimension(counts: tuple[int, ...], u: np.ndarray, tol: float) -> int:
+    """Dimension of the correlated equilibria of the normalized harmonic payoffs ``u``.
 
     At most two players take the product form and more the stacked rank,
     under the cap that :func:`_stacked_system` checks before it allocates.
     """
-    if game.num_players > 2:
-        rank = numeric_rank(_stacked_system(game, _scale(game)), tol)
-        return AffineSolutionSet(game, tol, game.num_profiles - rank)
-    factors = _factors(game)
-    nullity = [a.shape[1] - r for a, r in zip(factors, _factor_ranks(game, factors, tol))]
-    return AffineSolutionSet(game, tol, math.prod(nullity) - 1)
+    if len(counts) > 2:
+        return math.prod(counts) - numeric_rank(_stacked_system(counts, u, _scale(u)), tol)
+    factors = _factors(counts, u)
+    nullity = [a.shape[1] - r for a, r in zip(factors, _factor_ranks(counts, u, factors, tol))]
+    return math.prod(nullity) - 1
 
 
-def _scale(game: Game) -> float:
+def _scale(u: np.ndarray) -> float:
     """``max|u|``, or 1 for the zero game: the total-probability row's rank weight.
 
     Scaling a row leaves the solution set alone; at the size of the payoffs
     the rank threshold sees rows of one size whatever the payoff scale.
     """
-    return _payoff_scale(game) or 1.0
+    return float(np.abs(u).max(initial=0.0)) or 1.0
 
 
-def _stacked_rows(game: Game) -> int:
+def _stacked_rows(counts: tuple[int, ...]) -> int:
     """The stacked system's sum_m h_m^2 + 1 rows, or ``SizeError`` above its cap on entries."""
-    rows, n = sum(h * h for h in game.strategy_counts) + 1, game.num_profiles
+    rows, n = sum(h * h for h in counts) + 1, math.prod(counts)
     _check_size(rows * n, "correlated system entries", CORRELATED_SYSTEM_CAP, "system cap")
     return rows
 
 
-def _stacked_system(game: Game, ones: float) -> np.ndarray:
-    """The stacked equalities, with ``ones`` in the total-probability row."""
-    counts = game.strategy_counts
-    equalities = np.zeros((_stacked_rows(game), game.num_profiles))
+def _stacked_system(counts: tuple[int, ...], u: np.ndarray, ones: float) -> np.ndarray:
+    """The stacked equalities of payoffs ``u``, with ``ones`` in the total-probability row."""
+    equalities = np.zeros((_stacked_rows(counts), u.shape[1]))
     equalities[-1] = ones
     start = 0
     for m, h in enumerate(counts):
-        # rows[a, b] is the view of row (m, a, b) with player m's axis first:
-        # u^m(b, .) where the own strategy is a, zero elsewhere
-        rows = np.moveaxis(equalities[start:start + h * h].reshape((h, h) + counts), 2 + m, 2)
+        order = (m, *(k for k in range(len(counts)) if k != m))  # player m's axis first
+        # rows[a, b] is the view of row (m, a, b) in that order: u^m(b, .)
+        # where the own strategy is a, zero elsewhere
+        block = equalities[start:start + h * h].reshape((h, h) + counts)
+        rows = block.transpose(0, 1, *(2 + k for k in order))
         own = np.arange(h)
-        rows[own, :, own] = np.moveaxis(game.tensor(m), m, 0)
+        rows[own, :, own] = u[m].reshape(counts).transpose(order)
         start += h * h
     return equalities
 
 
-def _factors(game: Game) -> tuple[np.ndarray, np.ndarray]:
-    """``(U1, U2^T)`` of a game of at most two players, each own strategy x opponent's.
+def _factors(counts: tuple[int, ...], u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(U1, U2^T)`` of payoffs ``u`` of at most two players, each own strategy x opponent's.
 
     The rows of X lie in the null space of the first, its columns in that of
     the second.  A lone player gets an opponent of one strategy and zero
     payoffs.
     """
-    h1, h2 = (game.strategy_counts + (1,))[:2]
-    u = game.utilities
-    second = u[1].reshape(h1, h2).T if game.num_players == 2 else np.zeros((h2, h1))
+    h1, h2 = (counts + (1,))[:2]
+    second = u[1].reshape(h1, h2).T if len(counts) == 2 else np.zeros((h2, h1))
     return u[0].reshape(h1, h2), second
 
 
-def _factor_ranks(game: Game, factors, tol: float) -> list[int]:
+def _factor_ranks(counts: tuple[int, ...], u: np.ndarray, factors, tol: float) -> list[int]:
     """Numeric ranks of the two factors, at the stacked system's scale.
 
     The stacked system's singular values are ``sqrt(s^2 + t^2)`` over
@@ -370,10 +399,14 @@ def _factor_ranks(game: Game, factors, tol: float) -> list[int]:
     pair of the two ones vectors, which span the total-probability row; the
     largest of them sets the threshold.  A normalized harmonic game has zero
     flux, so the ones vector lies in both null spaces and no rank exceeds
-    h - 1.
+    h - 1.  Square factors are ranked by one SVD of the stacked pair, whose
+    singular values are those of the two SVDs.
     """
-    svals = [np.linalg.svd(a, compute_uv=False) for a in factors]
-    top = max(_scale(game) * math.sqrt(game.num_profiles), math.hypot(svals[0][0], svals[1][0]))
+    if factors[0].shape == factors[1].shape:
+        svals = np.linalg.svd(np.stack(factors), compute_uv=False)
+    else:
+        svals = [np.linalg.svd(a, compute_uv=False) for a in factors]
+    top = max(_scale(u) * math.sqrt(math.prod(counts)), math.hypot(svals[0][0], svals[1][0]))
     return [min(int(np.sum(s > tol * top)), a.shape[1] - 1) for a, s in zip(factors, svals)]
 
 
@@ -598,6 +631,13 @@ def _dominated_windowed(rows: np.ndarray) -> np.ndarray:
     a member of some window while p is a visitor or a later member.  The
     live arrays are the (visitors, window / 64) words of ``hits`` and two
     length-n index arrays per player, O(n (M + window / 8)) bytes.
+
+    A player whose values are all distinct has c_m(p) = place_m(p) + 1,
+    with no runs to find.  When one window holds every column (at most
+    ``_PARETO_WINDOW`` of them, none yet dominated), its members in place
+    order are the player's best-first order itself and i places hold i
+    members, so that window is read off the rank order with no sort or
+    count of its own.
     """
     k = rows.shape[1]
     w = min(_PARETO_WINDOW, -(-k // 64) * 64)
@@ -609,14 +649,29 @@ def _dominated_windowed(rows: np.ndarray) -> np.ndarray:
     for row in rows:
         best = np.argsort(row)[::-1]
         new = _new_runs(row[best])
-        ends = np.append(np.flatnonzero(new[1:]) + 1, k)
         at_least = np.empty(k, dtype=np.intp)  # c_m
-        at_least[best] = ends[np.cumsum(new) - 1]
-        place = np.empty(k, dtype=np.intp)
-        place[best] = np.arange(k)
-        ranked.append((place, at_least))
+        if new.all():  # distinct values: each run is one place long
+            at_least[best] = np.arange(1, k + 1)
+        else:
+            ends = np.append(np.flatnonzero(new[1:]) + 1, k)
+            at_least[best] = ends[np.cumsum(new) - 1]
+        ranked.append((best, at_least))
 
     dominated = np.zeros(k, dtype=bool)
+    if k <= w:
+        # one window holds every column: its members in place order are
+        # ``best``, and the members among the first i places number i
+        hits = before[1:k].copy()
+        for best, at_least in ranked:
+            table = np.bitwise_or.accumulate(bit[np.append(0, best + 1)], axis=0)
+            hits &= np.take(table, at_least[1:], axis=0)
+        dominated[1:] = hits.any(axis=1)
+        return dominated
+
+    for i, (best, at_least) in enumerate(ranked):
+        place = np.empty(k, dtype=np.intp)  # place_m
+        place[best] = np.arange(k)
+        ranked[i] = place, at_least
     start = 0
     while True:
         live = np.flatnonzero(~dominated[start:]) + start
@@ -678,13 +733,15 @@ def equilibrium_report(game: Game, eps: float = 0.0, tol: float = 1e-9) -> dict:
     For a harmonic game the strategic part ``u - u_N`` is read from the
     decomposition that :func:`is_harmonic` ran, or taken as zero when its
     norm is within ``tol`` of the game's.  The kernel made that part
-    normalized and :func:`is_harmonic` has just certified it harmonic, so it
-    goes without a copy, and without the preconditions that
-    :func:`harmonic_correlated_system` checks, to the routine that ranks its
-    system; the dimension is the one that function returns.  The uniformly
-    mixed profile is built here, so :func:`is_mixed_nash` runs without
-    validating it.  The three profile lists come straight from their masks,
-    as lists of Python ints, in the order of :func:`pure_nash`,
+    normalized and :func:`is_harmonic` has just certified it harmonic, so
+    its correlated dimension is ranked straight from those payoffs, by the
+    routine behind :func:`harmonic_correlated_system`, with no ``Game`` or
+    :class:`AffineSolutionSet` built and none of that function's
+    preconditions checked again.  One max per player along its own axis
+    serves both the pure Nash and the ``eps``-equilibrium masks.  The
+    uniformly mixed profile is built here, so :func:`is_mixed_nash` runs
+    without validating it.  The three profile lists come straight from their
+    masks, as lists of Python ints, in the order of :func:`pure_nash`,
     :func:`epsilon_equilibria` and :func:`pareto_optimal`.
     """
     _check_tol(tol)
@@ -694,11 +751,13 @@ def equilibrium_report(game: Game, eps: float = 0.0, tol: float = 1e-9) -> dict:
             strategic = np.zeros_like(game.utilities)
         else:
             strategic = game.utilities - _parts(game)[3]
-        correlated_dim = _correlated_system(game._sharing(strategic), tol).dimension
+        correlated_dim = _correlated_dimension(game.strategy_counts, strategic, tol)
+    epsilon = float(eps)
+    nash, near = _equilibrium_masks(game, 0.0, eps)
     return {
-        "pure_nash": _listed(_equilibrium_mask(game, 0.0)),
-        "epsilon": float(eps),
-        "epsilon_equilibria": _listed(_equilibrium_mask(game, eps)),
+        "pure_nash": _listed(nash),
+        "epsilon": epsilon,
+        "epsilon_equilibria": _listed(near),
         "pareto_optimal": _listed(_pareto_mask(game)),
         "uniform_mixed_is_ne": _is_mixed_nash(game, uniformly_mixed(game), tol),
         "correlated_dim": correlated_dim,

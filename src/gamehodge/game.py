@@ -89,7 +89,7 @@ class Game:
         counts = _checked_counts(strategy_counts)
         m = len(counts)
         u = np.asarray(utilities, dtype=float)
-        u = _checked_payoffs(u, counts, GameFormatError("payoffs must be finite"))
+        u = _checked_payoffs(u, counts, GameFormatError, "payoffs must be finite")
 
         if player_names is None:
             player_names = [f"player{k + 1}" for k in range(m)]
@@ -170,8 +170,9 @@ class Game:
         utilities.flags.writeable = False
         game = object.__new__(Game)
         game.__dict__.update(self.__getstate__())
-        overflow = NumericError("a computed payoff overflowed")
-        game.utilities = _checked_payoffs(utilities, self.strategy_counts, overflow)
+        game.utilities = _checked_payoffs(
+            utilities, self.strategy_counts, NumericError, "a computed payoff overflowed"
+        )
         return game
 
     def __eq__(self, other) -> bool:
@@ -216,8 +217,10 @@ def _node_rows(counts: tuple[int, ...], a) -> np.ndarray:
     return a
 
 
-def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...], nonfinite: Exception) -> np.ndarray:
-    """``u`` as an (M, n) array; GameFormatError if its shape is off, ``nonfinite`` if a payoff."""
+def _checked_payoffs(
+    u: np.ndarray, counts: tuple[int, ...], nonfinite: type[Exception], message: str
+) -> np.ndarray:
+    """``u`` as an (M, n) array; GameFormatError if its shape is off, ``nonfinite(message)`` if a payoff."""
     m, n = len(counts), math.prod(counts)
     if u.shape == (m,) + counts:
         u = u.reshape(m, n)
@@ -227,7 +230,7 @@ def _checked_payoffs(u: np.ndarray, counts: tuple[int, ...], nonfinite: Exceptio
             f"x {n} profiles for strategy counts {counts}"
         )
     if not np.isfinite(u).all():
-        raise nonfinite
+        raise nonfinite(message)
     return u
 
 

@@ -214,6 +214,19 @@ class TestOverflowingNorms:
         assert main(["decompose", str(path)]) == 3
         assert "the game norm overflowed" in capsys.readouterr().err
 
+    # with warnings raised as errors (pyproject.toml) and no np.errstate here,
+    # the first overflow of the kernel or of the norms must surface as the
+    # typed error, not as numpy's RuntimeWarning
+    @pytest.mark.parametrize("counts, message", [
+        ((1, 2), "Laplacian solve missed its tolerance: the norm of its right-hand side overflowed in row 0"),
+        ((1, 1), "the game norm overflowed: the payoffs are too large to decompose"),
+    ], ids=["solve", "norm"])
+    def test_overflow_is_a_numeric_error_not_a_warning(self, counts, message):
+        g = Game(np.full((2, math.prod(counts)), 1.7e308), counts)
+        with pytest.raises(NumericError) as exc:
+            decompose(g)
+        assert str(exc.value) == message
+
     # the control: where the squares do not overflow every answer is the one
     # at scale 1 too
     @pytest.mark.parametrize("name", ["random-3x3", "matching-pennies"])

@@ -28,6 +28,7 @@ from gamehodge import (
     pareto_align_transform,
     pareto_optimal,
     potential_function,
+    profile_index,
     profile_of_index,
     pure_nash,
     uniformly_mixed,
@@ -1019,7 +1020,8 @@ CERTIFIED_GAMES = {
     "rps": lambda: generalized_rps(1 / 3, 1 / 3, 1 / 3),
     "cyclic-three-player": cyclic_three_player,
     **{"x".join(map(str, c)): lambda c=c: _seeded_harmonic(c)
-       for c in [(2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2,) * 5]},
+       for c in [(2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2,) * 5,
+                 (5, 5), (4, 2), (3, 6), (2, 3, 4), (2, 2, 3, 2, 2)]},
 }
 
 
@@ -1218,3 +1220,123 @@ class TestEnumerationByDefinition:
         assert report.ne_indifference_max == ne_spread and type(report.ne_indifference_max) is float
         assert report.tol == tol
         assert report.violations == violations
+
+
+def signed_tie_game(shape, seed):
+    # payoffs in {-1, -0.0, 0.0, 1}: ties in every line, signed zeros among them
+    rng = np.random.default_rng(seed)
+    return Game(rng.choice([-1.0, -0.0, 0.0, 1.0], size=(len(shape), math.prod(shape))), shape)
+
+
+class TestReportMasks:
+    """Both report lists come from one max per player; each must be the list alone."""
+
+    GAMES = {
+        **{f"ties-{'x'.join(map(str, s))}": lambda s=s: tie_heavy_game(s, 90) for s in TIE_HEAVY_SHAPES},
+        **{f"signed-zeros-{'x'.join(map(str, s))}": lambda s=s: signed_tie_game(s, 91)
+           for s in [(2, 2), (3, 4), (2, 3, 2), (2,) * 4]},
+        # a gap of one payoff unit is at the float resolution of 1e-300
+        "ties-2x3x4-x1e-300": lambda: Game(1e-300 * tie_heavy_game((2, 3, 4), 90).utilities, (2, 3, 4)),
+        "zero-3x3": lambda: Game(np.zeros((2, 9)), (3, 3)),
+        "negative-zero-2x2": lambda: Game(np.full((2, 4), -0.0), (2, 2)),
+        "road-sharing": road_sharing,
+    }
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("name", list(GAMES))
+    def test_lists_match_the_enumerations_and_the_definition(self, name, eps):
+        g = self.GAMES[name]()
+        eps *= 1e-300 if name.endswith("x1e-300") else 1.0
+        report = equilibrium_report(g, eps=eps)
+        nash = equilibria_by_definition(g, 0.0)
+        near = equilibria_by_definition(g, eps)
+        assert report["pure_nash"] == [list(p) for p in pure_nash(g)] == [list(p) for p in nash]
+        assert report["epsilon_equilibria"] == [list(p) for p in epsilon_equilibria(g, eps)]
+        assert report["epsilon_equilibria"] == [list(p) for p in near]
+        if eps == 0.0:
+            assert report["epsilon_equilibria"] == report["pure_nash"]
+
+
+def _pareto_payoffs(kind, k, players, seed):
+    """(M, n) payoffs holding exactly ``k`` distinct vectors, of one kind."""
+    rng = np.random.default_rng([seed, k, players])
+    u = rng.uniform(-1.0, 1.0, size=(players, k))
+    u[-1] = rng.permutation(k) / k  # distinct last entries: the k vectors are distinct
+    if kind == "ties-in-one-player":
+        u[1] = rng.integers(0, 4, size=k)
+    elif kind == "signed-zeros":
+        zero = rng.random((players - 1, k)) < 0.4
+        u[:-1][zero] = rng.choice([-0.0, 0.0], size=zero.sum())
+    elif kind == "duplicated-vectors":
+        u = u[:, rng.permutation(np.append(np.arange(k), rng.integers(0, k, size=k // 3)))]
+    elif kind == "trade-off":
+        # on a plane of constant sum, so most vectors are undominated
+        u[0] = -u[1:].sum(axis=0)
+    return u
+
+
+class TestParetoWindows:
+    """The sorted Pareto mask against the dense comparison around one window.
+
+    At most ``_PARETO_WINDOW`` (512) distinct vectors take one window read off
+    each player's rank order; 513 take the window loop.
+    """
+
+    @pytest.mark.parametrize("players", [3, 4])
+    @pytest.mark.parametrize("k", [63, 64, 512, 513])
+    @pytest.mark.parametrize(
+        "kind", ["all-distinct", "ties-in-one-player", "signed-zeros", "duplicated-vectors", "trade-off"]
+    )
+    def test_sorted_mask_matches_dense(self, kind, k, players):
+        assert equilibria_module._PARETO_WINDOW == 512
+        u = _pareto_payoffs(kind, k, players, 17)
+        n = u.shape[1]
+        g = Game(u, (n,) + (1,) * (players - 1))
+        want = ~equilibria_module._dominated_dense(u)
+        assert np.array_equal(~equilibria_module._dominated_sorted(u), want)
+        if n >= equilibria_module._PARETO_DENSE:
+            assert np.array_equal(equilibria_module._pareto_mask(g).ravel(), want)
+
+
+def stacked_by_loops(counts, u):
+    """The stacked correlated equalities written one entry at a time."""
+    n = math.prod(counts)
+    rows = []
+    for m, h in enumerate(counts):
+        for a in range(h):
+            for b in range(h):
+                row = np.zeros(n)
+                for i in range(n):
+                    p = profile_of_index(i, counts)
+                    if p[m] == a:
+                        row[i] = u[m, profile_index(p[:m] + (b,) + p[m + 1:], counts)]
+                rows.append(row)
+    rows.append(np.ones(n))
+    return np.array(rows)
+
+
+class TestCorrelatedArrays:
+    """The correlated dimension and system read from payoff arrays, no ``Game`` built."""
+
+    @pytest.mark.parametrize("counts", [(2, 3, 4), (3, 3, 3)])
+    def test_equalities_entry_by_entry(self, counts):
+        g = random_game(np.random.default_rng(23), counts)
+        equalities = equilibria_module.AffineSolutionSet(g, 1e-9, 0).equalities
+        assert np.array_equal(equalities, stacked_by_loops(counts, g.utilities))
+
+    @pytest.mark.parametrize("counts", [(2, 2), (4, 4), (7, 7), (2, 5), (6, 3), (2, 2, 2), (2, 3, 4),
+                                        (3, 2, 2, 2, 2)])
+    def test_dimension_matches_the_validated_system(self, counts):
+        strategic = _seeded_harmonic(counts)
+        strategic = strategic.with_utilities(strategic.utilities - decompose(strategic).nonstrategic_part.utilities)
+        want = harmonic_correlated_system(strategic).dimension
+        got = equilibria_module._correlated_dimension(counts, strategic.utilities, 1e-9)
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 8, 17])
+    def test_square_factors_share_one_svd(self, h):
+        u = _seeded_harmonic((h, h)).utilities
+        factors = equilibria_module._factors((h, h), u)
+        stacked = np.linalg.svd(np.stack(factors), compute_uv=False)
+        for a, s in zip(factors, stacked):
+            assert np.array_equal(np.linalg.svd(a, compute_uv=False), s)
