@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
     counts = game.strategy_counts
     n = game.num_profiles
     u = game.utilities
-    scale = _payoff_scale(game)
+    scale = _payoff_scale(u)
     players = range(len(counts))
     h_max = max(counts)
     h_sum = sum(h for h in counts if h > 1)  # one-strategy players' terms are zero

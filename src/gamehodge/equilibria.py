@@ -6,21 +6,19 @@ correlated equilibrium *candidates* are verified rather than searched for.
 For harmonic games (zero potential part) the correlated equilibria form an
 affine slice of the probability simplex, cut out by linear equalities.  With
 two players those equalities factor: the slice's directions are a tensor
-product of two null spaces, so its dimension takes two h x h ranks (one
-batched SVD when the factors are square) and no system is stacked.  More
-players rank the stacked system, under a cap on its entries.  The dimension
-is computed from the payoff arrays alone, so ``equilibrium_report`` builds no
-``Game`` or :class:`AffineSolutionSet` for it.  The module also covers
-Pareto optimality and the nonstrategic retuning that makes the pure Nash set
-coincide with the Pareto set.  The Pareto set is read off the payoff vectors
-sorted lexicographically, an order made by one argsort of player 0's payoffs
-with only its tied runs sorted further.  Then a running maximum serves two
-players; more take a bitset scan under a work cap, whose windows of
-comparators hold only vectors not yet found dominated (weak dominance is
-transitive), in O(n (M + window / 8)) bytes, and a scan whose one window
-holds every vector reads it straight off each player's rank order; games of
-few profiles take one dense comparison per player.  ``equilibrium_report``
-lists its profiles straight from the masks.
+product of two null spaces, so its dimension takes two h x h ranks and no
+system is stacked.  More players rank the stacked system, under a cap on its
+entries.  The dimension is computed from the payoff arrays alone, so
+``equilibrium_report`` builds no ``Game`` or :class:`AffineSolutionSet` for
+it.  The module also covers Pareto optimality and the nonstrategic
+retuning that makes the pure Nash set coincide with the Pareto set.  The
+Pareto set is read off the payoff vectors sorted lexicographically, an order
+made by one argsort of player 0's payoffs with only its tied runs sorted
+further.  Then a running maximum serves two players; more take a bitset scan
+under a work cap, whose windows of comparators hold only vectors not yet
+found dominated (weak dominance is transitive), in O(n (M + window / 8))
+bytes; and games of few profiles take one dense comparison per player.
+``equilibrium_report`` lists its profiles straight from the masks.
 """
 
 from __future__ import annotations
@@ -352,7 +350,7 @@ def _scale(u: np.ndarray) -> float:
     Scaling a row leaves the solution set alone; at the size of the payoffs
     the rank threshold sees rows of one size whatever the payoff scale.
     """
-    return float(np.abs(u).max(initial=0.0)) or 1.0
+    return _payoff_scale(u) or 1.0
 
 
 def _stacked_rows(counts: tuple[int, ...]) -> int:
@@ -399,13 +397,9 @@ def _factor_ranks(counts: tuple[int, ...], u: np.ndarray, factors, tol: float) -
     pair of the two ones vectors, which span the total-probability row; the
     largest of them sets the threshold.  A normalized harmonic game has zero
     flux, so the ones vector lies in both null spaces and no rank exceeds
-    h - 1.  Square factors are ranked by one SVD of the stacked pair, whose
-    singular values are those of the two SVDs.
+    h - 1.
     """
-    if factors[0].shape == factors[1].shape:
-        svals = np.linalg.svd(np.stack(factors), compute_uv=False)
-    else:
-        svals = [np.linalg.svd(a, compute_uv=False) for a in factors]
+    svals = [np.linalg.svd(a, compute_uv=False) for a in factors]
     top = max(_scale(u) * math.sqrt(math.prod(counts)), math.hypot(svals[0][0], svals[1][0]))
     return [min(int(np.sum(s > tol * top)), a.shape[1] - 1) for a, s in zip(factors, svals)]
 
@@ -454,7 +448,7 @@ def harmonic_indifference_checks(game: Game, tol: float = 1e-9) -> HarmonicIndif
     report carries it as given.  Violations are reported, never raised.
     """
     _check_tol(tol)
-    bound = tol * _payoff_scale(game)
+    bound = tol * _payoff_scale(game.utilities)
     violations: list[str] = []
 
     flux = 0.0
@@ -631,13 +625,6 @@ def _dominated_windowed(rows: np.ndarray) -> np.ndarray:
     a member of some window while p is a visitor or a later member.  The
     live arrays are the (visitors, window / 64) words of ``hits`` and two
     length-n index arrays per player, O(n (M + window / 8)) bytes.
-
-    A player whose values are all distinct has c_m(p) = place_m(p) + 1,
-    with no runs to find.  When one window holds every column (at most
-    ``_PARETO_WINDOW`` of them, none yet dominated), its members in place
-    order are the player's best-first order itself and i places hold i
-    members, so that window is read off the rank order with no sort or
-    count of its own.
     """
     k = rows.shape[1]
     w = min(_PARETO_WINDOW, -(-k // 64) * 64)
@@ -649,29 +636,14 @@ def _dominated_windowed(rows: np.ndarray) -> np.ndarray:
     for row in rows:
         best = np.argsort(row)[::-1]
         new = _new_runs(row[best])
+        ends = np.append(np.flatnonzero(new[1:]) + 1, k)
         at_least = np.empty(k, dtype=np.intp)  # c_m
-        if new.all():  # distinct values: each run is one place long
-            at_least[best] = np.arange(1, k + 1)
-        else:
-            ends = np.append(np.flatnonzero(new[1:]) + 1, k)
-            at_least[best] = ends[np.cumsum(new) - 1]
-        ranked.append((best, at_least))
+        at_least[best] = ends[np.cumsum(new) - 1]
+        place = np.empty(k, dtype=np.intp)
+        place[best] = np.arange(k)
+        ranked.append((place, at_least))
 
     dominated = np.zeros(k, dtype=bool)
-    if k <= w:
-        # one window holds every column: its members in place order are
-        # ``best``, and the members among the first i places number i
-        hits = before[1:k].copy()
-        for best, at_least in ranked:
-            table = np.bitwise_or.accumulate(bit[np.append(0, best + 1)], axis=0)
-            hits &= np.take(table, at_least[1:], axis=0)
-        dominated[1:] = hits.any(axis=1)
-        return dominated
-
-    for i, (best, at_least) in enumerate(ranked):
-        place = np.empty(k, dtype=np.intp)  # place_m
-        place[best] = np.arange(k)
-        ranked[i] = place, at_least
     start = 0
     while True:
         live = np.flatnonzero(~dominated[start:]) + start

@@ -271,9 +271,9 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be >= 0")
 
 
-def _payoff_scale(game: Game) -> float:
-    """``max|u|``, or 0 for the zero game: the scale of every relative payoff tolerance."""
-    return float(np.abs(game.utilities).max(initial=0.0))
+def _payoff_scale(u: np.ndarray) -> float:
+    """``max|u|`` of payoffs ``u``, or 0 for the zero game: the scale of every relative tolerance."""
+    return float(np.abs(u).max(initial=0.0))
 
 
 _TINY = 2.0**-900  # a smaller sum of squares may have lost digits to underflow
@@ -312,7 +312,7 @@ def _sum_squares(a: np.ndarray, weights: Sequence[float] | None) -> np.ndarray:
 def is_normalized(game: Game, tol: float = 1e-9) -> bool:
     """True iff every per-player, per-opponent-block payoff sum is within ``tol * max|u|`` of 0."""
     _check_tol(tol)
-    bound = tol * _payoff_scale(game)
+    bound = tol * _payoff_scale(game.utilities)
     return all(np.abs(game.tensor(m).sum(axis=m)).max() <= bound for m in range(game.num_players))
 
 

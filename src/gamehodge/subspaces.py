@@ -285,7 +285,7 @@ def verify_normalized_harmonic(game: Game, tol: float = 1e-9) -> bool:
     """
     _check_tol(tol)
     weighted = np.asarray(game.strategy_counts, dtype=float) @ game.utilities
-    if np.abs(weighted).max(initial=0.0) > tol * _payoff_scale(game):
+    if np.abs(weighted).max(initial=0.0) > tol * _payoff_scale(game.utilities):
         return False
     return is_normalized(game, tol)
 

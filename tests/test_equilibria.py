@@ -1278,8 +1278,8 @@ def _pareto_payoffs(kind, k, players, seed):
 class TestParetoWindows:
     """The sorted Pareto mask against the dense comparison around one window.
 
-    At most ``_PARETO_WINDOW`` (512) distinct vectors take one window read off
-    each player's rank order; 513 take the window loop.
+    At most ``_PARETO_WINDOW`` (512) distinct vectors fit in one window; 513
+    take two.
     """
 
     @pytest.mark.parametrize("players", [3, 4])
@@ -1332,11 +1332,3 @@ class TestCorrelatedArrays:
         want = harmonic_correlated_system(strategic).dimension
         got = equilibria_module._correlated_dimension(counts, strategic.utilities, 1e-9)
         assert got == want and type(got) is int
-
-    @pytest.mark.parametrize("h", [1, 2, 3, 8, 17])
-    def test_square_factors_share_one_svd(self, h):
-        u = _seeded_harmonic((h, h)).utilities
-        factors = equilibria_module._factors((h, h), u)
-        stacked = np.linalg.svd(np.stack(factors), compute_uv=False)
-        for a, s in zip(factors, stacked):
-            assert np.array_equal(np.linalg.svd(a, compute_uv=False), s)
