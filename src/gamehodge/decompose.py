@@ -9,7 +9,9 @@ Every finite game splits uniquely into three orthogonal pieces:
 
 The scalar potential solves ``Laplacian(phi) = sum_m h_m P_m u^m`` where
 ``P_m`` is :func:`gamehodge.game.project_player`, which removes per-block
-own-strategy means; the parts are then read off as
+own-strategy means (the kernel and its solve call its unchecked core, on
+arrays whose shapes they build, so no projection checks them again); the
+parts are then read off as
 ``u_P^m = P_m phi``, ``u_H^m = P_m u^m - P_m phi`` and
 ``u_N^m = (I - P_m) u^m``, all in node space, so no game graph and no
 edge-space array is ever built.  The maths is written once, in
@@ -87,7 +89,7 @@ import numpy as np
 from .errors import NumericError, PreconditionError, ShapeError
 from .flows import _solve
 from .game import (
-    Game, _check_tol, _game_document, _root_squares, is_normalized, project_player,
+    Game, _check_tol, _demean, _game_document, _root_squares, is_normalized,
 )
 
 __all__ = [
@@ -193,7 +195,7 @@ def _decompose_batch(counts: tuple[int, ...], u: np.ndarray):
     """
     proj = np.empty_like(u)
     for m in range(len(counts)):
-        proj[:, m] = project_player(counts, m, u[:, m])
+        proj[:, m] = _demean(counts, m, u[:, m])
     u_non = u - proj
     phi, u_pot, r = _solve(counts, np.asarray(counts, dtype=float) @ proj)
     proj -= u_pot

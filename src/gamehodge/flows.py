@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import NumericError, PreconditionError, ShapeError, _check_size
 from .game import (
-    _CHUNK, Game, _check_player, _check_tol, _checked_counts, _node_rows, _root_squares,
-    profile_index, project_player,
+    _CHUNK, Game, _check_player, _check_tol, _checked_counts, _demean, _node_rows,
+    _root_squares, profile_index, project_player,
 )
 
 __all__ = [
@@ -465,17 +465,19 @@ def laplacian_pinv_solve(
 def _solve(counts: tuple[int, ...], b: np.ndarray, tol: float = _SOLVE_TOL):
     """``(phi, P phi, r)`` for rows ``b``, orthogonal to constants, on the last axis.
 
-    ``P phi`` is :func:`project_player` of ``phi`` by each player, shape
-    ``(..., M, n)``, so ``Laplacian(phi) = sum_m h_m P_m phi``.  Raises via
-    :func:`_check_residual` unless ``||b_c - Laplacian(phi)|| <= tol ||b_c||``,
-    ``b_c`` being ``b`` less its rounding-level mean; ``r = b - Laplacian(phi)``.
+    ``P phi`` is the demeaning of ``phi`` by each player, shape ``(..., M,
+    n)``, through the unchecked core of :func:`project_player` (``counts``
+    and ``b`` are the caller's, already checked), so ``Laplacian(phi) =
+    sum_m h_m P_m phi``.  Raises via :func:`_check_residual` unless
+    ``||b_c - Laplacian(phi)|| <= tol ||b_c||``, ``b_c`` being ``b`` less its
+    rounding-level mean; ``r = b - Laplacian(phi)``.
     """
     mean = b.sum(axis=-1, keepdims=True) / b.shape[-1]
     b = b - mean
     phi = _pinv_transform(counts, b)
     p_phi = np.empty(phi.shape[:-1] + (len(counts), phi.shape[-1]))
     for m in range(len(counts)):
-        p_phi[..., m, :] = project_player(counts, m, phi)
+        p_phi[..., m, :] = _demean(counts, m, phi)
     r = b - np.asarray(counts, dtype=float) @ p_phi
     _check_residual(_root_squares(r), tol * _root_squares(b))
     r += mean

@@ -241,11 +241,18 @@ def project_player(strategy_counts: Sequence[int], player: int, u) -> np.ndarray
     that ignore the player's own strategy; it is idempotent and self-adjoint,
     and for a one-strategy player it is identically zero.  The last axis of
     ``u`` holds the ``prod(strategy_counts)`` profiles; leading axes are a
-    batch, projected row by row.  It is the package's one demeaning routine.
+    batch, projected row by row.  It checks the counts, the player and the
+    shape of ``u``, then runs :func:`_demean`, the package's one demeaning
+    routine, which the decomposition kernel, the Laplacian solve and the
+    subspace table call directly on arrays they have already checked.
     """
     counts = _checked_counts(strategy_counts)
     _check_player(player, len(counts))
-    u = _node_rows(counts, u)
+    return _demean(counts, player, _node_rows(counts, u))
+
+
+def _demean(counts: tuple[int, ...], player: int, u: np.ndarray) -> np.ndarray:
+    """:func:`project_player` of float rows ``u``, with no check of counts, player or shape."""
     t = u.reshape(u.shape[:-1] + counts)
     # sum / h is the mean, without the Python-level overhead of ndarray.mean
     mean = t.sum(axis=player - len(counts), keepdims=True) / counts[player]
@@ -389,14 +396,37 @@ def _reject_constant(token: str):
     raise GameFormatError(f"non-finite number {token!r} in game file")
 
 
+def _parse_int(token: str):
+    """A JSON integer as an int, or as ``float(token)`` (+-inf) past the float range.
+
+    A finite float has at most 309 integer digits, so a token of more than
+    310 characters, a sign included, is infinite as a float; reading it as
+    one skips Python's integer digit limit, and the payoff check then
+    rejects it as non-finite.
+    """
+    return float(token) if len(token) > 310 else int(token)
+
+
+def _read_json(path, parse_int=int):
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_reject_constant, parse_int=parse_int)
+
+
 def load_game(path) -> Game:
     """Read a game from a JSON file; rejects malformed or non-finite payoffs."""
     try:
-        with open(path) as fh:
-            data = json.load(fh, parse_constant=_reject_constant)
+        try:
+            data = _read_json(path)
+        except ValueError as exc:
+            if type(exc) is not ValueError:  # JSONDecodeError, UnicodeDecodeError
+                raise
+            # an integer past Python's digit limit.  The file is read again
+            # with _parse_int, not every file with it: a Python call per
+            # integer token doubles the parse of integer payoffs
+            data = _read_json(path, _parse_int)
     except OSError as exc:
         raise GameFormatError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise GameFormatError(f"invalid JSON in {path}: {exc}") from exc
     return game_from_dict(data)
 

@@ -8,10 +8,11 @@ decomposition kernel applied to the unit games, with no rank threshold.
 The zero-sum / identical-interest table ranks two explicit spans, the
 potential games and the harmonic games: the nonstrategic subspace and the
 two-player harmonic subspace have explicit bases, while the potential span
-is generated from the potential components of seeded random games (which
-spans the subspace almost surely); each intersection is a rank drop under
-the complementary projection.  Its all-games row is exact by construction
-and ranks nothing.
+is generated from seeded random potentials ``phi`` as the potential
+components ``(P_1 phi, P_2 phi)`` (which span the subspace almost surely),
+with no decomposition and no Laplacian solve; each intersection is a rank
+drop under the complementary projection.  Its all-games row is exact by
+construction and ranks nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import numpy as np
 
 from .decompose import _decompose_batch
 from .errors import NumericError, _check_size
-from .game import Game, _check_tol, _checked_counts, _payoff_scale, game_to_dict, is_normalized
+from .game import (
+    Game, _check_tol, _checked_counts, _demean, _payoff_scale, game_to_dict, is_normalized,
+)
 
 __all__ = [
     "numeric_rank",
@@ -43,8 +46,8 @@ __all__ = [
 # the zero-sum / identical-interest table ranks spans of 2h^2 columns up to
 # this; its largest matrix is the potential span, (h^2 + 2h + 5) x 2h^2, and
 # that values-only SVD bounds the peak memory.  At h = 45, the largest h under
-# the cap, the table took 6.5 s (1.4 s of it that SVD) and 415 MB of peak RSS
-# with one BLAS thread
+# the cap, the table took 6.1 s and 345 MB of peak RSS with one BLAS thread
+# (2 CPUs, x86), and it runs within 512 MB of address space
 RANK_AMBIENT_CAP = 4096
 # empirical_dims runs the kernel on all M*n unit games of M*n entries each, so
 # its work is capped in M * n^2 (32x32 is 2^21); the unit games go through
@@ -237,9 +240,12 @@ def zs_ii_intersection_dims(h: int, seed: int = 0) -> IntersectionTable:
     ``(u1 | u2)``: ``dim(A & Z) = rank A - rank(u1 + u2)``,
     ``dim(A & I) = rank A - rank(u1 - u2)`` and ``dim(A & (Z + I)) = rank A``.
     The potential-games and harmonic-games spans and their two projections
-    are each ranked once.  The all-games row is exact by construction: Z and
-    I each have dimension h^2 and together fill the space, so nothing is
-    ranked for it.  ``h`` follows the strategy-count rule: a whole number
+    are each ranked once.  The potential games are the nonstrategic games
+    plus the potential components ``(P_1 phi, P_2 phi)``, ``P_m`` being
+    :func:`gamehodge.game.project_player`; ``seed`` draws ``dim P + 6``
+    random potentials ``phi``, which span them almost surely.  The
+    all-games row is exact by construction: Z and I each have dimension h^2
+    and together fill the space, so nothing is ranked for it.  ``h`` follows the strategy-count rule: a whole number
     >= 1 of any numeric type, else :class:`ShapeError`.
     """
     counts = _checked_counts((h, h))
@@ -257,9 +263,10 @@ def zs_ii_intersection_dims(h: int, seed: int = 0) -> IntersectionTable:
 
     non = _nonstrategic_rows(counts)
     samples = subspace_dims(counts).potential + 6
-    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 2, n))
+    phi = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, n))
+    potential = np.stack([_demean(counts, m, phi) for m in range(2)], axis=1)
     spans = {
-        "potential_games": np.concatenate([non, _decompose_batch(counts, u)[1]]),
+        "potential_games": np.concatenate([non, potential]),
         "harmonic_games": np.concatenate([_harmonic_rows_2p(h, h), non]),
     }
     computed = {}

@@ -137,6 +137,10 @@ class TestDecomposeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        if payoff.isdigit():
+            # past the float range, and past Python's integer digit limit
+            # too, the payoff reads as infinite, not as a parse failure
+            assert captured.err == "error: payoffs must be finite\n"
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["decompose", "/nonexistent/game.json"]) == 2

@@ -918,14 +918,15 @@ class TestDecompositionStructure:
         # the kernel projects u and phi once per player and reads
         # Laplacian(phi) = sum_m h_m P_m phi off the potential part, so it
         # calls no laplacian_apply; the solver residual is read off the
-        # harmonic divergence
+        # harmonic divergence; both projections go through the unchecked
+        # demeaning core, not the validated project_player
         applies, projections = [], []
         apply = flows.laplacian_apply
         monkeypatch.setattr(flows, "laplacian_apply", lambda *a: applies.append(a) or apply(*a))
-        project = flows.project_player
-        counted = lambda *a: projections.append(a) or project(*a)
+        demean = flows._demean
+        counted = lambda *a: projections.append(a) or demean(*a)
         for module in (flows, decompose_module):
-            monkeypatch.setattr(module, "project_player", counted)
+            monkeypatch.setattr(module, "_demean", counted)
         rng = np.random.default_rng(45)
         for counts in [(3, 3), (2, 3, 4), (5,), (2, 2, 2, 2, 2)]:
             applies.clear()

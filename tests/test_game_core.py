@@ -239,6 +239,24 @@ class TestJsonFormat:
         with pytest.raises(GameFormatError):
             load_game(path)
 
+    def test_integers_past_the_digit_limit_read_as_non_finite(self, tmp_path, monkeypatch):
+        # a valid file goes through json's own int parsing, with no Python
+        # call per integer token; only a file with an integer past Python's
+        # digit limit is read again, such integers as +-inf
+        path = tmp_path / "ints.json"
+        path.write_text('{"players": [{"strategies": [0, 1]}], "utilities": [[3, -4]]}')
+        parse_int = gamehodge.game._parse_int
+        monkeypatch.setattr(gamehodge.game, "_parse_int", None)
+        game = load_game(path)
+        assert game.strategy_labels == (("0", "1"),)
+        assert game.utilities.tolist() == [[3.0, -4.0]]
+        monkeypatch.setattr(gamehodge.game, "_parse_int", parse_int)
+        for sign in ["", "-"]:
+            path.write_text('{"players": [{"strategies": ["a", "b"]}], "utilities": [[0, %s]]}'
+                            % (sign + "9" * 5000))
+            with pytest.raises(GameFormatError, match="^payoffs must be finite$"):
+                load_game(path)
+
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -15,9 +15,11 @@ from gamehodge import (
     game_norm,
     harmonic_basis_2p,
     is_normalized,
+    is_potential,
     nonstrategic_basis,
     normalize,
     pairwise_comparison,
+    project_player,
     subspace_dims,
     verify_normalized_harmonic,
     zs_ii_intersection_dims,
@@ -278,12 +280,45 @@ class TestZsIiIntersections:
         assert result.agrees
         assert result.computed == result.closed_form
 
-    @pytest.mark.parametrize("h", range(1, 9))
+    @pytest.mark.parametrize("h", [*range(1, 9), 12, 20])
     def test_complement_ranks_match_closed_form(self, h):
         for seed in range(5):
             table = zs_ii_intersection_dims(h, seed=seed)
             assert table.computed == table.closed_form
             assert table.agrees is True
+
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_runs_no_kernel(self, monkeypatch, h):
+        # the potential span is drawn as (P_1 phi, P_2 phi): no decomposition
+        # and no Laplacian solve
+        def fail(*args):
+            raise AssertionError("the table ran the decomposition kernel")
+
+        monkeypatch.setattr(subspaces, "_decompose_batch", fail)
+        for seed in range(2):
+            assert zs_ii_intersection_dims(h, seed=seed).agrees is True
+
+    @pytest.mark.parametrize("h", [2, 3, 5])
+    def test_drawn_potential_rows_are_potential_games(self, monkeypatch, h):
+        # the first span ranked is the potential games: 2h nonstrategic
+        # rows, then one (P_1 phi, P_2 phi) row per seeded random potential
+        rank = subspaces.numeric_rank
+        spans = []
+        monkeypatch.setattr(
+            subspaces, "numeric_rank", lambda matrix, *a: spans.append(matrix) or rank(matrix, *a)
+        )
+        seed, n = 9, h * h
+        zs_ii_intersection_dims(h, seed=seed)
+        rows = spans[0][2 * h:].reshape(-1, 2, n)
+        phi = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n + 5, n))
+        assert len(rows) == n + 5
+        for m in range(2):
+            assert np.array_equal(rows[:, m], project_player((h, h), m, phi))
+        for row in rows:
+            assert is_potential(Game(row, (h, h)))
+            # mean-free along each player's own axis
+            assert np.abs(row[0].reshape(h, h).sum(axis=0)).max() <= 1e-12
+            assert np.abs(row[1].reshape(h, h).sum(axis=1)).max() <= 1e-12
 
     @pytest.mark.parametrize("h", range(1, 7))
     def test_each_span_ranked_once(self, monkeypatch, h):
