@@ -31,7 +31,7 @@ from .decompose import (
     game_norm,
 )
 from .equilibria import (
-    _equilibrium_mask,
+    _equilibrium_masks,
     _listed,
     _pareto_mask,
     equilibrium_report,
@@ -109,7 +109,7 @@ def cmd_pareto(args) -> int:
     if args.transform:
         _emit(_game_document(pareto_align_transform(game)), args.out)
     else:
-        nash, pareto = _equilibrium_mask(game, 0.0), _pareto_mask(game)
+        [nash], pareto = _equilibrium_masks(game, 0.0), _pareto_mask(game)
         _emit({"pure_nash": _listed(nash), "pareto_optimal": _listed(pareto)}, args.out)
     return EXIT_OK
 

@@ -82,7 +82,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -174,7 +173,7 @@ def _cached(game: Game):
             a.flags.writeable = False
         parts = tuple(a[0] for a in batch)
         h = np.asarray(counts, dtype=float)  # once for the three norms
-        norms = (_norm(h, parts[1]), _norm(h, parts[2]), _norm(h, game.utilities))
+        norms = tuple(_root_squares(a, h) for a in (parts[1], parts[2], game.utilities))
     if not all(map(math.isfinite, norms)):
         raise NumericError("the game norm overflowed: the payoffs are too large to decompose")
     row = row[0]
@@ -256,18 +255,13 @@ def game_inner(game: Game, other: Game) -> float:
 
 
 def game_norm(game: Game) -> float:
-    return _norm(game.strategy_counts, game.utilities)
+    return _root_squares(game.utilities, game.strategy_counts)
 
 
 def game_distance(game: Game, other: Game) -> float:
     if game.strategy_counts != other.strategy_counts:
         raise ShapeError("games must share a shape")
-    return _norm(game.strategy_counts, game.utilities - other.utilities)
-
-
-def _norm(counts: Sequence[float], u: np.ndarray) -> float:
-    """The game norm of payoff rows ``u``: each player's weighted by its strategy count."""
-    return _root_squares(u, counts)
+    return _root_squares(game.utilities - other.utilities, game.strategy_counts)
 
 
 # -- membership tests and projections ------------------------------------------

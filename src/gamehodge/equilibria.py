@@ -31,6 +31,7 @@ import numpy as np
 
 from .decompose import _parts, _strategic_negligible, closest_potential, game_distance, is_harmonic
 from .errors import PreconditionError, _check_size
+from .flows import _helmert_matrix
 from .game import Game, _check_player, _check_tol, _payoff_scale, is_normalized
 from .subspaces import numeric_rank
 
@@ -78,11 +79,6 @@ def _equilibrium_masks(game: Game, *eps: float) -> list[np.ndarray]:
     return masks
 
 
-def _equilibrium_mask(game: Game, eps: float) -> np.ndarray:
-    """Mask of the ``eps``-equilibria, shaped like the game's tensors."""
-    return _equilibrium_masks(game, eps)[0]
-
-
 def _listed(mask: np.ndarray) -> list[list[int]]:
     """Profiles where ``mask`` holds, in index order, as lists of Python ints."""
     return np.array(mask.nonzero()).T.tolist()  # np.argwhere's rows, without its overhead
@@ -100,7 +96,7 @@ def pure_nash(game: Game) -> list[tuple[int, ...]]:
 
 def epsilon_equilibria(game: Game, eps: float) -> list[tuple[int, ...]]:
     """Profiles from which no unilateral deviation gains more than ``eps``."""
-    return _profiles(_equilibrium_mask(game, eps))
+    return _profiles(_equilibrium_masks(game, eps)[0])
 
 
 def epsilon_transfer_bound(game: Game) -> tuple[Game, float]:
@@ -119,10 +115,16 @@ def epsilon_transfer_bound(game: Game) -> tuple[Game, float]:
 # -- mixed strategies ----------------------------------------------------------
 
 
-def _validate_simplex(vec: np.ndarray, size: int, what: str) -> np.ndarray:
+def _sized(vec, size: int, what: str) -> np.ndarray:
+    """``vec`` as a flat float vector; PreconditionError unless it has ``size`` entries."""
     vec = np.asarray(vec, dtype=float).ravel()
     if vec.shape != (size,):
         raise PreconditionError(f"{what} must have {size} entries")
+    return vec
+
+
+def _validate_simplex(vec: np.ndarray, size: int, what: str) -> np.ndarray:
+    vec = _sized(vec, size, what)
     # NaN-safe (NaN fails every comparison), and bounded before the sum can overflow
     bounded = vec.min(initial=0.0) >= -1e-12 and vec.max(initial=0.0) <= 1.0 + 1e-12
     if not (bounded and abs(vec.sum() - 1.0) <= 1e-12):
@@ -130,12 +132,20 @@ def _validate_simplex(vec: np.ndarray, size: int, what: str) -> np.ndarray:
     return vec
 
 
-def _validate_mixed(game: Game, x) -> list[np.ndarray]:
+def _mixed_vectors(game: Game, x) -> list[np.ndarray]:
+    """One flat float vector per player, of its strategy count; lengths only, no simplex check."""
     if len(x) != game.num_players:
         raise PreconditionError("one mixed strategy per player required")
     return [
-        _validate_simplex(xm, h, f"mixed strategy of player {m}")
+        _sized(xm, h, f"mixed strategy of player {m}")
         for m, (xm, h) in enumerate(zip(x, game.strategy_counts))
+    ]
+
+
+def _validate_mixed(game: Game, x) -> list[np.ndarray]:
+    return [
+        _validate_simplex(xm, xm.size, f"mixed strategy of player {m}")
+        for m, xm in enumerate(_mixed_vectors(game, x))
     ]
 
 
@@ -149,10 +159,11 @@ def deviation_payoffs(game: Game, player: int, x) -> np.ndarray:
 
     The player's own axis is moved first; then one matrix-vector product
     per opponent contracts the last axis, the last opponent first.
+    PreconditionError unless ``x`` holds one vector of the right length per
+    player; the vectors need not be probability distributions.
     """
     _check_player(player, game.num_players)
-    opponents = {k: np.asarray(x[k], dtype=float) for k in range(game.num_players) if k != player}
-    return _deviation(game, player, opponents)
+    return _deviation(game, player, _mixed_vectors(game, x))
 
 
 def _deviation(game: Game, player: int, x) -> np.ndarray:
@@ -165,8 +176,11 @@ def _deviation(game: Game, player: int, x) -> np.ndarray:
 
 
 def mixed_utility(game: Game, player: int, x) -> float:
-    """Expected payoff of ``player`` under a mixed strategy profile."""
-    return float(deviation_payoffs(game, player, x) @ np.asarray(x[player], dtype=float))
+    """Expected payoff of ``player`` under a mixed strategy profile, checked as by
+    :func:`deviation_payoffs`."""
+    _check_player(player, game.num_players)
+    x = _mixed_vectors(game, x)
+    return float(_deviation(game, player, x) @ x[player])
 
 
 def is_mixed_nash(game: Game, x, tol: float = 1e-9) -> bool:
@@ -278,9 +292,10 @@ class AffineSolutionSet:
 
         Player m's rows are the entries of ``X_m U_m^T`` (:func:`_crosses`,
         as in :func:`is_correlated_equilibrium`), so no row of
-        ``equalities`` is built.
+        ``equalities`` is built.  PreconditionError unless ``x`` has one
+        entry per profile; it need not be a distribution.
         """
-        x = np.asarray(x, dtype=float).ravel()
+        x = _sized(x, self.game.num_profiles, "joint distribution")
         crosses = (float(np.abs(cross).max()) for cross in _crosses(self.game, x))
         return max(abs(float(x.sum()) - 1.0), *crosses)
 
@@ -409,13 +424,12 @@ def _null_basis(a: np.ndarray, rank: int) -> np.ndarray:
 
     The rest of the null space is taken inside the complement of the ones:
     the last ``h - 1 - rank`` right singular vectors of ``a`` restricted to
-    the orthonormal basis of it that QR makes from ``[1, e_1, ..., e_{h-1}]``.
+    rows 1..h-1 of the Helmert matrix (:func:`gamehodge.flows._helmert_matrix`),
+    an orthonormal basis of it; its row 0 is the ones row.
     """
-    h = a.shape[1]
-    ones = np.full(h, 1.0 / math.sqrt(h))
-    rest = np.linalg.qr(np.column_stack([ones, np.eye(h)[:, 1:]]))[0][:, 1:]
-    vt = np.linalg.svd(a @ rest)[2]
-    return np.vstack([ones, vt[rank:] @ rest.T])
+    helmert = _helmert_matrix(a.shape[1])
+    vt = np.linalg.svd(a @ helmert[1:].T)[2]
+    return np.vstack([helmert[:1], vt[rank:] @ helmert[1:]])
 
 
 # -- structural checks for harmonic games ---------------------------------------
@@ -461,7 +475,7 @@ def harmonic_indifference_checks(game: Game, tol: float = 1e-9) -> HarmonicIndif
                 f"player {m}: per-strategy payoff sums differ by {spread:.3e}"
             )
 
-    mask = _equilibrium_mask(game, 0.0)
+    [mask] = _equilibrium_masks(game, 0.0)
     equilibria = _profiles(mask)
     spreads = np.stack([
         np.broadcast_to(np.ptp(game.tensor(m), axis=m, keepdims=True), mask.shape)[mask]
@@ -676,7 +690,7 @@ def pareto_align_transform(game: Game) -> Game:
     Pareto-optimal set is exactly its Nash set.
     """
     counts = game.strategy_counts
-    ne_mask = _equilibrium_mask(game, 0.0)
+    [ne_mask] = _equilibrium_masks(game, 0.0)
 
     u_hat = np.empty_like(game.utilities)
     for m in range(game.num_players):

@@ -36,6 +36,7 @@ product of the stored per-edge values.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from itertools import accumulate, combinations
 from typing import Sequence
@@ -203,17 +204,11 @@ class EdgeFlow:
         self.values = values
 
     def value(self, p, q) -> float:
-        """Flow from ``p`` to ``q`` (node ids or coordinate tuples).
+        """Flow from ``p`` to ``q`` (node ids or coordinate tuples), by :func:`_alternating`.
 
         Zero for non-comparable pairs, per the definition of an edge flow.
         """
-        i = p if isinstance(p, (int, np.integer)) else self.graph.node_index(p)
-        j = q if isinstance(q, (int, np.integer)) else self.graph.node_index(q)
-        try:
-            e, sign = self.graph.edge_id(int(i), int(j))
-        except KeyError:
-            return 0.0
-        return sign * float(self.values[e])
+        return _alternating(self, (p, q))
 
     def __add__(self, other: "EdgeFlow") -> "EdgeFlow":
         _check_same_graph(self, other)
@@ -245,32 +240,25 @@ class TriangleFlow:
         self.values = values
 
     def value(self, p, q, r) -> float:
-        """Alternating evaluation; zero when the nodes are not a 3-clique."""
-        ids = [
-            int(x) if isinstance(x, (int, np.integer)) else self.graph.node_index(x)
-            for x in (p, q, r)
-        ]
-        t = self.graph.clique_index(ids)
-        if t is None:
-            return 0.0
-        # parity of the permutation taking sorted order to the given order
-        order = sorted(ids)
-        perm = [order.index(x) for x in ids]
-        sign = 1.0 if perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1]) else -1.0
-        return sign * float(self.values[t])
+        """Circulation around ``(p, q, r)`` by :func:`_alternating`; zero unless a 3-clique."""
+        return _alternating(self, (p, q, r))
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max(initial=0.0))
 
 
+def _alternating(flow: EdgeFlow | TriangleFlow, nodes) -> float:
+    """``flow`` at ``nodes`` (ids or profiles): the value at the clique's position, stored
+    for sorted order, negated per inversion of ``nodes``; zero unless they are one clique."""
+    graph = flow.graph
+    ids = [int(x) if isinstance(x, (int, np.integer)) else graph.node_index(x) for x in nodes]
+    c = graph.clique_index(ids)
+    if c is None:
+        return 0.0
+    return (-1) ** sum(a > b for a, b in combinations(ids, 2)) * float(flow.values[c])
+
+
 # -- flows from games and node functions ------------------------------------
-
-
-def _as_node_array(graph: GameGraph, phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float).ravel()
-    if phi.shape != (graph.num_nodes,):
-        raise ShapeError(f"node function must have {graph.num_nodes} entries")
-    return phi
 
 
 def _differences(counts: tuple[int, ...], functions) -> np.ndarray:
@@ -306,7 +294,7 @@ def pairwise_comparison(game: Game, graph: GameGraph | None = None) -> EdgeFlow:
 
 def gradient(graph: GameGraph, phi) -> EdgeFlow:
     """Combinatorial gradient: ``(grad phi)(p, q) = phi(q) - phi(p)`` on edges."""
-    phis = enumerate([_as_node_array(graph, phi)] * graph.num_players)
+    phis = enumerate([_node_rows(graph.strategy_counts, np.ravel(phi))] * graph.num_players)
     return EdgeFlow(graph, _differences(graph.strategy_counts, phis))
 
 
@@ -314,7 +302,8 @@ def player_gradient(graph: GameGraph, player: int, phi) -> EdgeFlow:
     """Gradient restricted to one player's edges, zero elsewhere."""
     edges = graph.player_slice(player)  # checks the player first
     values = np.zeros(graph.num_edges)
-    values[edges] = _differences(graph.strategy_counts, [(player, _as_node_array(graph, phi))])
+    phi = _node_rows(graph.strategy_counts, np.ravel(phi))
+    values[edges] = _differences(graph.strategy_counts, [(player, phi)])
     return EdgeFlow(graph, values)
 
 
@@ -606,10 +595,16 @@ def _arrows(flow: EdgeFlow, zero_tol: float):
             yield base + tail * s, base + head * s, np.abs(x)
 
 
+# a label as a DOT quoted string, as JSON quotes it: ``"`` and ``\`` escaped, a newline as \n
+_quoted = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _dot_chunks(flow: EdgeFlow, node_labels: Sequence[str], zero_tol: float):
     """The DOT text of :func:`flow_to_dot`: the nodes, then ``_CHUNK`` arrows at a time."""
     yield "digraph flow {\n"
-    yield "".join(f'  n{i} [label="{label}"];\n' for i, label in enumerate(node_labels))
+    yield "".join(
+        f"  n{i} [label={_quoted(str(label))}];\n" for i, label in enumerate(node_labels)
+    )
     for arrows in _arrows(flow, zero_tol):
         rows = zip(*(a.tolist() for a in arrows))
         yield "".join(f'  n{i} -> n{j} [label="{v:.12g}"];\n' for i, j, v in rows)
@@ -623,7 +618,8 @@ def flow_to_dot(
 
     Each edge with ``|value| > zero_tol`` becomes, in edge order, one arrow
     along the positive (payoff-improving) flow, labeled with its magnitude.
-    ``node_labels`` needs one label per node, or :class:`ShapeError`.
+    ``node_labels`` needs one label per node, or :class:`ShapeError`; each
+    is written as a quoted string, its ``"``, ``\\`` and newlines escaped.
     """
     n = flow.graph.num_nodes
     if node_labels is None:

@@ -1,5 +1,7 @@
 """Shared helpers and frozen expected values for the test suite."""
 
+import re
+
 import numpy as np
 
 from gamehodge import Game, pairwise_comparison
@@ -134,3 +136,24 @@ def assert_games_close(g1, g2, tol=1e-9):
 
 def flow_of(game):
     return pairwise_comparison(game)
+
+
+# -- DOT node lines --------------------------------------------------------------
+
+# a node line whose label is a DOT quoted string: no bare `"` or `\`, every
+# backslash starting an escape
+DOT_NODE_LINE = re.compile(r'^  n([0-9]+) \[label="((?:[^"\\]|\\.)*)"\];$')
+
+
+def dot_node_labels(dot):
+    """``{node: label}`` from a DOT document's node lines, each un-escaped as Graphviz
+    reads a label: ``\\n`` is a newline and a backslash before any other character
+    stands for that character.  Fails on a node line off the quoted-string grammar."""
+    labels = {}
+    for line in dot.split("\n"):
+        if re.match(r"  n[0-9]+ \[", line):  # a node, not an arrow ``n1 -> n2``
+            match = DOT_NODE_LINE.match(line)
+            assert match, f"node line off the DOT grammar: {line!r}"
+            label = re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], match[2])
+            labels[int(match[1])] = label
+    return labels

@@ -41,7 +41,9 @@ from gamehodge.catalog import (
     road_sharing,
 )
 from gamehodge.cli import main
-from helpers import awkward_game, overflowing_game, random_game, slowest_mode_potential
+from helpers import (
+    awkward_game, dot_node_labels, overflowing_game, random_game, slowest_mode_potential,
+)
 
 
 @pytest.fixture
@@ -610,6 +612,14 @@ class TestExportFlowCommand:
         ]
         assert main(["export-flow", path]) == 0
         assert capsys.readouterr().out == flow_to_dot(pairwise_comparison(g), node_labels=names)
+
+    def test_dot_labels_with_quotes_backslashes_and_newlines(self, game_file, capsys):
+        labels = [['say "hi"', "back\\slash"], ["two\nlines", '\\"\n']]
+        g = Game(np.arange(8.0).reshape(2, 4), (2, 2), strategy_labels=labels)
+        path = game_file(g, "quoted.json")
+        names = ["(" + ",".join(labels[m][s] for m, s in enumerate(p)) + ")" for p in g.profiles()]
+        assert main(["export-flow", path]) == 0
+        assert dot_node_labels(capsys.readouterr().out) == dict(enumerate(names))
 
     def test_dot_spanning_many_chunks_matches_per_edge_listing(self, game_file, capsys):
         # 60x60 has 212 400 edges, more than the export writes in one chunk

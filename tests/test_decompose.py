@@ -616,7 +616,7 @@ class TestKernelCache:
             raise AssertionError("a warm decompose ran the kernel or a norm")
 
         monkeypatch.setattr(decompose_module, "_decompose_batch", refuse)
-        monkeypatch.setattr(decompose_module, "_norm", refuse)
+        monkeypatch.setattr(decompose_module, "_root_squares", refuse)
         warm = decompose(g)
         assert _identical(warm, cold)
         assert warm.potential_fn is not cold.potential_fn

@@ -202,8 +202,16 @@ class TestProfileSizes:
              "mixed strategy of player 0 must have 2 entries"),
             (lambda: is_correlated_equilibrium(matching_pennies(), np.full(3, 1 / 3)),
              "joint distribution must have 4 entries"),
+            # reads that accept any vector of the right length, not only distributions
+            (lambda: deviation_payoffs(matching_pennies(), 0, [np.array([0.5, 0.5])]),
+             "one mixed strategy per player"),
+            (lambda: mixed_utility(matching_pennies(), 1, [np.full(2, 0.5), np.array([1.0])]),
+             "mixed strategy of player 1 must have 2 entries"),
+            (lambda: harmonic_correlated_system(matching_pennies()).residual(np.full(3, 1 / 3)),
+             "joint distribution must have 4 entries"),
         ],
-        ids=["strategy-count", "strategy-size", "joint-size"],
+        ids=["strategy-count", "strategy-size", "joint-size", "deviation-payoffs", "mixed-utility",
+             "residual"],
     )
     def test_wrong_size_raises_precondition_error(self, call, message):
         with pytest.raises(PreconditionError, match=message):
@@ -379,6 +387,9 @@ class TestHarmonicCorrelatedSystem:
         # total-probability one, which they must also annihilate
         assert np.abs(hom).max(initial=0.0) <= 1e-9
         assert system.directions is directions
+        if system.game.num_players <= 2:
+            # the same space as the QR basis of the mean-zero functions gives
+            assert np.abs(directions.T @ directions - qr_projector(system)).max() <= 1e-12
 
     def test_rejects_non_harmonic(self):
         with pytest.raises(PreconditionError):
@@ -525,6 +536,27 @@ def stacked_dimension(system):
     return system.game.num_profiles - numeric_rank(scaled_equalities(system))
 
 
+def qr_projector(system):
+    """``d.T @ d`` of a one- or two-player system's directions, built independently.
+
+    The mean-zero functions get the orthonormal basis that QR makes from
+    ``[1, e_1, ..., e_{h-1}]``; the null spaces and their Kronecker product
+    follow :attr:`AffineSolutionSet.directions`.
+    """
+    counts, u = system.game.strategy_counts, system.game.utilities
+    factors = equilibria_module._factors(counts, u)
+    ranks = equilibria_module._factor_ranks(counts, u, factors, system.tol)
+    bases = []
+    for a, rank in zip(factors, ranks):
+        h = a.shape[1]
+        ones = np.full(h, 1.0 / math.sqrt(h))
+        rest = np.linalg.qr(np.column_stack([ones, np.eye(h)[:, 1:]]))[0][:, 1:]
+        bases.append(np.vstack([ones, np.linalg.svd(a @ rest)[2][rank:] @ rest.T]))
+    cols, rows = bases
+    d = np.kron(rows, cols)[1:]  # every product but the uniform distribution's
+    return d.T @ d
+
+
 class TestProductForm:
     """Two-player correlated systems from the two payoff matrices alone."""
 
@@ -572,6 +604,7 @@ class TestProductForm:
         vt = np.linalg.svd(scaled_equalities(system))[2]
         null = vt[len(vt) - system.dimension:]
         assert np.allclose(directions.T @ directions, null.T @ null, atol=1e-9)
+        assert np.abs(directions.T @ directions - qr_projector(system)).max() <= 1e-12
 
     def test_residual_matches_the_equalities(self, harmonic):
         system = harmonic_correlated_system(harmonic)

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from gamehodge import (
     restrict_player,
 )
 from gamehodge.catalog import battle_of_sexes, matching_pennies, road_sharing
-from helpers import random_game, rps_potential
+from helpers import dot_node_labels, random_game, rps_potential
 
 
 def edge_and_triangle_counts(counts):
@@ -290,6 +290,56 @@ class TestEdgeFlowArithmetic:
         for op in (EdgeFlow.__add__, EdgeFlow.__sub__):
             with pytest.raises(ShapeError, match="different graphs"):
                 op(x, y)
+
+
+def comparable_by_definition(p, q):
+    """True iff profiles ``p`` and ``q`` differ in exactly one player's strategy."""
+    return sum(a != b for a, b in zip(p, q)) == 1
+
+
+class TestAlternatingValues:
+    """``value`` on every ordered node pair and triple against the definition."""
+
+    SHAPES = [(2, 3), (2, 2, 2), (1, 3), (3, 3)]
+
+    @pytest.mark.parametrize("counts", SHAPES, ids=str)
+    def test_edge_flow_on_every_ordered_pair(self, counts):
+        graph = build_graph(counts)
+        x = EdgeFlow(graph, np.random.default_rng(36).standard_normal(graph.num_edges))
+        edge = {pair: e for e, pair in enumerate(zip(graph.tails.tolist(), graph.heads.tolist()))}
+        profiles = list(np.ndindex(counts))
+        for (i, p), (j, q) in product(enumerate(profiles), repeat=2):
+            if not comparable_by_definition(p, q):
+                want = 0.0
+            elif i < j:
+                want = x.values[edge[i, j]]
+            else:
+                want = -x.values[edge[j, i]]
+            for a, b in [(i, j), (p, q), (np.int64(i), q)]:
+                got = x.value(a, b)
+                assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("counts", SHAPES, ids=str)
+    def test_triangle_flow_on_every_ordered_triple(self, counts):
+        graph = build_graph(counts)
+        psi = TriangleFlow(graph, np.random.default_rng(37).standard_normal(graph.num_triangles))
+        position = {tuple(t): k for k, t in enumerate(graph.triangles().tolist())}
+        profiles = list(np.ndindex(counts))
+        clique_found = 0
+        for ids in product(range(len(profiles)), repeat=3):
+            nodes = [profiles[i] for i in ids]
+            if all(comparable_by_definition(a, b) for a, b in combinations(nodes, 2)):
+                a, b, c = sorted(ids)
+                # the cyclic rotations of the sorted order keep its orientation
+                sign = 1.0 if ids in [(a, b, c), (b, c, a), (c, a, b)] else -1.0
+                want = sign * psi.values[position[a, b, c]]
+                clique_found += 1
+            else:
+                want = 0.0
+            for args in [ids, nodes]:
+                got = psi.value(*args)
+                assert type(got) is float and got == want
+        assert clique_found == 6 * graph.num_triangles
 
 
 class TestGradientDivergence:
@@ -753,6 +803,12 @@ class TestDotExport:
         # improvement arrows point toward the equilibria (O,O) and (F,F)
         assert "n2 -> n0" in dot and "n1 -> n0" in dot
         assert "n1 -> n3" in dot and "n2 -> n3" in dot
+
+    def test_labels_are_dot_quoted_strings(self):
+        # a quote, a backslash and a newline: raw, each would end or break the quoted label
+        labels = ['say "hi"', "back\\slash", "two\nlines", '\\"\n\\n']
+        dot = flow_to_dot(pairwise_comparison(matching_pennies()), node_labels=labels)
+        assert dot_node_labels(dot) == dict(enumerate(labels))
 
     def test_zero_edges_omitted(self):
         g = Game(np.zeros((2, 4)), (2, 2))
