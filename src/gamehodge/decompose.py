@@ -35,11 +35,13 @@ game, so the membership tests and projections never pay for them; the
 norms are those of ``u_P``, ``u_H`` and ``u`` (``NumericError`` if one
 overflows), so the membership tests compute no norm; and the divergence is
 the largest entry and the 2-norm of the kernel's residual row (below).
-Every norm here, and in the solve's check, is taken by
+Every norm here, and in the solve's check, combines row norms of
 ``gamehodge.game._root_squares``, which sums a row's squares again scaled
-by a power of two when they under- or overflow: the answers scale with the
-payoffs over the whole exponent range, and a norm overflows only when it
-exceeds the float maximum.  So a repeated :func:`decompose` copies ``phi``
+by a power of two when they under- or overflow; a game's norm is the
+hypotenuse of its players' row norms, each times ``sqrt(h_m)``
+(``_game_norm``).  The answers scale with the payoffs over the whole
+exponent range, and a norm overflows only when it exceeds the float
+maximum.  So a repeated :func:`decompose` copies ``phi``
 and nothing else.  The memo lives exactly as long as its game: a game
 keeps about ``3 M n + n`` floats of parts while it lives, and frees them
 with itself.  The memo refers to no game but its own part games, which
@@ -172,8 +174,7 @@ def _cached(game: Game):
         for a in batch:
             a.flags.writeable = False
         parts = tuple(a[0] for a in batch)
-        h = np.asarray(counts, dtype=float)  # once for the three norms
-        norms = tuple(_root_squares(a, h) for a in (parts[1], parts[2], game.utilities))
+        norms = tuple(_game_norm(a, counts) for a in (parts[1], parts[2], game.utilities))
     if not all(map(math.isfinite, norms)):
         raise NumericError("the game norm overflowed: the payoffs are too large to decompose")
     row = row[0]
@@ -251,17 +252,22 @@ def game_inner(game: Game, other: Game) -> float:
     if game.strategy_counts != other.strategy_counts:
         raise ShapeError("games must share a shape")
     h = np.asarray(game.strategy_counts, dtype=float)
-    return float(np.einsum("m,mi,mi->", h, game.utilities, other.utilities))
+    return float(h @ np.einsum("...i,...i->...", game.utilities, other.utilities))
 
 
 def game_norm(game: Game) -> float:
-    return _root_squares(game.utilities, game.strategy_counts)
+    return _game_norm(game.utilities, game.strategy_counts)
 
 
 def game_distance(game: Game, other: Game) -> float:
     if game.strategy_counts != other.strategy_counts:
         raise ShapeError("games must share a shape")
-    return _root_squares(game.utilities - other.utilities, game.strategy_counts)
+    return _game_norm(game.utilities - other.utilities, game.strategy_counts)
+
+
+def _game_norm(u: np.ndarray, counts: tuple[int, ...]) -> float:
+    """``sqrt(sum_m h_m ||u^m||^2)``: the hypotenuse of the row norms, each times ``sqrt(h_m)``."""
+    return math.hypot(*(math.sqrt(h) * r for h, r in zip(counts, _root_squares(u).tolist())))
 
 
 # -- membership tests and projections ------------------------------------------

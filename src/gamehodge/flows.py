@@ -426,9 +426,10 @@ def laplacian_pinv_solve(
     transforms over the trailing profile axes.  Both checks below hold row
     by row, and one failing row raises; ``b_c`` is ``b`` with its mean
     dropped, as in the decomposition kernel, whose solve this is.  Their
-    norms are those of ``gamehodge.game._root_squares``, which neither
-    under- nor overflows unless the norm itself does, so the solve of
-    ``2^k b`` is ``2^k`` times that of ``b`` over the whole exponent range.
+    norms are the row norms of ``gamehodge.game._root_squares``, which
+    neither under- nor overflow unless the norm itself does, so the solve
+    of ``2^k b`` is ``2^k`` times that of ``b`` over the whole exponent
+    range.  A batch of no rows gives no rows.
 
     Raises
     ------
@@ -531,9 +532,10 @@ def _check_residual(residual: np.ndarray, target: np.ndarray) -> None:
     """Raise :class:`NumericError` on the first row whose residual exceeds its target or
     is NaN, or whose target overflowed (it would pass any residual; the error then has none).
 
-    Both are norms of :func:`gamehodge.game._root_squares`, so a tiny row's
-    residual and target do not both vanish, and a target is inf only when
-    the norm of its right-hand side exceeds the float maximum.
+    Both are row norms of :func:`gamehodge.game._root_squares`, one per
+    right-hand side, so a tiny row's residual and target do not both
+    vanish, and a target is inf only when the norm of its right-hand side
+    exceeds the float maximum.
     """
     missed = ~(residual <= target) | np.isinf(target)
     if missed.any():

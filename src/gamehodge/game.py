@@ -37,6 +37,8 @@ def profile_index(profile: Sequence[int], strategy_counts: Sequence[int]) -> int
     """Map a strategy profile to its flat index (last player fastest).
 
     ``idx = ((p_1*h_2 + p_2)*h_3 + ...)``; inverse of :func:`profile_of_index`.
+    A coordinate that is not an ``int`` or numpy integer, 1.0 included, or
+    that is out of range raises ``IndexError``.
     """
     if len(profile) != len(strategy_counts):
         raise ShapeError(
@@ -44,6 +46,8 @@ def profile_index(profile: Sequence[int], strategy_counts: Sequence[int]) -> int
         )
     idx = 0
     for p, h in zip(profile, strategy_counts):
+        if not isinstance(p, (int, np.integer)):
+            raise IndexError(f"strategy index {p!r} is not an integer")
         if not 0 <= p < h:
             raise IndexError(f"strategy index {p} out of range [0, {h})")
         idx = idx * h + p
@@ -286,34 +290,27 @@ def _payoff_scale(u: np.ndarray) -> float:
 _TINY = 2.0**-900  # a smaller sum of squares may have lost digits to underflow
 
 
-def _root_squares(a: np.ndarray, weights: Sequence[float] | None = None):
+def _root_squares(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of ``a`` along its last axis; the package's one norm.
 
-    With ``weights``, one per row of a 2-d ``a`` (a game's strategy counts),
-    it is instead the one float ``sqrt(sum_m weights[m] ||a[m]||^2)``.  The
-    squares are summed as they are; a sum that may have underflowed (below
-    ``_TINY``) or overflowed is summed again over its rows scaled by the
-    power of two of their largest entry, which is exact (Blue 1978, ACM
-    TOMS 4), and the root scaled back.  So a norm is 0 only for a zero row
-    and inf only when the norm itself overflows.
+    A game's norm combines its players' row norms
+    (``gamehodge.decompose._game_norm``), so no sum here is weighted.  The
+    squares are summed as they are; a row whose sum may have underflowed
+    (below ``_TINY``) or overflowed is summed again scaled by the power of
+    two of its largest entry, which is exact (Blue 1978, ACM TOMS 4), and
+    its root scaled back.  So a norm is 0 only for a zero row and inf only
+    when the norm itself overflows.  A norm below 2^-1022 comes only from
+    subnormal entries and may have lost bits with them.
     """
-    total = _sum_squares(a, weights)
-    sums = total.ravel().tolist() if total.ndim else [float(total)]  # cheaper than numpy here
-    if (_TINY <= min(sums) and max(sums) < math.inf) or not a.any():  # zero rows: norms 0
-        return np.sqrt(total) if weights is None else math.sqrt(total)
-    e = np.frexp(np.abs(a).max(axis=-1 if weights is None else None, keepdims=True))[1]
-    rescued = np.ldexp(np.sqrt(_sum_squares(np.ldexp(a, -e), weights)), e.reshape(total.shape))
-    root = np.where(~(total >= _TINY) | (total == math.inf), rescued, np.sqrt(total))
-    return root if weights is None else float(root)
-
-
-def _sum_squares(a: np.ndarray, weights: Sequence[float] | None) -> np.ndarray:
-    """The sums of squares under :func:`_root_squares`, one per row or one weighted in all."""
-    if weights is not None:
-        return np.einsum("m,mi,mi->", np.asarray(weights, dtype=float), a, a)
-    # one row by the BLAS dot, as the decomposition's residual norm always was: vdot,
-    # for unlike ``a @ a`` it does not warn of the overflow that the caller rescues
-    return np.vdot(a, a) if a.ndim == 1 else np.einsum("...i,...i->...", a, a)
+    total = np.einsum("...i,...i->...", a, a)
+    sums = total.ravel().tolist()  # cheaper than numpy here
+    if not sums or (_TINY <= min(sums) and max(sums) < math.inf) or not a.any():
+        return np.sqrt(total)  # no rows, or zero rows with norms 0
+    e = np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1]
+    scaled = np.ldexp(a, -e)
+    with np.errstate(over="ignore"):  # a norm past the float maximum is inf
+        rescued = np.ldexp(np.sqrt(np.einsum("...i,...i->...", scaled, scaled)), e[..., 0])
+    return np.where(~(total >= _TINY) | (total == math.inf), rescued, np.sqrt(total))
 
 
 def is_normalized(game: Game, tol: float = 1e-9) -> bool:

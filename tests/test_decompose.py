@@ -7,6 +7,7 @@ import pickle
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,6 +227,13 @@ class TestOverflowingNorms:
         with pytest.raises(NumericError) as exc:
             decompose(g)
         assert str(exc.value) == message
+
+    # a norm past the float maximum is inf, and the rescue that finds it
+    # warns of nothing (warnings are errors here, pyproject.toml)
+    def test_norm_past_the_float_maximum_is_inf(self):
+        g = Game(np.full((2, 4), 1e308), (2, 2))
+        assert game_norm(g) == math.inf
+        assert game_distance(g, g.with_utilities(np.zeros((2, 4)))) == math.inf
 
     # the control: where the squares do not overflow every answer is the one
     # at scale 1 too
@@ -813,6 +821,22 @@ class TestMetric:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             game_distance(matching_pennies(), road_sharing())
+
+    # against sum_m h_m ||u^m||^2 in rationals: the norm's relative error is
+    # |r - 1| / (1 + sqrt(r)) for r = norm^2 / exact.  At 2^-600 and 2^600
+    # every square under- or overflows and the rows are summed again
+    # scaled; the inner product is then outside the float range, so it is
+    # checked at scale 1
+    @pytest.mark.parametrize("counts", [(2,) * 10, (64, 64)], ids=_shape_id)
+    def test_norm_and_inner_match_the_exact_value(self, counts):
+        u = random_game(np.random.default_rng(0), counts).utilities
+        exact = sum(h * sum(Fraction(x) ** 2 for x in row.tolist()) for h, row in zip(counts, u))
+        bound = 6 * np.finfo(float).eps
+        for k in (0, -600, 600):
+            r = (Fraction(game_norm(Game(np.ldexp(u, k), counts))) / 2**k) ** 2 / exact
+            assert abs(float(r - 1)) / (1 + math.sqrt(r)) <= bound, k
+        g = Game(u, counts)
+        assert abs(float(Fraction(game_inner(g, g)) / exact - 1)) <= bound
 
 
 class TestDecompositionStructure:

@@ -599,6 +599,12 @@ class TestNodeOperatorShapes:
         with pytest.raises(ShapeError, match="4 entries on their last axis"):
             self.ENTRY_POINTS[name]((2, 2), np.zeros(5))
 
+    # a batch of no rows gives no rows back
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_empty_batch_gives_an_empty_array(self, name):
+        got = self.ENTRY_POINTS[name]((3, 3), np.zeros((0, 9)))
+        assert got.shape == (0, 9)
+
 
 class TestLaplacianSolve:
     def test_zero_rhs(self):

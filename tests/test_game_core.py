@@ -6,10 +6,13 @@ import pytest
 
 import gamehodge.game
 from gamehodge import (
+    EdgeFlow,
     Game,
     GameFormatError,
     NumericError,
     ShapeError,
+    TriangleFlow,
+    build_graph,
     game_from_dict,
     game_to_dict,
     is_normalized,
@@ -74,6 +77,20 @@ class TestProfileIndexing:
             profile_index((0, -1), (2, 2))
         with pytest.raises(IndexError):
             profile_of_index(4, (2, 2))
+
+    # a coordinate is an int or a numpy integer, never a float, 1.0 included;
+    # every reader of a profile refuses one with the same IndexError
+    @pytest.mark.parametrize("bad", [1.5, 0.5, 1.0, np.float64(1.0)], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda bad: profile_index((bad, 0), (2, 2)),
+        lambda bad: build_graph((2, 2)).node_index((0, bad)),
+        lambda bad: battle_of_sexes().utility(0, (bad, 0)),
+        lambda bad: EdgeFlow(build_graph((2, 2)), np.ones(4)).value((bad, 0), (0, 0)),
+        lambda bad: TriangleFlow(build_graph((3,)), np.ones(1)).value((bad,), (1,), (2,)),
+    ], ids=["profile_index", "node_index", "utility", "edge-value", "triangle-value"])
+    def test_non_integer_coordinates_raise_index_error(self, call, bad):
+        with pytest.raises(IndexError, match="is not an integer"):
+            call(bad)
 
 
 class TestUtility:
