@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from .decompose import (
     _decomposition_document,
+    _norms,
     _spread,
     closest_harmonic,
     closest_potential,
     decompose,
-    game_distance,
     game_norm,
 )
 from .equilibria import (
@@ -115,9 +115,8 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    game = load_game(args.input)
-    target = closest_potential(game) if args.to == "potential" else closest_harmonic(game)
-    alpha = game_distance(game, target)
+    pot, harm, _ = _norms(load_game(args.input))  # the norms of the parts each projection drops
+    alpha = harm if args.to == "potential" else pot
     if args.out:
         _emit({"to": args.to, "distance": alpha}, args.out)
     else:
@@ -199,9 +198,8 @@ def cmd_verify(args) -> int:
 
     # decomposition structure
     d = decompose(game)
-    u_pot, u_harm, u_non = (
-        p.utilities for p in (d.potential_part, d.harmonic_part, d.nonstrategic_part)
-    )
+    parts = (d.potential_part, d.harmonic_part, d.nonstrategic_part)
+    u_pot, u_harm, u_non = (p.utilities for p in parts)
     check("reconstruction", float(np.abs(u - (u_pot + u_harm + u_non)).max()), 1, scale)
     gradient_gap = _spread(counts, u_pot - d.potential_fn)
     check("potential-flow-is-gradient", gradient_gap, 1, scale)
@@ -211,7 +209,6 @@ def cmd_verify(args) -> int:
     check("components-normalized", block_sums(d.potential_part, d.harmonic_part), h_max, scale)
     # the parts' norms over the game's, whose squares sum to 1: no norm is squared
     whole = game_norm(game)
-    parts = (d.potential_part, d.harmonic_part, d.nonstrategic_part)
     pythagoras = abs(1.0 - sum((game_norm(p) / whole) ** 2 for p in parts)) if whole else 0.0
     check("orthogonality-pythagoras", pythagoras, h_sum, 1.0)
 

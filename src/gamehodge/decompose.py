@@ -24,30 +24,32 @@ projections read; :func:`decompose` hands out the ``Game`` objects and
 residuals kept beside them, and :mod:`gamehodge.subspaces` calls the kernel
 directly.
 
-Each (immutable) ``Game`` keeps its own kernel run: the first public call
-on a game object stores a memo on it (``Game._decomposition``), and every
-later call on that object, whatever games were analysed in between, reads
-the memo.  The memo is the tuple ``(parts, part games, norms,
-divergence)``: the parts are read-only views of read-only arrays; the part
-games wrap ``u_P``, ``u_H`` and ``u_N`` without a copy, after one shape and
-finiteness check each, and are built by the first :func:`decompose` of the
-game, so the membership tests and projections never pay for them; the
-norms are those of ``u_P``, ``u_H`` and ``u`` (``NumericError`` if one
-overflows), so the membership tests compute no norm; and the divergence is
-the largest entry and the 2-norm of the kernel's residual row (below).
-Every norm here, and in the solve's check, combines row norms of
-``gamehodge.game._root_squares``, which sums a row's squares again scaled
-by a power of two when they under- or overflow; a game's norm is the
-hypotenuse of its players' row norms, each times ``sqrt(h_m)``
-(``_game_norm``).  The answers scale with the payoffs over the whole
-exponent range, and a norm overflows only when it exceeds the float
-maximum.  So a repeated :func:`decompose` copies ``phi``
-and nothing else.  The memo lives exactly as long as its game: a game
-keeps about ``3 M n + n`` floats of parts while it lives, and frees them
-with itself.  The memo refers to no game but its own part games, which
-start with none of their own (``Game._sharing``), so it forms no reference
-cycle.  A copy or a pickle of a game carries no memo, and an equal game in
-another object is a miss.
+Each (immutable) ``Game`` keeps its own kernel run: the first public call on
+a game object stores a memo on it (``Game._decomposition``), and every later
+call on that object, whatever games were analysed in between, reads the
+memo.  The memo is the tuple ``(parts, part games, norms, divergence)``: the
+parts are read-only views of read-only arrays; the part games wrap ``u_P``,
+``u_H`` and ``u_N`` without a copy, after one shape and finiteness check
+each, and are built by the first :func:`decompose` of the game, so the
+membership tests and projections never pay for them; the norms are those of
+``u_P``, ``u_H`` and ``u`` (``NumericError`` if one overflows); and the
+divergence is the largest entry and the 2-norm of the kernel's residual row
+(below).  So a repeated :func:`decompose` copies ``phi`` and nothing else.
+The distance to the potential games is ``||u_H||`` and to the harmonic games
+``||u_P||``, the norm of the part each projection drops, so the membership
+tests, :func:`gamehodge.equilibria.epsilon_transfer_bound` and ``gamehodge
+distance`` read the kept norms and compute none.  Every norm here, and in
+the solve's check, combines row norms of ``gamehodge.game._root_squares``,
+which sums a row's squares again scaled by a power of two when they under-
+or overflow; a game's norm is the hypotenuse of its players' row norms, each
+times ``sqrt(h_m)`` (``_game_norm``).  The answers scale with the payoffs
+over the whole exponent range, and a norm overflows only when it exceeds the
+float maximum.  The memo lives exactly as long as its game: a game keeps
+about ``3 M n + n`` floats of parts while it lives, and frees them with
+itself.  The memo refers to no game but its own part games, which start with
+none of their own (``Game._sharing``), so it forms no reference cycle.  A
+copy or a pickle of a game carries no memo, and an equal game in another
+object is a miss.
 
 The membership tests (:func:`is_potential`, :func:`is_harmonic`,
 :func:`potential_function`) measure against the norm of the normalised game
@@ -262,7 +264,8 @@ def game_norm(game: Game) -> float:
 def game_distance(game: Game, other: Game) -> float:
     if game.strategy_counts != other.strategy_counts:
         raise ShapeError("games must share a shape")
-    return _game_norm(game.utilities - other.utilities, game.strategy_counts)
+    with np.errstate(over="ignore"):  # a difference past the float maximum has norm inf
+        return _game_norm(game.utilities - other.utilities, game.strategy_counts)
 
 
 def _game_norm(u: np.ndarray, counts: tuple[int, ...]) -> float:
@@ -326,12 +329,14 @@ def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
 
 
 def closest_potential(game: Game) -> Game:
-    """Orthogonal projection onto the potential games: drop the harmonic part."""
+    """Orthogonal projection onto the potential games: drop the harmonic part, whose
+    kept norm ``||u_H||`` is the distance to it, the number :func:`is_potential` reads."""
     return game._sharing(game.utilities - _parts(game)[2])
 
 
 def closest_harmonic(game: Game) -> Game:
-    """Orthogonal projection onto the harmonic games: drop the potential part."""
+    """Orthogonal projection onto the harmonic games: drop the potential part, whose
+    kept norm ``||u_P||`` is the distance to it, the number :func:`is_harmonic` reads."""
     return game._sharing(game.utilities - _parts(game)[1])
 
 

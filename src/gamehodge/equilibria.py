@@ -29,10 +29,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .decompose import _parts, _strategic_negligible, closest_potential, game_distance, is_harmonic
+from .decompose import _norms, _parts, _strategic_negligible, closest_potential, is_harmonic
 from .errors import PreconditionError, _check_size
 from .flows import _helmert_matrix
-from .game import Game, _check_player, _check_tol, _payoff_scale, is_normalized
+from .game import Game, _check_index, _check_tol, _payoff_scale, is_normalized
 from .subspaces import numeric_rank
 
 __all__ = [
@@ -102,14 +102,12 @@ def epsilon_equilibria(game: Game, eps: float) -> list[tuple[int, ...]]:
 def epsilon_transfer_bound(game: Game) -> tuple[Game, float]:
     """Closest potential game plus the epsilon at which its equilibria transfer.
 
-    With ``a`` the distance to the closest potential game, every pure Nash
-    equilibrium of that game is an ``eps``-equilibrium of the original for
-    ``eps = max_m 2 a / sqrt(h_m)``.
+    With ``a`` the distance to the closest potential game, the kept norm
+    ``||u_H||``, every pure Nash equilibrium of that game is an
+    ``eps``-equilibrium of the original for ``eps = max_m 2 a / sqrt(h_m) =
+    2 a / sqrt(min_m h_m)``.  A warm call computes no norm.
     """
-    pot = closest_potential(game)
-    alpha = game_distance(game, pot)
-    bound = max(2.0 * alpha / math.sqrt(h) for h in game.strategy_counts)
-    return pot, bound
+    return closest_potential(game), 2.0 * _norms(game)[1] / math.sqrt(min(game.strategy_counts))
 
 
 # -- mixed strategies ----------------------------------------------------------
@@ -162,7 +160,7 @@ def deviation_payoffs(game: Game, player: int, x) -> np.ndarray:
     PreconditionError unless ``x`` holds one vector of the right length per
     player; the vectors need not be probability distributions.
     """
-    _check_player(player, game.num_players)
+    _check_index(player, game.num_players, "player index")
     return _deviation(game, player, _mixed_vectors(game, x))
 
 
@@ -178,7 +176,7 @@ def _deviation(game: Game, player: int, x) -> np.ndarray:
 def mixed_utility(game: Game, player: int, x) -> float:
     """Expected payoff of ``player`` under a mixed strategy profile, checked as by
     :func:`deviation_payoffs`."""
-    _check_player(player, game.num_players)
+    _check_index(player, game.num_players, "player index")
     x = _mixed_vectors(game, x)
     return float(_deviation(game, player, x) @ x[player])
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NumericError, PreconditionError, ShapeError, _check_size
 from .game import (
-    _CHUNK, Game, _check_player, _check_tol, _checked_counts, _demean, _node_rows,
+    _CHUNK, Game, _check_index, _check_tol, _checked_counts, _demean, _node_rows,
     _root_squares, profile_index, project_player,
 )
 
@@ -103,7 +103,7 @@ class GameGraph:
 
     def player_slice(self, player: int) -> slice:
         """Range of edge ids belonging to one player's clique edges."""
-        _check_player(player, self.num_players)
+        _check_index(player, self.num_players, "player index")
         return self._player_slices[player]
 
     @property
@@ -131,9 +131,11 @@ class GameGraph:
         ``i // s % h`` and opponent index ``(i // (s*h))*s + i % s``; sorted
         own strategies ``c_0 < ... < c_{k-1}`` have lexicographic rank
         ``comb(h, k) - 1 - sum_x comb(h - 1 - c_x, k - x)``.  None when the
-        nodes are not one clique.
+        nodes are not one clique; ``IndexError`` for an id outside ``[0, n)``.
         """
         k, n = len(ids), self.num_nodes
+        for i in ids:
+            _check_index(i, n, "node id")
         offset, s = 0, n
         for h in self.strategy_counts:
             s //= h
@@ -248,14 +250,14 @@ class TriangleFlow:
 
 
 def _alternating(flow: EdgeFlow | TriangleFlow, nodes) -> float:
-    """``flow`` at ``nodes`` (ids or profiles): the value at the clique's position, stored
-    for sorted order, negated per inversion of ``nodes``; zero unless they are one clique."""
+    """``flow`` at ``nodes`` (ids, which are numbers, or profiles): the value at the clique's
+    position, stored for sorted order, negated per inversion; zero unless they are one clique."""
     graph = flow.graph
-    ids = [int(x) if isinstance(x, (int, np.integer)) else graph.node_index(x) for x in nodes]
+    ids = [x if isinstance(x, (int, float, np.number)) else graph.node_index(x) for x in nodes]
     c = graph.clique_index(ids)
     if c is None:
         return 0.0
-    return (-1) ** sum(a > b for a, b in combinations(ids, 2)) * float(flow.values[c])
+    return float((-1) ** sum(a > b for a, b in combinations(ids, 2)) * flow.values[c])
 
 
 # -- flows from games and node functions ------------------------------------

@@ -46,12 +46,17 @@ def profile_index(profile: Sequence[int], strategy_counts: Sequence[int]) -> int
         )
     idx = 0
     for p, h in zip(profile, strategy_counts):
-        if not isinstance(p, (int, np.integer)):
-            raise IndexError(f"strategy index {p!r} is not an integer")
-        if not 0 <= p < h:
-            raise IndexError(f"strategy index {p} out of range [0, {h})")
+        _check_index(p, h, "strategy index")
         idx = idx * h + p
     return idx
+
+
+def _check_index(i, size: int, what: str) -> None:
+    """``IndexError`` for an ``i`` that is not an ``int`` or numpy integer in ``[0, size)``."""
+    if not isinstance(i, (int, np.integer)):
+        raise IndexError(f"{what} {i!r} is not an integer")
+    if not 0 <= i < size:
+        raise IndexError(f"{what} {i} out of range [0, {size})")
 
 
 def profile_of_index(index: int, strategy_counts: Sequence[int]) -> tuple[int, ...]:
@@ -146,12 +151,12 @@ class Game:
 
     def tensor(self, player: int) -> np.ndarray:
         """Payoff tensor of one player, shape ``(h_1, ..., h_M)`` (read-only view)."""
-        _check_player(player, self.num_players)
+        _check_index(player, self.num_players, "player index")
         return self.utilities[player].reshape(self.strategy_counts)
 
     def utility(self, player: int, profile: Sequence[int]) -> float:
         """Payoff of ``player`` at a pure strategy profile."""
-        _check_player(player, self.num_players)
+        _check_index(player, self.num_players, "player index")
         return float(self.utilities[player, profile_index(profile, self.strategy_counts)])
 
     def profiles(self) -> Iterable[tuple[int, ...]]:
@@ -188,12 +193,6 @@ class Game:
 
     def __repr__(self) -> str:
         return f"Game(players={self.num_players}, strategies={self.strategy_counts})"
-
-
-def _check_player(player: int, num_players: int) -> None:
-    """Refuse a player index outside ``[0, num_players)``; -1 does not mean the last player."""
-    if not 0 <= player < num_players:
-        raise IndexError(f"player index {player} out of range [0, {num_players})")
 
 
 def _checked_counts(strategy_counts: Iterable[int]) -> tuple[int, ...]:
@@ -247,11 +246,11 @@ def project_player(strategy_counts: Sequence[int], player: int, u) -> np.ndarray
     ``u`` holds the ``prod(strategy_counts)`` profiles; leading axes are a
     batch, projected row by row.  It checks the counts, the player and the
     shape of ``u``, then runs :func:`_demean`, the package's one demeaning
-    routine, which the decomposition kernel, the Laplacian solve and the
-    subspace table call directly on arrays they have already checked.
+    routine, which :func:`normalize`, the decomposition kernel, the Laplacian
+    solve and the subspace table call directly on arrays already checked.
     """
     counts = _checked_counts(strategy_counts)
-    _check_player(player, len(counts))
+    _check_index(player, len(counts), "player index")
     return _demean(counts, player, _node_rows(counts, u))
 
 
@@ -266,14 +265,12 @@ def _demean(counts: tuple[int, ...], player: int, u: np.ndarray) -> np.ndarray:
 def normalize(game: Game) -> Game:
     """Unique strategically equivalent game whose own-strategy sums vanish.
 
-    Each player's payoffs go through :func:`project_player`, so the output
-    satisfies ``sum_{p^m} u^m(p^m, p^{-m}) = 0`` while all pairwise payoff
-    differences are preserved exactly.
+    Each player's payoffs go through :func:`project_player`'s unchecked core,
+    so the output satisfies ``sum_{p^m} u^m(p^m, p^{-m}) = 0`` while all
+    pairwise payoff differences are preserved exactly.
     """
     counts = game.strategy_counts
-    return game._sharing(
-        np.stack([project_player(counts, m, u) for m, u in enumerate(game.utilities)])
-    )
+    return game._sharing(np.stack([_demean(counts, m, u) for m, u in enumerate(game.utilities)]))
 
 
 def _check_tol(tol: float) -> None:

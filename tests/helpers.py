@@ -123,6 +123,17 @@ def assert_flow_equals(flow, directed_values, tol=1e-9):
             assert abs(flow.values[e]) <= tol, (e, flow.values[e])
 
 
+def refuse_calls(monkeypatch, modules, *names):
+    """Make each of ``names`` in each of ``modules`` fail the test when it is called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("refused call")
+
+    for module in modules:
+        for name in names:
+            monkeypatch.setattr(module, name, refuse, raising=False)
+
+
 def reconstruction_error(game, d):
     """Largest entry of ``u - (u_P + u_H + u_N)`` over a decomposition's parts."""
     parts = d.potential_part.utilities + d.harmonic_part.utilities + d.nonstrategic_part.utilities

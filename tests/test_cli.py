@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 import gamehodge.cli
 import gamehodge.equilibria
 import gamehodge.flows
+import gamehodge.game
 from gamehodge import (
     Game,
     build_graph,
@@ -21,10 +23,11 @@ from gamehodge import (
     decomposition_to_dict,
     equilibrium_report,
     flow_to_dot,
-    game_distance,
     game_from_dict,
+    game_norm,
     game_to_dict,
     is_potential,
+    load_game,
     pairwise_comparison,
     pareto_align_transform,
     pareto_optimal,
@@ -40,10 +43,14 @@ from gamehodge.catalog import (
     matching_pennies,
     road_sharing,
 )
-from gamehodge.cli import main
+from gamehodge.cli import _fmt, main
 from helpers import (
-    awkward_game, dot_node_labels, overflowing_game, random_game, slowest_mode_potential,
+    awkward_game, dot_node_labels, overflowing_game, random_game, refuse_calls,
+    slowest_mode_potential,
 )
+
+# the package attribute ``gamehodge.decompose`` is the function
+decompose_module = importlib.import_module("gamehodge.decompose")
 
 
 @pytest.fixture
@@ -409,6 +416,22 @@ class TestDistanceCommand:
         assert main(["distance", path, "--to", "potential"]) == 0
         assert float(capsys.readouterr().out) <= 1e-9
 
+    # the distance to a class is the kept norm of the part its projection
+    # drops: on a game whose memo is filled, the command computes no norm
+    # and builds no projection
+    @pytest.mark.parametrize("to", ["potential", "harmonic"])
+    def test_prints_the_kept_norm(self, game_file, capsys, monkeypatch, to):
+        path = game_file(random_game(np.random.default_rng(53), (3, 4)), "g.json")
+        game = load_game(path)
+        pot, harm, _ = decompose_module._norms(game)
+        monkeypatch.setattr(gamehodge.cli, "load_game", lambda p: game)
+        refuse_calls(
+            monkeypatch, [gamehodge.cli, decompose_module, gamehodge.flows, gamehodge.game],
+            "_root_squares", "game_distance", "closest_potential", "closest_harmonic",
+        )
+        assert main(["distance", path, "--to", to]) == 0
+        assert capsys.readouterr().out == _fmt(harm if to == "potential" else pot) + "\n"
+
 
 class TestDimsCommand:
     def test_text_line(self, capsys):
@@ -759,8 +782,10 @@ class TestJsonDocuments:
         g = FORMAT_GAMES[name]
         out = tmp_path / "distance.json"
         assert main(["distance", game_file(g, "g.json"), "--to", to, "--out", str(out)]) == 0
-        target = closest_potential(g) if to == "potential" else closest_harmonic(g)
-        want = _rounded({"to": to, "distance": game_distance(g, target)})
+        # the distance to a class is the norm of the part its projection drops
+        d = decompose(g)
+        dropped = d.harmonic_part if to == "potential" else d.potential_part
+        want = _rounded({"to": to, "distance": game_norm(dropped)})
         assert out.read_text() == json.dumps(want, indent=2) + "\n"
 
     @pytest.mark.parametrize("counts", [(2, 2), (3,), (2, 3, 4), (1, 5)])

@@ -52,6 +52,7 @@ from gamehodge.catalog import (
     road_sharing,
 )
 from gamehodge.cli import main
+from exact import exact_parts, norm_squared, relative_error
 from helpers import (
     ROAD_HARMONIC_FLOWS,
     ROAD_POTENTIAL_FLOWS,
@@ -61,6 +62,7 @@ from helpers import (
     overflowing_game,
     random_game,
     reconstruction_error,
+    refuse_calls,
     rps_harmonic,
     rps_nonstrategic,
     rps_potential,
@@ -70,6 +72,7 @@ from helpers import (
 # the package attribute ``gamehodge.decompose`` is the function
 decompose_module = importlib.import_module("gamehodge.decompose")
 equilibria_module = importlib.import_module("gamehodge.equilibria")
+game_module = importlib.import_module("gamehodge.game")
 
 RPS_PARAMS = [(1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (2.0, 1.0, 3.0)]
 
@@ -234,6 +237,8 @@ class TestOverflowingNorms:
         g = Game(np.full((2, 4), 1e308), (2, 2))
         assert game_norm(g) == math.inf
         assert game_distance(g, g.with_utilities(np.zeros((2, 4)))) == math.inf
+        # the difference itself overflows, and still warns of nothing
+        assert game_distance(g, g.with_utilities(-g.utilities)) == math.inf
 
     # the control: where the squares do not overflow every answer is the one
     # at scale 1 too
@@ -510,7 +515,7 @@ class TestPredicatesReadTheKernel:
         want_pot = game_norm(d.harmonic_part) <= tol * strategic or trivial
         want_harm = game_norm(d.potential_part) <= tol * strategic or trivial
         want_phi = d.potential_fn if mismatch <= tol * strategic or trivial else None
-        alpha = game_norm(g.with_utilities(g.utilities - potential.utilities))
+        alpha = game_norm(d.harmonic_part)  # the norm of the part closest_potential drops
         want_eps = max(2.0 * alpha / math.sqrt(h) for h in g.strategy_counts)
 
         def refuse(*args, **kwargs):
@@ -530,6 +535,85 @@ class TestPredicatesReadTheKernel:
         assert (report["correlated_dim"] is not None) == want_harm
         monkeypatch.setattr(equilibria_module, "is_harmonic", lambda game, tol: want_harm)
         assert report == equilibrium_report(g, tol=tol)
+
+
+class TestTransferEpsilonReadsTheKeptNorm:
+    """``epsilon_transfer_bound`` reads ``a = ||u_H||`` off the game's memo."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_GAMES))
+    def test_a_warm_call_computes_no_norm(self, name, monkeypatch):
+        g = _fresh(KERNEL_GAMES[name])
+        harmonic = decompose(g).harmonic_part
+        want_pot = g.utilities - harmonic.utilities
+        want_eps = max(2.0 * game_norm(harmonic) / math.sqrt(h) for h in g.strategy_counts)
+        refuse_calls(
+            monkeypatch, [decompose_module, equilibria_module, flows, game_module],
+            "_root_squares", "game_distance",
+        )
+        pot, eps = epsilon_transfer_bound(g)
+        assert np.array_equal(pot.utilities, want_pot)
+        assert eps == want_eps
+        assert eps == 2 * decompose_module._norms(g)[1] / math.sqrt(min(g.strategy_counts))
+
+
+def _integer_game(rng, counts):
+    """Integer payoffs in [-10^6, 10^6)."""
+    return Game(rng.integers(-(10**6), 10**6, (len(counts), math.prod(counts))).astype(float), counts)
+
+
+def _near_potential_game(rng, counts):
+    """An integer potential game, ``phi`` plus a nonstrategic part, plus integer noise in [-3, 3]."""
+    phi = rng.integers(-(10**6), 10**6, counts)
+    rows = []
+    for m in range(len(counts)):
+        others = rng.integers(-(10**6), 10**6, counts[:m] + (1,) + counts[m + 1:])
+        rows.append((phi + others + rng.integers(-3, 4, counts)).ravel())
+    return Game(np.array(rows, dtype=float), counts)
+
+
+def _distance_errors(make, shapes):
+    """Worst relative errors, in units of eps, of ``(||u_P||, ||u_H||)`` as kept and as
+    ``game_distance(g, closest_*(g))``, against exact parts, at scales 1, 2^-600 and 2^600."""
+    kept, path = [0.0, 0.0], [0.0, 0.0]
+    for counts in shapes:
+        for seed in range(5):
+            g = make(np.random.default_rng([seed, *counts]), counts)
+            _, u_pot, u_harm, _ = exact_parts(g)
+            exact = (norm_squared(counts, u_pot), norm_squared(counts, u_harm))
+            for k in (0, -600, 600):
+                gk = g.with_utilities(np.ldexp(g.utilities, k))
+                projected = (game_distance(gk, closest_harmonic(gk)), game_distance(gk, closest_potential(gk)))
+                for i in range(2):
+                    # scaling by 2^-k is exact: every distance here is a normal float
+                    err = relative_error(math.ldexp(decompose_module._norms(gk)[i], -k), exact[i])
+                    kept[i] = max(kept[i], err / np.finfo(float).eps)
+                    err = relative_error(math.ldexp(projected[i], -k), exact[i])
+                    path[i] = max(path[i], err / np.finfo(float).eps)
+    return kept, path
+
+
+class TestDistancesAgainstExactParts:
+    """The kept norms against the exact rational parts of ``tests/exact.py``."""
+
+    def test_the_oracle_splits_exactly(self):
+        counts = (2, 3, 4)
+        g = _integer_game(np.random.default_rng(90), counts)
+        phi, u_pot, u_harm, u_non = exact_parts(g)
+        assert all(x == Fraction(y) for x, y in zip((u_pot + u_harm + u_non).ravel(), g.utilities.ravel()))
+        # the harmonic flow is divergence-free: sum_m h_m u_H^m = 0
+        assert not any(sum(h * row for h, row in zip(counts, u_harm)))
+        assert np.abs(phi.astype(float) - decompose(g).potential_fn).max() <= 1e-9 * 10**6
+
+    # measured worst: 1.6 eps for both ways
+    def test_random_games_within_4_eps(self):
+        kept, _ = _distance_errors(_integer_game, [(3, 3), (4, 5), (2, 3, 4), (3, 3, 3)])
+        assert max(kept) <= 4, kept
+
+    # ||u_H|| is small beside ||u||, so its relative error is large; measured
+    # worst: 4.0e4 eps kept against 8.4e4 eps through game_distance
+    def test_near_potential_games_no_worse_than_the_projection_distance(self):
+        kept, path = _distance_errors(_near_potential_game, [(3, 3), (4, 5), (2, 3, 4)])
+        assert kept[1] <= path[1], (kept, path)
 
 
 def _fresh(g):

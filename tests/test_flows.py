@@ -185,6 +185,24 @@ class TestCliqueIndex:
             TriangleFlow(g, np.zeros(g.num_triangles + 1))
 
 
+class TestNodeIdRange:
+    # an id outside [0, n) raises, as an out-of-range profile coordinate
+    # does: its arithmetic would land on another clique or past the values
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 3)], ids=str)
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["-1", "n", "n+1"])
+    @pytest.mark.parametrize("call", [
+        lambda g, i: g.clique_index((i, 0)),
+        lambda g, i: g.edge_id(0, i),
+        lambda g, i: EdgeFlow(g, np.ones(g.num_edges)).value(i, 1),
+        lambda g, i: TriangleFlow(g, np.ones(g.num_triangles)).value(1, 2, i),
+    ], ids=["clique_index", "edge_id", "edge-value", "triangle-value"])
+    def test_node_ids_out_of_range_raise_index_error(self, counts, offset, call):
+        g = build_graph(counts)
+        bad = -1 if offset < 0 else g.num_nodes + offset
+        with pytest.raises(IndexError, match="out of range"):
+            call(g, bad)
+
+
 class TestPairwiseComparison:
     def test_battle_of_sexes_matches_flow_diagram(self):
         x = pairwise_comparison(battle_of_sexes())

@@ -87,7 +87,12 @@ class TestProfileIndexing:
         lambda bad: battle_of_sexes().utility(0, (bad, 0)),
         lambda bad: EdgeFlow(build_graph((2, 2)), np.ones(4)).value((bad, 0), (0, 0)),
         lambda bad: TriangleFlow(build_graph((3,)), np.ones(1)).value((bad,), (1,), (2,)),
-    ], ids=["profile_index", "node_index", "utility", "edge-value", "triangle-value"])
+        # a number is a node id, so a float one is refused the same way
+        lambda bad: EdgeFlow(build_graph((2, 2)), np.ones(4)).value(bad, 0),
+        lambda bad: TriangleFlow(build_graph((3,)), np.ones(1)).value(0, bad, 2),
+        lambda bad: build_graph((2, 2)).clique_index((bad, 0)),
+    ], ids=["profile_index", "node_index", "utility", "edge-value", "triangle-value",
+            "edge-value-id", "triangle-value-id", "clique_index"])
     def test_non_integer_coordinates_raise_index_error(self, call, bad):
         with pytest.raises(IndexError, match="is not an integer"):
             call(bad)
