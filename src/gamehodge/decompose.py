@@ -27,14 +27,14 @@ directly.
 Each (immutable) ``Game`` keeps its own kernel run: the first public call on
 a game object stores a memo on it (``Game._decomposition``), and every later
 call on that object, whatever games were analysed in between, reads the
-memo.  The memo is the tuple ``(parts, part games, norms, divergence)``: the
+memo.  The memo is the tuple ``(parts, part games, norms, residuals)``: the
 parts are read-only views of read-only arrays; the part games wrap ``u_P``,
 ``u_H`` and ``u_N`` without a copy, after one shape and finiteness check
 each, and are built by the first :func:`decompose` of the game, so the
 membership tests and projections never pay for them; the norms are those of
 ``u_P``, ``u_H`` and ``u`` (``NumericError`` if one overflows); and the
-divergence is the largest entry and the 2-norm of the kernel's residual row
-(below).  So a repeated :func:`decompose` copies ``phi`` and nothing else.
+residuals are the two diagnostics below.  So a repeated :func:`decompose`
+copies ``phi`` and nothing else.
 The distance to the potential games is ``||u_H||`` and to the harmonic games
 ``||u_P||``, the norm of the part each projection drops, so the membership
 tests, :func:`gamehodge.equilibria.epsilon_transfer_bound` and ``gamehodge
@@ -57,25 +57,11 @@ The membership tests (:func:`is_potential`, :func:`is_harmonic`,
 nonstrategic part is added; a game with no strategic part is both potential
 and harmonic.  Each raises ``ValueError`` unless ``tol >= 0``.
 
-The residual diagnostics are read off the row that the solve checks and
-returns: ``r = b - Laplacian(phi)`` with the centred right-hand side ``b``,
-plus the rounding-level mean that centring dropped.  That row is
-``sum_m h_m P_m u^m - sum_m h_m u_P^m``, which in exact arithmetic is
-``sum_m h_m u_H^m``, the divergence of the harmonic flow, because
-``P_m u_H^m = u_H^m``:
-
-* ``harmonic_divergence`` is the row's largest entry;
-* ``solver`` is its 2-norm: the solve's residual ``||b - Laplacian(phi)||``
-  for the uncentred ``b``.
-
-The row leaves out the rounding of the last subtraction ``u_H = P u - u_P``
-and of summing ``sum_m h_m u_H^m`` again.  On a random game that rounding is
-about the row's own size: the row's largest entry is 0.8-1.3 times that of
-the direct sum on random games from 3x3 to 2^12.  On a harmonic game it
-dominates, because the solve takes b's rounding into ``u_P`` and the row is
-b's dropped mean alone: on the harmonic part of a random 20x20 game the row
-reads 2e-17 to 3e-16 at its largest, the direct sum about 3e-15, and the
-centred residual that the kernel checks about 4e-29.
+Each residual diagnostic is computed from the thing it names:
+``harmonic_divergence`` is ``max |sum_m h_m u_H^m|`` of the returned
+harmonic part, the divergence of its flow and the number ``gamehodge
+verify`` checks; ``solver`` is the centred residual ``||b_c -
+Laplacian(phi)||`` that the solve checked.
 
 ``u = u_P + u_H + u_N`` holds by construction (``u_N = u - P u`` and
 ``u_H = P u - u_P``), to the rounding of one subtraction, so it is not
@@ -117,11 +103,9 @@ class Decomposition:
 
     ``potential_part + harmonic_part + nonstrategic_part`` reconstructs the
     input; ``potential_fn`` is the mean-zero scalar potential of the
-    potential part; ``residuals`` holds two numeric diagnostics read off
-    the kernel's residual row: ``harmonic_divergence``, the largest entry of
-    the harmonic flow's divergence ``sum_m h_m u_H^m`` but for the rounding
-    of forming ``u_H``, and ``solver``, the 2-norm of the Laplacian solve's
-    residual (see the module docstring).  The three parts hold the kernel's
+    potential part; ``residuals`` holds ``harmonic_divergence``, ``max
+    |sum_m h_m u_H^m|`` of the harmonic part, and ``solver``, the residual
+    that the Laplacian solve checked.  The three parts hold the kernel's
     read-only arrays, shared with every later call on the same game object.
     """
 
@@ -134,13 +118,11 @@ class Decomposition:
 
 def decompose(game: Game) -> Decomposition:
     """Split a game into its potential, harmonic and nonstrategic parts."""
-    (phi, *arrays), wrapped, _, (divergence, solver) = _cached(game)
+    (phi, *arrays), wrapped, _, residuals = _cached(game)
     if wrapped[0] is None:
         # one assignment: threads that race here store equal games
         wrapped[0] = tuple(game._sharing(a) for a in arrays)
-    return Decomposition(
-        *wrapped[0], phi.copy(), {"harmonic_divergence": divergence, "solver": solver}
-    )
+    return Decomposition(*wrapped[0], phi.copy(), dict(residuals))
 
 
 def _parts(game: Game):
@@ -158,7 +140,7 @@ def _norms(game: Game) -> tuple[float, float, float]:
 
 
 def _cached(game: Game):
-    """The memo of ``game``: ``(parts, [part games or None], norms, divergence)``.
+    """The memo of ``game``: ``(parts, [part games or None], norms, residuals)``.
 
     The first call on a game runs the kernel and stores the memo on the game
     (``Game._decomposition``), so it lives exactly as long as the game.  A
@@ -172,16 +154,16 @@ def _cached(game: Game):
     # an overflow surfaces as the solve's or the norms' NumericError, not as
     # a RuntimeWarning first
     with np.errstate(over="ignore", invalid="ignore"):
-        *batch, row = _decompose_batch(counts, game.utilities[None])
+        *batch, residual = _decompose_batch(counts, game.utilities[None])
         for a in batch:
             a.flags.writeable = False
         parts = tuple(a[0] for a in batch)
         norms = tuple(_game_norm(a, counts) for a in (parts[1], parts[2], game.utilities))
-    if not all(map(math.isfinite, norms)):
+        divergence = float(np.abs(np.asarray(counts, dtype=float) @ parts[2]).max())
+    if not all(map(math.isfinite, norms + (divergence,))):
         raise NumericError("the game norm overflowed: the payoffs are too large to decompose")
-    row = row[0]
-    divergence = (float(max(row.max(), -row.min())), float(_root_squares(row)))
-    memo = game._decomposition = (parts, [None], norms, divergence)
+    residuals = {"harmonic_divergence": divergence, "solver": float(residual[0])}
+    memo = game._decomposition = (parts, [None], norms, residuals)
     return memo
 
 
@@ -189,19 +171,18 @@ def _decompose_batch(counts: tuple[int, ...], u: np.ndarray):
     """Decompose K games of one shape at once: the maths of :func:`decompose`.
 
     ``u`` has shape (K, M, n), one payoff row per player of each game.
-    Returns ``(phi, u_P, u_H, u_N, r)``: the potentials and residual rows,
-    shape (K, n), and the three parts, each (K, M, n).  The checked solve
-    (:class:`NumericError`) returns ``u_P^m = P_m phi`` with ``r = b -
-    Laplacian(phi)``, the divergence of each u_H but for the rounding of
-    forming it (module docstring).
+    Returns ``(phi, u_P, u_H, u_N, residual)``: the potentials, shape
+    (K, n), the three parts, each (K, M, n), and the norms, shape (K,), that
+    the checked solve (:class:`NumericError`) held to its tolerance; the
+    solve returns ``u_P^m = P_m phi`` with them.
     """
     proj = np.empty_like(u)
     for m in range(len(counts)):
         proj[:, m] = _demean(counts, m, u[:, m])
     u_non = u - proj
-    phi, u_pot, r = _solve(counts, np.asarray(counts, dtype=float) @ proj)
+    phi, u_pot, residual = _solve(counts, np.asarray(counts, dtype=float) @ proj)
     proj -= u_pot
-    return phi, u_pot, proj, u_non, r
+    return phi, u_pot, proj, u_non, residual
 
 
 def _spread(counts: tuple[int, ...], rows: np.ndarray) -> float:

@@ -423,9 +423,10 @@ def _null_basis(a: np.ndarray, rank: int) -> np.ndarray:
     The rest of the null space is taken inside the complement of the ones:
     the last ``h - 1 - rank`` right singular vectors of ``a`` restricted to
     rows 1..h-1 of the Helmert matrix (:func:`gamehodge.flows._helmert_matrix`),
-    an orthonormal basis of it; its row 0 is the ones row.
+    an orthonormal basis of it; its row 0 is the ones row.  The matrix is
+    built uncached: the transform's cache holds only the short axes.
     """
-    helmert = _helmert_matrix(a.shape[1])
+    helmert = _helmert_matrix.__wrapped__(a.shape[1])
     vt = np.linalg.svd(a @ helmert[1:].T)[2]
     return np.vstack([helmert[:1], vt[rank:] @ helmert[1:]])
 
@@ -513,9 +514,9 @@ def pareto_optimal(game: Game) -> list[tuple[int, ...]]:
     merged, p is dominated exactly when an earlier vector has u_m >= u_m(p)
     for m = 1..M-1:
 
-    - M = 1: every vector but the first is dominated;
-    - M = 2: a running maximum of u_1 reaches u_1(p) before p (the maxima
-      sweep of Kung, Luccio and Preparata), O(n log n);
+    - M <= 2: a running maximum of u_{M-1} reaches u_{M-1}(p) before p (the
+      maxima sweep of Kung, Luccio and Preparata), O(n log n); with one
+      player that flags every vector but the first;
     - M >= 3: a scan over windows of earlier, not yet dominated vectors with
       bitsets ranked per player (:func:`_dominated_windowed`).  Weak
       dominance is transitive, so a vector found dominated never needs to
@@ -574,8 +575,6 @@ def _lex_descending(payoffs: np.ndarray) -> np.ndarray:
     alike) may come in another order.
     """
     order = np.argsort(payoffs[0])[::-1]
-    if len(payoffs) == 1:
-        return order
     new = _new_runs(payoffs[0, order])
     tied = np.flatnonzero(~(new & np.append(new[1:], True)))  # in a run of two or more
     if len(tied):
@@ -598,11 +597,9 @@ def _dominated_sorted(payoffs: np.ndarray) -> np.ndarray:
     new = _new_runs(ranked)
     vectors = ranked[:, new]  # distinct vectors, descending
     k = vectors.shape[1]
-    if len(payoffs) == 1:
-        dominated = np.arange(k) > 0
-    elif len(payoffs) == 2:
+    if len(payoffs) <= 2:
         dominated = np.zeros(k, dtype=bool)
-        dominated[1:] = np.maximum.accumulate(vectors[1, :-1]) >= vectors[1, 1:]
+        dominated[1:] = np.maximum.accumulate(vectors[-1, :-1]) >= vectors[-1, 1:]
     else:
         dominated = _dominated_windowed(vectors[1:])
     out = np.empty(len(order), dtype=bool)

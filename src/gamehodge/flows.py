@@ -21,7 +21,8 @@ re-exported here) treat any leading axes as a batch, so many
 games of one shape go through one vectorised pass.  One checked solve
 serves :func:`laplacian_pinv_solve` and the decomposition kernel: it raises
 if any row's residual misses its tolerance relative to that row's norm, or
-that norm itself overflows.  The spectrum is built once per shape and memoised.
+that norm itself overflows, and returns the residual norms it checked.  The
+spectrum is built once per shape and memoised.
 
 Edge operators read the clique layout, not index arrays: player m's flow is
 a (C(h_m, 2), n/h_m) block of own-strategy pairs by opponent profiles, so a
@@ -117,7 +118,11 @@ class GameGraph:
         return self._cliques(2)[1]
 
     def comparable(self, p: Sequence[int], q: Sequence[int]) -> int | None:
-        """Deviating player if ``p`` and ``q`` are comparable, else None."""
+        """Deviating player if ``p`` and ``q`` are comparable, else None.
+
+        Both must be profiles of the shape (:meth:`node_index`).
+        """
+        self.node_index(p), self.node_index(q)
         diff = [m for m, (a, b) in enumerate(zip(p, q)) if a != b]
         return diff[0] if len(diff) == 1 else None
 
@@ -145,7 +150,7 @@ class GameGraph:
                 rank = math.comb(h, k) - 1 - sum(
                     math.comb(h - 1 - c, k - x) for x, c in enumerate(own)
                 )
-                return offset + rank * (n // h) + opponents.pop()
+                return offset + rank * (n // h) + int(opponents.pop())
             offset += math.comb(h, k) * (n // h)
         return None
 
@@ -250,10 +255,11 @@ class TriangleFlow:
 
 
 def _alternating(flow: EdgeFlow | TriangleFlow, nodes) -> float:
-    """``flow`` at ``nodes`` (ids, which are numbers, or profiles): the value at the clique's
-    position, stored for sorted order, negated per inversion; zero unless they are one clique."""
+    """``flow`` at ``nodes`` (ids, which are scalars, strings among them, or profiles): the value
+    at the clique's position, stored for sorted order, negated per inversion; zero unless they
+    are one clique."""
     graph = flow.graph
-    ids = [x if isinstance(x, (int, float, np.number)) else graph.node_index(x) for x in nodes]
+    ids = [x if isinstance(x, (int, float, str, np.generic)) else graph.node_index(x) for x in nodes]
     c = graph.clique_index(ids)
     if c is None:
         return 0.0
@@ -455,25 +461,23 @@ def laplacian_pinv_solve(
 
 
 def _solve(counts: tuple[int, ...], b: np.ndarray, tol: float = _SOLVE_TOL):
-    """``(phi, P phi, r)`` for rows ``b``, orthogonal to constants, on the last axis.
+    """``(phi, P phi, residual)`` for rows ``b``, orthogonal to constants, on the last axis.
 
     ``P phi`` is the demeaning of ``phi`` by each player, shape ``(..., M,
     n)``, through the unchecked core of :func:`project_player` (``counts``
     and ``b`` are the caller's, already checked), so ``Laplacian(phi) =
-    sum_m h_m P_m phi``.  Raises via :func:`_check_residual` unless
-    ``||b_c - Laplacian(phi)|| <= tol ||b_c||``, ``b_c`` being ``b`` less its
-    rounding-level mean; ``r = b - Laplacian(phi)``.
+    sum_m h_m P_m phi``.  ``residual`` is each row's ``||b_c -
+    Laplacian(phi)||``, ``b_c`` being ``b`` less its rounding-level mean; it
+    is the norm that :func:`_check_residual` holds to ``tol ||b_c||``.
     """
-    mean = b.sum(axis=-1, keepdims=True) / b.shape[-1]
-    b = b - mean
+    b = b - b.sum(axis=-1, keepdims=True) / b.shape[-1]
     phi = _pinv_transform(counts, b)
     p_phi = np.empty(phi.shape[:-1] + (len(counts), phi.shape[-1]))
     for m in range(len(counts)):
         p_phi[..., m, :] = _demean(counts, m, phi)
-    r = b - np.asarray(counts, dtype=float) @ p_phi
-    _check_residual(_root_squares(r), tol * _root_squares(b))
-    r += mean
-    return phi, p_phi, r
+    residual = _root_squares(b - np.asarray(counts, dtype=float) @ p_phi)
+    _check_residual(residual, tol * _root_squares(b))
+    return phi, p_phi, residual
 
 
 def _pinv_transform(counts: tuple[int, ...], b: np.ndarray) -> np.ndarray:

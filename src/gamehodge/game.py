@@ -37,8 +37,8 @@ def profile_index(profile: Sequence[int], strategy_counts: Sequence[int]) -> int
     """Map a strategy profile to its flat index (last player fastest).
 
     ``idx = ((p_1*h_2 + p_2)*h_3 + ...)``; inverse of :func:`profile_of_index`.
-    A coordinate that is not an ``int`` or numpy integer, 1.0 included, or
-    that is out of range raises ``IndexError``.
+    A coordinate that is not an ``int`` or numpy integer, 1.0 and ``True``
+    included, or that is out of range raises ``IndexError``.
     """
     if len(profile) != len(strategy_counts):
         raise ShapeError(
@@ -52,19 +52,18 @@ def profile_index(profile: Sequence[int], strategy_counts: Sequence[int]) -> int
 
 
 def _check_index(i, size: int, what: str) -> None:
-    """``IndexError`` for an ``i`` that is not an ``int`` or numpy integer in ``[0, size)``."""
-    if not isinstance(i, (int, np.integer)):
+    """``IndexError`` for an ``i`` that is not an ``int`` or numpy integer in ``[0, size)``;
+    a ``bool`` is not one."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
         raise IndexError(f"{what} {i!r} is not an integer")
     if not 0 <= i < size:
         raise IndexError(f"{what} {i} out of range [0, {size})")
 
 
 def profile_of_index(index: int, strategy_counts: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`profile_index`."""
+    """Inverse of :func:`profile_index`; ``IndexError`` as :func:`profile_index` raises it."""
+    _check_index(index, math.prod(strategy_counts), "profile index")
     index = int(index)
-    n = math.prod(strategy_counts)
-    if not 0 <= index < n:
-        raise IndexError(f"profile index {index} out of range [0, {n})")
     coords = []
     for h in reversed(strategy_counts):
         coords.append(index % h)

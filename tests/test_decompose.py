@@ -1025,8 +1025,8 @@ class TestDecompositionStructure:
     def test_applies_the_laplacian_once(self, monkeypatch):
         # the kernel projects u and phi once per player and reads
         # Laplacian(phi) = sum_m h_m P_m phi off the potential part, so it
-        # calls no laplacian_apply; the solver residual is read off the
-        # harmonic divergence; both projections go through the unchecked
+        # calls no laplacian_apply; the solver residual is the norm the
+        # solve checked; both projections go through the unchecked
         # demeaning core, not the validated project_player
         applies, projections = [], []
         apply = flows.laplacian_apply
@@ -1052,12 +1052,29 @@ class TestDecompositionStructure:
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     @pytest.mark.parametrize("counts", [(3, 3), (20, 20), (2, 3, 4), (200, 200), (8, 8, 8), (2,) * 12])
     def test_harmonic_divergence_reads_the_divergence(self, counts, scale):
-        # the kernel's residual row against the divergence summed from the
-        # returned harmonic part, on uniform random payoffs
+        # the divergence summed from the returned harmonic part, as verify
+        # sums it, on uniform random payoffs
         g = random_game(np.random.default_rng(0), counts, scale)
         d = decompose(g)
         direct = float(np.abs(np.asarray(counts, dtype=float) @ d.harmonic_part.utilities).max())
-        assert direct / 2 <= d.residuals["harmonic_divergence"] <= 2 * direct
+        assert d.residuals["harmonic_divergence"] == direct
+
+    def test_solver_is_the_checked_residual(self, monkeypatch):
+        # the solver residual is the norm that the solve's check was given,
+        # the centred one, on random games and on harmonic parts
+        checked = []
+        check = flows._check_residual
+        monkeypatch.setattr(
+            flows, "_check_residual", lambda residual, target: checked.append(residual) or check(residual, target)
+        )
+        rng = np.random.default_rng(49)
+        for counts in [(3, 3), (2, 3, 4), (20, 20), (5,)]:
+            g = random_game(rng, counts)
+            for game in (g, decompose(g).harmonic_part):
+                checked.clear()
+                d = decompose(game.with_utilities(game.utilities))
+                assert len(checked) == 1 and checked[0].shape == (1,)
+                assert d.residuals["solver"] == float(checked[0][0])
 
     def test_json_export_shape(self):
         d = decompose(matching_pennies())

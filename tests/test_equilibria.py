@@ -391,6 +391,18 @@ class TestHarmonicCorrelatedSystem:
             # the same space as the QR basis of the mean-zero functions gives
             assert np.abs(directions.T @ directions - qr_projector(system)).max() <= 1e-12
 
+    def test_long_axis_directions_leave_the_helmert_cache_alone(self):
+        # the transform caches the Helmert matrices of short axes only; the
+        # null bases of a 100x100 game build theirs uncached
+        from gamehodge.flows import _helmert_matrix
+
+        _helmert_matrix.cache_clear()  # so an earlier test's entry cannot hide a new one
+        g = decompose(random_game(np.random.default_rng(65), (100, 100))).harmonic_part
+        system = harmonic_correlated_system(g)
+        before = _helmert_matrix.cache_info().currsize
+        assert system.directions.shape[1] == g.num_profiles
+        assert _helmert_matrix.cache_info().currsize == before
+
     def test_rejects_non_harmonic(self):
         with pytest.raises(PreconditionError):
             harmonic_correlated_system(battle_of_sexes())
@@ -870,6 +882,24 @@ class TestPareto:
             u[0] = rng.choice([-0.0, 0.0, 0.5], size=n)
         assert n >= _PARETO_DENSE
         g = Game(u, (n,) + (1,) * (players - 1))
+        assert pareto_optimal(g) == pareto_by_pairs(g)
+
+    @pytest.mark.parametrize("n", [150, 400])
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "signed-zeros"])
+    def test_one_player_sweep(self, n, kind):
+        # one player goes through the two-player sweep on its only row
+        from gamehodge.equilibria import _PARETO_DENSE, _dominated_dense, _dominated_sorted
+
+        rng = np.random.default_rng(66)
+        if kind == "distinct":
+            u = rng.uniform(-1.0, 1.0, size=(1, n))
+        elif kind == "ties":
+            u = np.round(rng.uniform(-1.0, 1.0, size=(1, n)), 1)
+        else:
+            u = rng.choice([-0.5, -0.0, 0.0], size=(1, n))
+        assert n >= _PARETO_DENSE
+        np.testing.assert_array_equal(_dominated_sorted(u), _dominated_dense(u))
+        g = Game(u, (n,))
         assert pareto_optimal(g) == pareto_by_pairs(g)
 
     @pytest.mark.parametrize("name", list(LEX_ORDER_INPUTS))

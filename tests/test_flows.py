@@ -179,6 +179,22 @@ class TestCliqueIndex:
                 assert psi.value(p, q, r) == t + 1
                 assert psi.value(q, p, r) == -(t + 1)
 
+    def test_numpy_ids_give_a_python_int(self):
+        g = build_graph((2, 3))
+        e, sign = g.edge_id(np.int64(0), np.int32(1))
+        assert (e, sign) == g.edge_id(0, 1) and type(e) is int
+        assert type(g.clique_index((np.int64(0), np.int64(1), np.int64(2)))) is int
+
+    def test_comparable_checks_both_profiles(self):
+        g = build_graph((2, 2))
+        assert g.comparable((0, 1), (1, 1)) == 0
+        with pytest.raises(IndexError, match="out of range"):
+            g.comparable((0, 5), (0, 7))
+        with pytest.raises(IndexError, match="is not an integer"):
+            g.comparable((0, 1), (0, 1.0))
+        with pytest.raises(ShapeError):
+            g.comparable((0,), (1, 1))
+
     def test_triangle_flow_shape_check(self):
         g = build_graph((3, 3))
         with pytest.raises(ShapeError):

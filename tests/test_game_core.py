@@ -78,10 +78,13 @@ class TestProfileIndexing:
         with pytest.raises(IndexError):
             profile_of_index(4, (2, 2))
 
-    # a coordinate is an int or a numpy integer, never a float, 1.0 included;
-    # every reader of a profile refuses one with the same IndexError
-    @pytest.mark.parametrize("bad", [1.5, 0.5, 1.0, np.float64(1.0)], ids=repr)
+    # a coordinate is an int or a numpy integer, never a float, 1.0 included,
+    # a bool or a string; every reader of a profile, a profile index or a
+    # player index refuses one with the same IndexError
+    @pytest.mark.parametrize("bad", [1.5, 0.5, 1.0, np.float64(1.0), True, False, "1"], ids=repr)
     @pytest.mark.parametrize("call", [
+        lambda bad: profile_of_index(bad, (2, 2)),
+        lambda bad: battle_of_sexes().tensor(bad),
         lambda bad: profile_index((bad, 0), (2, 2)),
         lambda bad: build_graph((2, 2)).node_index((0, bad)),
         lambda bad: battle_of_sexes().utility(0, (bad, 0)),
@@ -91,8 +94,8 @@ class TestProfileIndexing:
         lambda bad: EdgeFlow(build_graph((2, 2)), np.ones(4)).value(bad, 0),
         lambda bad: TriangleFlow(build_graph((3,)), np.ones(1)).value(0, bad, 2),
         lambda bad: build_graph((2, 2)).clique_index((bad, 0)),
-    ], ids=["profile_index", "node_index", "utility", "edge-value", "triangle-value",
-            "edge-value-id", "triangle-value-id", "clique_index"])
+    ], ids=["profile_of_index", "tensor", "profile_index", "node_index", "utility", "edge-value",
+            "triangle-value", "edge-value-id", "triangle-value-id", "clique_index"])
     def test_non_integer_coordinates_raise_index_error(self, call, bad):
         with pytest.raises(IndexError, match="is not an integer"):
             call(bad)
