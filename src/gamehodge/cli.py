@@ -203,8 +203,7 @@ def cmd_verify(args) -> int:
     check("reconstruction", float(np.abs(u - (u_pot + u_harm + u_non)).max()), 1, scale)
     gradient_gap = _spread(counts, u_pot - d.potential_fn)
     check("potential-flow-is-gradient", gradient_gap, 1, scale)
-    divergence = np.asarray(counts, dtype=float) @ u_harm
-    check("harmonic-flow-divergence-free", float(np.abs(divergence).max()), h_sum, scale)
+    check("harmonic-flow-divergence-free", d.residuals["harmonic_divergence"], h_sum, scale)
     check("nonstrategic-flow-zero", _spread(counts, d.nonstrategic_part.utilities), 1, scale)
     check("components-normalized", block_sums(d.potential_part, d.harmonic_part), h_max, scale)
     # the parts' norms over the game's, whose squares sum to 1: no norm is squared

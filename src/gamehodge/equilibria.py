@@ -31,7 +31,7 @@ import numpy as np
 
 from .decompose import _norms, _parts, _strategic_negligible, closest_potential, is_harmonic
 from .errors import PreconditionError, _check_size
-from .flows import _helmert_matrix
+from .flows import _reflection_matrix
 from .game import Game, _check_index, _check_tol, _payoff_scale, is_normalized
 from .subspaces import numeric_rank
 
@@ -420,15 +420,14 @@ def _factor_ranks(counts: tuple[int, ...], u: np.ndarray, factors, tol: float) -
 def _null_basis(a: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal rows spanning the null space of ``a``, ``1 / sqrt(h)`` first.
 
-    The rest of the null space is taken inside the complement of the ones:
-    the last ``h - 1 - rank`` right singular vectors of ``a`` restricted to
-    rows 1..h-1 of the Helmert matrix (:func:`gamehodge.flows._helmert_matrix`),
-    an orthonormal basis of it; its row 0 is the ones row.  The matrix is
-    built uncached: the transform's cache holds only the short axes.
+    The rest is the last ``h - 1 - rank`` right singular vectors of ``a`` restricted to rows
+    1..h-1 of the reflection :func:`gamehodge.flows._reflection_matrix`, an orthonormal basis
+    of the complement of the ones; its row 0 is the unit constant.  The matrix is built
+    uncached: the transform's cache holds only the short axes.
     """
-    helmert = _helmert_matrix.__wrapped__(a.shape[1])
-    vt = np.linalg.svd(a @ helmert[1:].T)[2]
-    return np.vstack([helmert[:1], vt[rank:] @ helmert[1:]])
+    reflection = _reflection_matrix.__wrapped__(a.shape[1])
+    vt = np.linalg.svd(a @ reflection[:, 1:])[2]  # H = H^T
+    return np.vstack([reflection[:1], vt[rank:] @ reflection[1:]])
 
 
 # -- structural checks for harmonic games ---------------------------------------

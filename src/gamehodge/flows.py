@@ -10,11 +10,11 @@ Laplacians.
 
 The node-space operators need only the shape, never a graph.  Among them,
 the Laplacian pseudoinverse solve is exact: the game-graph Laplacian is a
-Kronecker sum of clique Laplacians, so any per-axis map that sends the
-constants to row 0 and the mean-zero functions to the other rows
-diagonalizes it, and the solve is one forward and one inverse transform,
-one axis at a time, with no iterative method, no dense fallback and no
-complex array.  Node functions lie on the last axis
+Kronecker sum of clique Laplacians, and one reflection per axis, which
+swaps the unit constant and row 0, diagonalizes it; the reflection is its
+own inverse, so the solve is the transform, a division and the transform
+again, one axis at a time, with no iterative method, no dense fallback and
+no complex array.  Node functions lie on the last axis
 of an array; :func:`laplacian_apply`, :func:`laplacian_pinv_solve` and the
 demeaning :func:`project_player` (defined in :mod:`gamehodge.game`,
 re-exported here) treat any leading axes as a batch, so many
@@ -75,9 +75,9 @@ __all__ = [
 # near 10: 3e7 admits 200x200, 2^20 and 60^3 and rejects 1000x1000; it caps triangles too
 DEFAULT_EDGE_CAP = 3 * 10**7
 _SOLVE_TOL = 1e-10  # residual bound of the Laplacian solve, relative to ||b||
-# longest axis by a cached matrix (<= 32 KiB); a round trip by the matrix and
-# one by the demeaning break even near h = 64 on (h, h) and near 128 on (h,)
-_HELMERT_CUT = 64
+# longest axis by a cached matrix (<= 32 KiB); a round trip by the matrix and one
+# in O(h) break even near h = 70 on (h, h), near 256 on (h,) and past 256 on (h, 2)
+_MATRIX_CUT = 64
 
 
 class GameGraph:
@@ -255,11 +255,12 @@ class TriangleFlow:
 
 
 def _alternating(flow: EdgeFlow | TriangleFlow, nodes) -> float:
-    """``flow`` at ``nodes`` (ids, which are scalars, strings among them, or profiles): the value
-    at the clique's position, stored for sorted order, negated per inversion; zero unless they
-    are one clique."""
+    """``flow`` at ``nodes`` (profiles, which are sequences or arrays of coordinates, or else node
+    ids): the value at the clique's position, stored for sorted order, negated per inversion;
+    zero unless they are one clique."""
     graph = flow.graph
-    ids = [x if isinstance(x, (int, float, str, np.generic)) else graph.node_index(x) for x in nodes]
+    ids = [graph.node_index(x) if isinstance(x, (Sequence, np.ndarray)) and getattr(x, "ndim", 1)
+           and not isinstance(x, (str, bytes)) else x for x in nodes]
     c = graph.clique_index(ids)
     if c is None:
         return 0.0
@@ -418,16 +419,13 @@ def laplacian_pinv_solve(
 
     The game graph is connected, so the Laplacian kernel is exactly the
     constants; ``b`` must therefore be orthogonal to constants.  The
-    Laplacian is the Kronecker sum of the clique Laplacians
-    ``h_m (I - J/h_m)``.  Any invertible map of each axis that sends the
-    constants to coefficient 0 and the mean-zero functions to coefficients
-    1..h_m-1 diagonalizes them, orthonormal or not; the solve uses the real
-    Helmert matrix (Lancaster 1965, *The Helmert matrices*) on short axes
-    and the demeaning itself, with the mean kept in coefficient 0, on long
-    ones.  The spectrum is the DFT's: at multi-index ``k`` the eigenvalue is
-    the sum of ``h_m`` over the players with ``k_m != 0``.  The solve
-    divides the transform of ``b`` by it, with the zero eigenvalue (the
-    constants) mapped to zero.
+    Laplacian is the Kronecker sum of the clique Laplacians ``h_m (I -
+    J/h_m)``, which one Householder reflection per axis (Householder 1958,
+    *Unitary triangularization of a nonsymmetric matrix*) diagonalizes: at
+    multi-index ``k`` the eigenvalue is the sum of ``h_m`` over the players
+    with ``k_m != 0``.  The reflections are their own inverses, so the solve
+    reflects ``b``, divides by that spectrum, with the zero eigenvalue (the
+    constants) mapped to zero, and reflects back.
 
     The last axis of ``b`` holds the ``prod(strategy_counts)`` profiles;
     leading axes are a batch of right-hand sides, solved together by
@@ -481,55 +479,59 @@ def _solve(counts: tuple[int, ...], b: np.ndarray, tol: float = _SOLVE_TOL):
 
 
 def _pinv_transform(counts: tuple[int, ...], b: np.ndarray) -> np.ndarray:
-    """Mean-zero ``pinv(Laplacian) b`` by one transform each way, rows along the last axis.
-
-    No check: ``b`` should already be orthogonal to constants.
-    """
-    x = _transform(counts, b, inverse=False) / _spectrum(counts).ravel()
-    x = _transform(counts, x, inverse=True)
-    return x - x.sum(axis=-1, keepdims=True) / b.shape[-1]
+    """``pinv(Laplacian) b`` for rows ``b`` orthogonal to constants (unchecked) on the last axis."""
+    return _transform(counts, _transform(counts, b) / _spectrum(counts).ravel())
 
 
-def _transform(counts: tuple[int, ...], x: np.ndarray, inverse: bool) -> np.ndarray:
-    """Coefficients of the node functions on the last axis of ``x``, or their inverse.
+def _transform(counts: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """Coefficients of the node functions on the last axis of ``x``; its own inverse.
 
-    Each axis gets an invertible map that sends the constants to row 0 and
-    the functions of mean zero to rows 1..h-1, so it diagonalizes the clique
-    Laplacian ``h (I - J/h)`` with eigenvalues ``(0, h, ..., h)``.  Up to
-    ``_HELMERT_CUT`` that map is the cached orthonormal Helmert matrix; above
-    it, the demeaning itself, with the mean kept in row 0.  Axis m is the
-    middle axis of a ``(-1, h_m, rest)`` reshape; axes of size one are the
+    Each axis gets the reflection of :func:`_reflect`, so the clique Laplacian ``h (I - J/h)``
+    becomes ``diag(0, h, ..., h)``: by the cached matrix up to ``_MATRIX_CUT``, in O(h) above
+    it.  Axis m is the middle axis of a ``(-1, h_m, rest)`` reshape; axes of size one are the
     identity and are skipped.  A new array unless every axis is.
     """
     shape = x.shape
     pre, post = math.prod(shape[:-1]), shape[-1]
     for h in counts:
         post //= h
-        if h > 1:
-            fibres = x.reshape(pre, h, post)
-            if h <= _HELMERT_CUT:
-                matrix = _helmert_matrix(h).T if inverse else _helmert_matrix(h)
-                # the last axis as one product of rows, not a stack of products
-                x = np.matmul(matrix, fibres) if post > 1 else fibres[..., 0] @ matrix.T
-            elif inverse:
-                x = fibres + fibres[:, :1]
-                x[:, :1] = fibres[:, :1] - fibres[:, 1:].sum(axis=1, keepdims=True)
-            else:
-                mean = fibres.sum(axis=1, keepdims=True) / h
-                x = fibres - mean
-                x[:, :1] = mean
+        if h > _MATRIX_CUT:
+            x = _reflect(x.reshape(pre, h, post))
+        elif h > 1:
+            # the last axis as one product of rows, not a stack of products; H = H^T
+            matrix, fibres = _reflection_matrix(h), x.reshape(pre, h, post)
+            x = np.matmul(matrix, fibres) if post > 1 else fibres[..., 0] @ matrix
         pre *= h
     return x.reshape(shape)
 
 
+def _reflect(fibres: np.ndarray) -> np.ndarray:
+    """``H x`` along axis 1 of a (pre, h > 1, post) array, ``H = I - 2 v v^T / v^T v``.
+
+    ``v = 1/sqrt(h) - e_0``: ``H`` swaps the unit constant and ``e_0``, and ``H = H^T = H^-1``.
+    With ``s = x_1 + ... + x_{h-1}``, row 0 of ``H x`` is ``(s + x_0) / sqrt(h)``, rows 1..h-1
+    are ``x - s / (h - sqrt(h)) + x_0 / sqrt(h)``; on ``I`` it evaluates each entry's closed form.
+    """
+    h, post = fibres.shape[1:]
+    r, ones, first = math.sqrt(h), _tail_ones(h), fibres[:, :1]
+    s = np.matmul(ones, fibres)[:, None] if post > 1 else (fibres[..., 0] @ ones)[:, None, None]
+    x = fibres - (s / (h - r) - first / r)
+    x[:, :1] = (s + first) / r
+    return x
+
+
 @functools.lru_cache(maxsize=None)
-def _helmert_matrix(h: int) -> np.ndarray:
-    """Read-only h x h orthonormal Helmert matrix: row 0 constant, row k ``(1^k, -k, 0)``."""
-    k = np.arange(1, h)
-    matrix = np.tri(h, h, -1)
-    matrix[k, k] = -k
-    matrix[0] = 1.0
-    matrix /= np.sqrt(np.append(h, k * (k + 1.0)))[:, None]
+def _tail_ones(h: int) -> np.ndarray:
+    """Read-only ``(0, 1, ..., 1)`` of length h."""
+    ones = np.append(0.0, np.ones(h - 1))
+    ones.flags.writeable = False
+    return ones
+
+
+@functools.lru_cache(maxsize=None)
+def _reflection_matrix(h: int) -> np.ndarray:
+    """Read-only h x h matrix of :func:`_reflect`, ``H = H^T = H^-1``; the identity at h = 1."""
+    matrix = _reflect(np.eye(h)[None])[0] if h > 1 else np.eye(1)
     matrix.flags.writeable = False
     return matrix
 

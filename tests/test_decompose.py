@@ -51,7 +51,7 @@ from gamehodge.catalog import (
     modified_battle_of_sexes,
     road_sharing,
 )
-from gamehodge.cli import main
+from gamehodge.cli import _ROUNDING, main
 from exact import exact_parts, norm_squared, relative_error
 from helpers import (
     ROAD_HARMONIC_FLOWS,
@@ -609,6 +609,20 @@ class TestDistancesAgainstExactParts:
         kept, _ = _distance_errors(_integer_game, [(3, 3), (4, 5), (2, 3, 4), (3, 3, 3)])
         assert max(kept) <= 4, kept
 
+    # axes above the transform's matrix cut, against exact parts: the worst
+    # part error over seeds 0-4 measured 5.0 and 5.4 eps max|u|, where a
+    # per-axis map whose rounding grows like h^2 read 17.3 and 16.9
+    @pytest.mark.parametrize("counts", [(100, 2), (70, 3, 2)], ids=str)
+    def test_long_axis_parts_within_8_eps(self, counts):
+        worst = 0.0
+        for seed in range(5):
+            g = _integer_game(np.random.default_rng([seed, *counts]), counts)
+            d = decompose(g)
+            for part, exact in zip((d.potential_part, d.harmonic_part, d.nonstrategic_part), exact_parts(g)[1:]):
+                err = max(abs(Fraction(x) - y) for x, y in zip(part.utilities.ravel().tolist(), exact.ravel()))
+                worst = max(worst, float(err) / np.abs(g.utilities).max())
+        assert worst <= 8 * np.finfo(float).eps, worst / np.finfo(float).eps
+
     # ||u_H|| is small beside ||u||, so its relative error is large; measured
     # worst: 4.0e4 eps kept against 8.4e4 eps through game_distance
     def test_near_potential_games_no_worse_than_the_projection_distance(self):
@@ -1096,6 +1110,14 @@ class TestLargeGames:
         d = decompose(g)
         assert is_potential(g)
         assert np.abs(d.potential_fn - (phi - phi.mean())).max() <= 1e-12 * scale
+
+    def test_long_axis_divergence_within_the_verify_rule(self):
+        # the bound of verify's harmonic-flow-divergence-free check, 128 eps
+        # sum_{h>1} h max|u|, allows 640 256 eps here; measured 31 365 eps.
+        # A per-axis map whose rounding grows like h^2 read 1.23 million
+        g = random_game(np.random.default_rng(0), (2, 5000))
+        bound = _ROUNDING * 5002 * np.abs(g.utilities).max()
+        assert decompose(g).residuals["harmonic_divergence"] <= bound
 
     def test_random_100x100_residuals_are_tiny(self):
         # the same bounds as TestGeneralizedRps.test_residuals_are_tiny

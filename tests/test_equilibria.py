@@ -392,16 +392,16 @@ class TestHarmonicCorrelatedSystem:
             assert np.abs(directions.T @ directions - qr_projector(system)).max() <= 1e-12
 
     def test_long_axis_directions_leave_the_helmert_cache_alone(self):
-        # the transform caches the Helmert matrices of short axes only; the
+        # the transform caches the reflection matrices of short axes only; the
         # null bases of a 100x100 game build theirs uncached
-        from gamehodge.flows import _helmert_matrix
+        from gamehodge.flows import _reflection_matrix
 
-        _helmert_matrix.cache_clear()  # so an earlier test's entry cannot hide a new one
+        _reflection_matrix.cache_clear()  # so an earlier test's entry cannot hide a new one
         g = decompose(random_game(np.random.default_rng(65), (100, 100))).harmonic_part
         system = harmonic_correlated_system(g)
-        before = _helmert_matrix.cache_info().currsize
+        before = _reflection_matrix.cache_info().currsize
         assert system.directions.shape[1] == g.num_profiles
-        assert _helmert_matrix.cache_info().currsize == before
+        assert _reflection_matrix.cache_info().currsize == before
 
     def test_rejects_non_harmonic(self):
         with pytest.raises(PreconditionError):

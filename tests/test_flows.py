@@ -697,8 +697,8 @@ class TestLaplacianSolve:
         got = laplacian_pinv_solve(counts, np.ldexp(b, k))
         assert np.array_equal(got, np.ldexp(laplacian_pinv_solve(counts, b), k))
 
-    # the last two put axes above the matrix cut, solved by the demeaning
-    # form, one beside a size-1 axis
+    # the last two put axes above the matrix cut, reflected in O(h), one
+    # beside a size-1 axis
     @pytest.mark.parametrize("counts", [(1,), (1, 4), (2, 3, 4), (2,) * 6, (5, 5), (65, 2), (1, 70)])
     def test_matches_dense_least_squares(self, counts):
         # Laplacian from the definition: degree minus adjacency, where two
@@ -738,7 +738,7 @@ class TestLaplacianSolve:
 
     def test_batch_rows_solve_like_single_rows(self):
         # two leading batch axes; the transforms run over the profile axes,
-        # by the Helmert matrices and, for the axis of 70, the demeaning form
+        # by the cached matrices and, for the axis of 70, the O(h) reflection
         rng = np.random.default_rng(24)
         for counts in [(2, 3, 4), (70, 3)]:
             n = math.prod(counts)
@@ -766,6 +766,25 @@ class TestLaplacianSolve:
         finally:
             tracemalloc.stop()
         assert peak - start <= 3.5 * b.nbytes
+
+    @pytest.mark.parametrize("h", [2, 3, 64, 65, 300])
+    def test_one_map_is_its_own_inverse(self, h):
+        # the same reflection each way, by the matrix up to the cut and in
+        # O(h) above it; row 0 holds the sum over sqrt(h)
+        x = np.random.default_rng(28).uniform(-1.0, 1.0, size=(3, h))
+        coefficients = gamehodge.flows._transform((h,), x)
+        assert np.abs(coefficients[:, 0] - x.sum(axis=1) / math.sqrt(h)).max() <= 1e-14
+        assert np.abs(gamehodge.flows._transform((h,), coefficients) - x).max() <= 1e-14
+
+    def test_the_matrix_is_the_long_form(self):
+        # the cached matrix at the cut is the O(h) reflection of the identity
+        # and so symmetric; it is orthogonal to rounding
+        h = gamehodge.flows._MATRIX_CUT
+        matrix = gamehodge.flows._reflection_matrix(h)
+        assert np.array_equal(matrix, gamehodge.flows._reflect(np.eye(h)[None])[0])
+        assert np.array_equal(matrix, matrix.T)
+        assert np.abs(matrix @ matrix - np.eye(h)).max() <= 16 * np.finfo(float).eps
+        assert np.abs(matrix[0] - 1 / math.sqrt(h)).max() == 0.0
 
     def test_batch_precondition_checks_every_row(self):
         rng = np.random.default_rng(25)

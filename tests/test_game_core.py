@@ -79,9 +79,12 @@ class TestProfileIndexing:
             profile_of_index(4, (2, 2))
 
     # a coordinate is an int or a numpy integer, never a float, 1.0 included,
-    # a bool or a string; every reader of a profile, a profile index or a
-    # player index refuses one with the same IndexError
-    @pytest.mark.parametrize("bad", [1.5, 0.5, 1.0, np.float64(1.0), True, False, "1"], ids=repr)
+    # a bool, a string, bytes, None or a 0-d array; every reader of a
+    # profile, a profile index or a player index refuses one with the same
+    # IndexError
+    @pytest.mark.parametrize(
+        "bad", [1.5, 0.5, 1.0, np.float64(1.0), True, False, "1", b"1", None, np.array(1)], ids=repr
+    )
     @pytest.mark.parametrize("call", [
         lambda bad: profile_of_index(bad, (2, 2)),
         lambda bad: battle_of_sexes().tensor(bad),
@@ -90,7 +93,8 @@ class TestProfileIndexing:
         lambda bad: battle_of_sexes().utility(0, (bad, 0)),
         lambda bad: EdgeFlow(build_graph((2, 2)), np.ones(4)).value((bad, 0), (0, 0)),
         lambda bad: TriangleFlow(build_graph((3,)), np.ones(1)).value((bad,), (1,), (2,)),
-        # a number is a node id, so a float one is refused the same way
+        # only a sequence or an array of coordinates is a profile, so anything
+        # else is a node id, refused the same way
         lambda bad: EdgeFlow(build_graph((2, 2)), np.ones(4)).value(bad, 0),
         lambda bad: TriangleFlow(build_graph((3,)), np.ones(1)).value(0, bad, 2),
         lambda bad: build_graph((2, 2)).clique_index((bad, 0)),

@@ -208,7 +208,7 @@ class TestEmpiricalDims:
     )
     def test_traces_match_closed_forms(self, counts):
         # (3,), (1, 5) and (1, 1) have no harmonic games; (65, 2) has an
-        # axis above the Helmert matrix cut
+        # axis above the transform's matrix cut
         assert empirical_dims(counts) == subspace_dims(counts)[:3]
 
     @pytest.mark.parametrize("factor", [1.01, 2.0])
