@@ -24,7 +24,7 @@ from . import __version__
 from .decompose import (
     _decomposition_document,
     _norms,
-    _spread,
+    _spreads,
     closest_harmonic,
     closest_potential,
     decompose,
@@ -193,7 +193,7 @@ def cmd_verify(args) -> int:
     norm_game = normalize(game)
     drift = np.abs(normalize(norm_game).utilities - norm_game.utilities).max()
     check("normalize-idempotent", float(drift), 1, scale)
-    check("normalize-preserves-comparisons", _spread(counts, norm_game.utilities - u), 1, scale)
+    check("normalize-preserves-comparisons", max(_spreads(counts, norm_game.utilities - u)), 1, scale)
     check("normalized-output", block_sums(norm_game), h_max, scale)
 
     # decomposition structure
@@ -201,10 +201,10 @@ def cmd_verify(args) -> int:
     parts = (d.potential_part, d.harmonic_part, d.nonstrategic_part)
     u_pot, u_harm, u_non = (p.utilities for p in parts)
     check("reconstruction", float(np.abs(u - (u_pot + u_harm + u_non)).max()), 1, scale)
-    gradient_gap = _spread(counts, u_pot - d.potential_fn)
+    gradient_gap = max(_spreads(counts, u_pot - d.potential_fn))
     check("potential-flow-is-gradient", gradient_gap, 1, scale)
     check("harmonic-flow-divergence-free", d.residuals["harmonic_divergence"], h_sum, scale)
-    check("nonstrategic-flow-zero", _spread(counts, d.nonstrategic_part.utilities), 1, scale)
+    check("nonstrategic-flow-zero", max(_spreads(counts, d.nonstrategic_part.utilities)), 1, scale)
     check("components-normalized", block_sums(d.potential_part, d.harmonic_part), h_max, scale)
     # the parts' norms over the game's, whose squares sum to 1: no norm is squared
     whole = game_norm(game)

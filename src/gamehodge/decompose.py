@@ -185,18 +185,18 @@ def _decompose_batch(counts: tuple[int, ...], u: np.ndarray):
     return phi, u_pot, proj, u_non, residual
 
 
-def _spread(counts: tuple[int, ...], rows: np.ndarray) -> float:
-    """Largest entry of the comparison flow of ``rows``, one node function per player.
+def _spreads(counts: tuple[int, ...], rows):
+    """Largest entry of each player's comparison flow of ``rows``, one player at a time.
 
     Row m's flow on player m's edges is ``r(b) - r(a)`` over own strategies
     with the opponents fixed; rounded subtraction is monotone, so its
     largest magnitude is exactly the spread ``max - min`` along axis m.
+    ``rows`` may be a generator: row m + 1 is not drawn before spread m is
+    consumed.
     """
-    spreads = []
     for m, r in enumerate(rows):
         t = r.reshape(counts)
-        spreads.append(float((t.max(axis=m) - t.min(axis=m)).max()))
-    return max(spreads, default=0.0)
+        yield float((t.max(axis=m) - t.min(axis=m)).max())
 
 
 def decompose_bimatrix_normalized(A, B):
@@ -301,12 +301,14 @@ def potential_function(game: Game, tol: float = 1e-9) -> np.ndarray | None:
     pair: the potential difference must match the deviating player's payoff
     difference.  The largest mismatch over player ``m``'s pairs is the
     largest spread of ``u^m - phi`` along axis ``m``; it must be within
-    ``tol`` times the norm of the normalised game.
+    ``tol`` times the norm of the normalised game.  The players are checked
+    in turn under that rule, ``u^m - phi`` formed for one at a time, and the
+    check stops at the first player whose mismatch fails it.
     """
     _check_tol(tol)
     phi = _parts(game)[0]
-    mismatch = _spread(game.strategy_counts, game.utilities - phi)
-    return phi.copy() if _negligible(mismatch, game, tol) else None
+    mismatches = _spreads(game.strategy_counts, (u - phi for u in game.utilities))
+    return phi.copy() if all(_negligible(m, game, tol) for m in mismatches) else None
 
 
 def closest_potential(game: Game) -> Game:

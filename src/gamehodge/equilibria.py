@@ -17,7 +17,8 @@ made by one argsort of player 0's payoffs with only its tied runs sorted
 further.  Then a running maximum serves two players; more take a bitset scan
 under a work cap, whose windows of comparators hold only vectors not yet
 found dominated (weak dominance is transitive), in O(n (M + window / 8))
-bytes; and games of few profiles take one dense comparison per player.
+bytes; and games of few profiles take one dense broadcast over players, of
+M n^2 booleans.
 ``equilibrium_report`` lists its profiles straight from the masks.
 """
 
@@ -491,7 +492,7 @@ def harmonic_indifference_checks(game: Game, tol: float = 1e-9) -> HarmonicIndif
 # -- Pareto analysis -------------------------------------------------------------
 
 
-# Below this many profiles one dense (n, n) comparison per player is used.
+# Below this many profiles one dense (M, n, n) broadcast over players is used.
 # On 2 CPUs sorting wins from about 70 profiles with two players and from
 # about 180 with more; the cut is on n alone.
 _PARETO_DENSE = 100
@@ -523,10 +524,10 @@ def pareto_optimal(game: Game) -> list[tuple[int, ...]]:
       O(n (M + window / 8)) bytes; above ``PARETO_WORK_CAP`` on n^2 (M - 1)
       it raises :class:`SizeError` before allocating anything.
 
-    Below ``_PARETO_DENSE`` profiles a dense (n, n) comparison per player is
-    faster and is used instead.  Every test is an exact float comparison, so
-    the paths agree.  The undominated profiles are listed from the mask, in
-    index order.
+    Below ``_PARETO_DENSE`` profiles one dense (M, n, n) broadcast over
+    players, at most M n^2 booleans, is faster and is used instead.  Every
+    test is an exact float comparison, so the paths agree.  The undominated
+    profiles are listed from the mask, in index order.
     """
     return _profiles(_pareto_mask(game))
 
@@ -545,13 +546,17 @@ def _pareto_mask(game: Game) -> np.ndarray:
 
 
 def _dominated_dense(payoffs: np.ndarray) -> np.ndarray:
-    """Weak domination by one (n, n) comparison per player."""
-    ge = payoffs[0] >= payoffs[0][:, None]
-    gt = payoffs[0] > payoffs[0][:, None]
-    for row in payoffs[1:]:
-        ge &= row >= row[:, None]
-        gt |= row > row[:, None]
-    return (ge & gt).any(axis=1)
+    """Weak domination by one (M, n, n) broadcast over players.
+
+    Entry ``[m, p, q]`` compares u_m(q) with u_m(p): q dominates p when it
+    is ``>=`` for all players and ``>`` for some.  Below ``_PARETO_DENSE``
+    profiles the 62-player limit bounds the booleans by 62 * 99^2, since no
+    such game has more than six players with two or more strategies.
+    """
+    rows, comparators = payoffs[:, :, None], payoffs[:, None, :]
+    dominates = np.logical_and.reduce(comparators >= rows)
+    dominates &= np.logical_or.reduce(comparators > rows)
+    return np.logical_or.reduce(dominates, axis=1)
 
 
 def _new_runs(rows: np.ndarray) -> np.ndarray:

@@ -396,18 +396,19 @@ def laplacian_apply(strategy_counts: Sequence[int], phi) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _spectrum(counts: tuple[int, ...]) -> np.ndarray:
-    """Read-only Laplacian eigenvalues on the coefficient grid of :func:`_transform`.
+    """Read-only Laplacian eigenvalues on the coefficient grid of :func:`_transform`, flat.
 
     The zero eigenvalue of the constants is stored as ``inf``, so dividing
-    by the spectrum maps them to zero.
+    by the spectrum maps them to zero.  It is indexed flat, since
+    ``ndarray.flat`` takes at most 32 axes.
     """
     spectrum = sum(
         np.where(np.arange(h) > 0, float(h), 0.0).reshape(
             [h if k == m else 1 for k in range(len(counts))]
         )
         for m, h in enumerate(counts)
-    )
-    spectrum.flat[0] = np.inf
+    ).ravel()
+    spectrum[0] = np.inf
     spectrum.flags.writeable = False
     return spectrum
 
@@ -480,7 +481,7 @@ def _solve(counts: tuple[int, ...], b: np.ndarray, tol: float = _SOLVE_TOL):
 
 def _pinv_transform(counts: tuple[int, ...], b: np.ndarray) -> np.ndarray:
     """``pinv(Laplacian) b`` for rows ``b`` orthogonal to constants (unchecked) on the last axis."""
-    return _transform(counts, _transform(counts, b) / _spectrum(counts).ravel())
+    return _transform(counts, _transform(counts, b) / _spectrum(counts))
 
 
 def _transform(counts: tuple[int, ...], x: np.ndarray) -> np.ndarray:

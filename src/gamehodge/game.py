@@ -198,7 +198,9 @@ def _checked_counts(strategy_counts: Iterable[int]) -> tuple[int, ...]:
     """``strategy_counts`` as a tuple of ints, or :class:`ShapeError`.
 
     Whole numbers of any numeric type (3, 3.0, ``np.int64(3)``) are accepted;
-    an empty sequence, a count < 1 or one that is not a whole number is refused.
+    an empty sequence, a count < 1 or one that is not a whole number is refused,
+    and so are more than 62 players: the stacked correlated system reshapes
+    rows to ``(h, h) + counts``, and numpy arrays have at most 64 axes.
     """
     given = tuple(strategy_counts)
     try:
@@ -207,6 +209,8 @@ def _checked_counts(strategy_counts: Iterable[int]) -> tuple[int, ...]:
         counts = None
     if not counts or counts != given or min(counts) < 1:
         raise ShapeError(f"invalid strategy counts {given}")
+    if len(counts) > 62:
+        raise ShapeError(f"{len(counts)} players exceed the player limit 62")
     return counts
 
 

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 
-from gamehodge import Game, pairwise_comparison
+from gamehodge import Game, pairwise_comparison, profile_of_index
 
 # -- Expected components of the generalized RPS game, as closed-form matrices --
 
@@ -57,6 +57,23 @@ def random_game(rng, counts, scale=1.0):
     m = len(counts)
     n = int(np.prod(counts))
     return Game(rng.uniform(-scale, scale, size=(m, n)), counts)
+
+
+def dominated_by_pairs(u):
+    """Weak domination of each column of (M, n) payoffs ``u``, tested against every other."""
+    payoffs = u.T
+    return np.array(
+        [bool(np.any(np.all(payoffs >= p, axis=1) & np.any(payoffs > p, axis=1))) for p in payoffs],
+        dtype=bool,
+    ).reshape(u.shape[1])
+
+
+def pareto_by_pairs(g):
+    """Pareto-optimal profiles, each payoff vector tested against every other."""
+    return [
+        profile_of_index(int(i), g.strategy_counts)
+        for i in np.flatnonzero(~dominated_by_pairs(g.utilities))
+    ]
 
 
 def overflowing_game(scale=1.7e308):

@@ -63,6 +63,7 @@ from helpers import (
     random_game,
     reconstruction_error,
     refuse_calls,
+    relabelled,
     rps_harmonic,
     rps_nonstrategic,
     rps_potential,
@@ -496,6 +497,145 @@ def _kernel_games():
 
 
 KERNEL_GAMES = _kernel_games()
+
+
+def _full_spread_rule(game, tol):
+    """``potential_function``'s decision by the full-spread rule, and each player's spread.
+
+    Every player's spread of ``u^m - phi`` along its own axis is formed, and
+    their maximum is held to ``tol`` times the norm of the normalised game;
+    a game whose strategic part is negligible has a potential.
+    """
+    d = decompose(game)
+    phi = d.potential_fn.reshape(game.strategy_counts)
+    spreads = [float(np.ptp(game.tensor(m) - phi, axis=m).max()) for m in range(game.num_players)]
+    strategic = math.hypot(game_norm(d.potential_part), game_norm(d.harmonic_part))
+    has = max(spreads) <= tol * strategic or strategic <= tol * game_norm(game)
+    return has, spreads, strategic
+
+
+def _potential_plus_nonstrategic(rng, counts, scale=1.0):
+    """A random potential shared by every player plus a random nonstrategic part."""
+    phi = rng.uniform(-1.0, 1.0, math.prod(counts))
+    return Game(scale * (phi + nonstrategic_payoffs(rng, counts)), counts)
+
+
+def _last_player_games():
+    """Potential games plus a small strategic change of the last player's payoffs alone,
+    on shapes where the last player's spread is then the largest."""
+    rng = np.random.default_rng(73)
+    games = {}
+    for counts in [(5, 2), (3, 2, 2), (4, 1, 3), (4, 4, 2), (2, 2, 2, 2), (2,) * 5]:
+        u = _potential_plus_nonstrategic(rng, counts).utilities.copy()
+        u[-1] += 1e-6 * rng.uniform(-1.0, 1.0, u.shape[1])
+        games[str(counts)] = Game(u, counts)
+    return games
+
+
+LAST_PLAYER_GAMES = _last_player_games()
+
+
+def _nearly_nonstrategic():
+    """A nonstrategic game plus a strategic part of 1e-14: negligible at tol 1e-9 and 1e-7."""
+    rng = np.random.default_rng(76)
+    return Game(nonstrategic_payoffs(rng, (3, 2, 2)) + 1e-14 * rng.uniform(-1.0, 1.0, (3, 12)), (3, 2, 2))
+
+
+EARLY_EXIT_GAMES = {**KERNEL_GAMES, **LAST_PLAYER_GAMES, "nearly-nonstrategic": _nearly_nonstrategic()}
+
+
+class _CountingPhi(np.ndarray):
+    """A potential that records each row subtracted from it: ``u^m - phi`` is formed once per player."""
+
+    formed: list
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.subtract and inputs[1] is self:
+            self.formed.append(np.array(inputs[0]))
+        inputs = tuple(np.asarray(x) if x is self else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _counting_rows(monkeypatch):
+    """The rows ``u^m - phi`` that ``potential_function`` forms, in the order it forms them."""
+    formed = []
+    parts = decompose_module._parts
+
+    def counting(game):
+        phi, *rest = parts(game)
+        phi = phi.view(_CountingPhi)
+        phi.formed = formed
+        return (phi, *rest)
+
+    monkeypatch.setattr(decompose_module, "_parts", counting)
+    return formed
+
+
+class TestPotentialEarlyExit:
+    """``potential_function`` checks the players in turn and stops at the first failing one,
+    deciding exactly as the rule that forms every player's spread."""
+
+    @pytest.mark.parametrize("name", list(LAST_PLAYER_GAMES))
+    def test_fails_only_at_the_last_player(self, name, monkeypatch):
+        g = LAST_PLAYER_GAMES[name]
+        _, spreads, strategic = _full_spread_rule(g, 0.0)
+        assert spreads[-1] > max(spreads[:-1])
+        formed = _counting_rows(monkeypatch)
+        # between the other players' spreads and the last one's: only the last fails
+        tol = (max(spreads[:-1]) + spreads[-1]) / 2 / strategic
+        assert _full_spread_rule(g, tol)[0] is False
+        assert potential_function(_fresh(g), tol) is None
+        assert len(formed) == g.num_players
+        # at each player's spread and either side of it
+        for spread in spreads:
+            for t in (spread / strategic, np.nextafter(spread / strategic, 0), np.nextafter(spread / strategic, 1)):
+                want = _full_spread_rule(g, t)[0]
+                got = potential_function(g, t)
+                assert (got is not None) == want, (t, spreads)
+                assert got is None or np.array_equal(got, decompose(g).potential_fn)
+
+    @pytest.mark.parametrize("exponent", [-600, 0, 600])
+    @pytest.mark.parametrize("counts", [(2, 2), (3, 4), (2, 3, 2), (1, 3, 2), (2, 2, 2, 2)])
+    def test_potential_plus_nonstrategic_at_every_scale(self, counts, exponent):
+        rng = np.random.default_rng(74)
+        g = _potential_plus_nonstrategic(rng, counts, 2.0**exponent)
+        for tol in (0.0, 1e-12, 1e-9):
+            want = _full_spread_rule(g, tol)[0]
+            got = potential_function(g, tol)
+            assert (got is not None) == want
+            assert got is None or np.array_equal(got, decompose(g).potential_fn)
+        assert potential_function(g) is not None
+
+    @pytest.mark.parametrize("counts", [(5, 2), (3, 2, 2), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("kind", ["potential", "random", "last-player"])
+    def test_relabelled_strategies(self, counts, kind):
+        rng = np.random.default_rng(75)
+        if kind == "potential":
+            g = _potential_plus_nonstrategic(rng, counts)
+        elif kind == "random":
+            g = random_game(rng, counts)
+        else:
+            g = LAST_PLAYER_GAMES[str(counts)]
+        for _ in range(3):
+            h = relabelled(g, rng)
+            for tol in (1e-9, 1e-3):
+                want = _full_spread_rule(h, tol)[0]
+                assert (potential_function(h, tol) is not None) == want
+                assert want == _full_spread_rule(g, tol)[0]
+
+    @pytest.mark.parametrize("name", list(EARLY_EXIT_GAMES))
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-7])
+    def test_no_row_after_the_first_failing_player(self, name, tol, monkeypatch):
+        g = EARLY_EXIT_GAMES[name]
+        has, spreads, strategic = _full_spread_rule(g, tol)
+        # a game with a negligible strategic part passes every player
+        negligible = strategic <= tol * game_norm(g)
+        failing = [m for m, s in enumerate(spreads) if not (s <= tol * strategic or negligible)]
+        formed = _counting_rows(monkeypatch)
+        got = potential_function(g, tol)
+        assert (got is not None) == has
+        assert [row.tolist() for row in formed] == g.utilities[: len(formed)].tolist()
+        assert len(formed) == (failing[0] + 1 if failing else g.num_players)
 
 
 class TestPredicatesReadTheKernel:

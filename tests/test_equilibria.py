@@ -44,7 +44,7 @@ from gamehodge.catalog import (
 )
 from gamehodge.equilibria import deviation_payoffs
 from gamehodge.subspaces import harmonic_basis_2p, nonstrategic_basis, numeric_rank
-from helpers import nonstrategic_payoffs, random_game, relabelled
+from helpers import dominated_by_pairs, nonstrategic_payoffs, pareto_by_pairs, random_game, relabelled
 
 equilibria_module = importlib.import_module("gamehodge.equilibria")
 
@@ -731,16 +731,6 @@ class TestHarmonicIndifference:
         assert report.violations
 
 
-def pareto_by_pairs(g):
-    """Pareto-optimal profiles, each payoff vector tested against every other."""
-    payoffs = g.utilities.T
-    return [
-        profile_of_index(i, g.strategy_counts)
-        for i in range(g.num_profiles)
-        if not np.any(np.all(payoffs >= payoffs[i], axis=1) & np.any(payoffs > payoffs[i], axis=1))
-    ]
-
-
 def _lex_order_inputs():
     """(M, n) payoff arrays with and without ties, for the lexicographic order."""
     rng = np.random.default_rng(64)
@@ -1359,6 +1349,57 @@ class TestParetoWindows:
         assert np.array_equal(~equilibria_module._dominated_sorted(u), want)
         if n >= equilibria_module._PARETO_DENSE:
             assert np.array_equal(equilibria_module._pareto_mask(g).ravel(), want)
+
+
+def _dense_payoffs(kind, players, n, seed):
+    """(M, n) payoffs with n below the dense cut, of one kind."""
+    rng = np.random.default_rng([seed, players, n])
+    if kind == "distinct":
+        return rng.uniform(-1.0, 1.0, size=(players, n))
+    if kind == "ties":
+        return rng.integers(-2, 3, size=(players, n)).astype(float)
+    if kind == "signed-zeros":
+        return rng.choice([-0.0, 0.0, 1.0], size=(players, n))
+    # equal payoff vectors: every column repeats one of a few
+    return rng.integers(-1, 2, size=(players, 3)).astype(float)[:, rng.integers(0, 3, size=n)]
+
+
+class TestParetoDenseBroadcast:
+    """The (M, n, n) broadcast below ``_PARETO_DENSE`` against the sorted scan and pair tests."""
+
+    @pytest.mark.parametrize("players", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 99])
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "signed-zeros", "equal-vectors"])
+    def test_matches_sorted_and_pairs(self, kind, n, players):
+        assert n < equilibria_module._PARETO_DENSE
+        u = _dense_payoffs(kind, players, n, 81)
+        want = dominated_by_pairs(u)
+        np.testing.assert_array_equal(equilibria_module._dominated_dense(u), want)
+        np.testing.assert_array_equal(equilibria_module._dominated_sorted(u), want)
+
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "signed-zeros", "equal-vectors"])
+    def test_62_one_strategy_players_the_largest_broadcast(self, kind):
+        u = _dense_payoffs(kind, 62, 99, 82)
+        want = dominated_by_pairs(u)
+        np.testing.assert_array_equal(equilibria_module._dominated_dense(u), want)
+        np.testing.assert_array_equal(equilibria_module._dominated_sorted(u), want)
+        g = Game(u, (99,) + (1,) * 61)
+        assert pareto_optimal(g) == pareto_by_pairs(g)
+
+    def test_signed_zeros_are_equal(self):
+        # -0.0 and 0.0 compare equal: neither vector dominates the other, and
+        # (0, 1) dominates both
+        u = np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 1.0]])
+        np.testing.assert_array_equal(equilibria_module._dominated_dense(u), [True, True, False])
+        np.testing.assert_array_equal(equilibria_module._dominated_dense(u[:, :2]), [False, False])
+
+    def test_equal_vectors_do_not_dominate_each_other(self):
+        u = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
+        np.testing.assert_array_equal(equilibria_module._dominated_dense(u), [False, False, False])
+        u[2, 2] = 0.25  # the third is now below on player 2 and still above on player 1
+        np.testing.assert_array_equal(equilibria_module._dominated_dense(u), [False, False, False])
+        u[1, 2] = 2.0  # now the first two dominate the third
+        np.testing.assert_array_equal(equilibria_module._dominated_dense(u), [False, False, True])
 
 
 def stacked_by_loops(counts, u):
